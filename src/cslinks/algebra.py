@@ -51,14 +51,6 @@ def key_trivalent_count(key):
     return key[2]
 
 
-def key_univalent_count(key):
-    return sum(key[1])
-
-
-def key_edge_count(key):
-    return len(key[3])
-
-
 class ClassVector:
     """A formal linear combination of diagram classes of one degree.
 

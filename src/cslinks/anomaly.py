@@ -19,9 +19,10 @@ import numpy as np
 from .algebra import ClassVector, Series, class_term, reduction
 from .curves import LinkCurve
 from .diagrams import (Diagram, OrientedDiagram, automorphism_count, degree,
-                       is_connected, is_subprincipal, std_oriented)
+                       is_connected, std_oriented)
 from .errors import DiagramError, EmbeddingError
-from .integrate import integrate_diagram, sphere_frames
+from .integrate import (KernelGeometry, column_tangents, integrate_diagram,
+                        jacobian_values, propose_trivalent, sphere_frames)
 from .mc import MCEstimate, run_sharded
 from .support import R1
 
@@ -63,8 +64,12 @@ def line_diagram_catalog(name: str) -> OrientedDiagram:
 LINE_CATALOG = ("theta", "d2", "a1", "a2", "a3", "w3")
 
 
-class WGeometry:
-    """Precomputed structure for the W-space integrand of a line diagram."""
+class WGeometry(KernelGeometry):
+    """Kernel geometry of a line diagram on the gauge slice of W(γ).
+
+    Jacobian columns: the two frame directions of s first, then the kept
+    half-edge coordinates (all but the two gauge legs).
+    """
 
     def __init__(self, od: OrientedDiagram):
         d = od.diagram
@@ -72,76 +77,22 @@ class WGeometry:
             raise DiagramError("anomaly diagrams live on the line support")
         if not is_connected(d.vertices, d.edges):
             raise DiagramError("anomaly diagrams are connected")
-        self.od = od
-        self.d = d
-        self.univ = list(d.placements[0])
+        super().__init__(od, sorted(tuple(sorted(e)) for e in d.edges))
         if len(self.univ) < 2:
             raise DiagramError("the gauge slice needs at least two legs")
-        self.triv = sorted(d.trivalent)
-        self.triv_index = {v: i for i, v in enumerate(self.triv)}
-        self.first = self.univ[0]
-        self.last = self.univ[-1]
-        self.interior = self.univ[1:-1]
-        self.univ_sign = {u: od.univ_sign(u) for u in self.univ}
-        self.edges = sorted(tuple(sorted(e)) for e in d.edges)
-        self.edge_index = {frozenset(e): i for i, e in enumerate(self.edges)}
-        self.columns = self._column_order()
-        kept = [c for c in self.columns
-                if not (c[0] == "u" and c[1] in (self.first, self.last))]
+        gauge = [("u", self.univ[0]), ("u", self.univ[-1])]
+        self.kept = [c for c in self.columns if c not in gauge]
         # parity of the shuffle moving the two gauge coordinates to the end,
         # (first, last) in that order; the translation/dilation block then
         # contributes determinant +1
-        marked = []
-        for c in self.columns:
-            if c[0] == "u" and c[1] == self.first:
-                marked.append("F")
-            elif c[0] == "u" and c[1] == self.last:
-                marked.append("L")
-            else:
-                marked.append(None)
-        seq = [i for i, m in enumerate(marked) if m is None]
-        seq.append(marked.index("F"))
-        seq.append(marked.index("L"))
-        self.gauge_sign = _permutation_sign(seq)
-        self.kept = kept
-        self.dim = 2 * len(self.edges)
-        if len(kept) + 4 != self.dim + 2:
-            raise DiagramError("slice dimension mismatch")
+        self.gauge_sign = _permutation_sign(
+            [i for i, c in enumerate(self.columns) if c not in gauge]
+            + [self.columns.index(c) for c in gauge])
         self.sign = W_GAUGE_SIGN * (-1) ** len(self.edges) * self.gauge_sign
-
-    def _column_order(self):
-        cols = {}
-        for ei, (p, q) in enumerate(self.edges):
-            for half, v in ((2 * ei, p), (2 * ei + 1, q)):
-                if v in self.d.univalent:
-                    cols[half] = ("u", v)
-                else:
-                    far = q if v == p else p
-                    cyc = self._rotated_cyclic(v)
-                    cols[half] = ("t", v, cyc.index(far))
-        return [cols[h] for h in range(2 * len(self.edges))]
-
-    def _rotated_cyclic(self, t):
-        cyc = self.od.triv_cyclic(t)
-        keyed = [self.edge_index[frozenset((t, n))] for n in cyc]
-        start = keyed.index(min(keyed))
-        return tuple(cyc[(start + i) % 3] for i in range(3))
-
-    def placement_order(self):
-        placed = set(self.univ)
-        order = []
-        pending = set(self.triv)
-        while pending:
-            for v in sorted(pending):
-                nbs = [w for w in self.d.neighbors(v) if w in placed]
-                if nbs:
-                    order.append((v, tuple(nbs)))
-                    placed.add(v)
-                    pending.discard(v)
-                    break
-            else:
-                raise DiagramError("disconnected anomaly diagram")
-        return order
+        # s-variation columns move every leg; slice columns one vertex each
+        self.entries = self.entries_for(
+            [(0, self.univ), (1, self.univ)]
+            + [(2 + off, (c[1],)) for off, c in enumerate(self.kept)])
 
 
 def _permutation_sign(seq):
@@ -161,13 +112,9 @@ def _permutation_sign(seq):
     return sign
 
 
-def _sample_sphere(rng, count, stratify=True):
+def _sample_sphere(rng, count):
     """Uniform points of S²; z is stratified across the batch."""
-    if stratify:
-        i = np.arange(count)
-        z = -1 + 2 * (i + rng.uniform(size=count)) / count
-    else:
-        z = rng.uniform(-1, 1, size=count)
+    z = -1 + 2 * (np.arange(count) + rng.uniform(size=count)) / count
     phi = rng.uniform(0, 2 * np.pi, size=count)
     r = np.sqrt(np.maximum(0.0, 1 - z ** 2))
     return np.stack([r * np.cos(phi), r * np.sin(phi), z], axis=1)
@@ -175,90 +122,37 @@ def _sample_sphere(rng, count, stratify=True):
 
 def w_config_positions(geo: WGeometry, s, t_params, x_triv):
     """Positions of all vertices for gauge-slice configurations."""
-    pos = {}
-    for j, v in enumerate(geo.univ):
-        pos[v] = t_params[:, j, None] * s
+    pos = {v: t_params[:, j, None] * s for j, v in enumerate(geo.univ)}
     for v in geo.triv:
         pos[v] = x_triv[:, geo.triv_index[v], :]
     return pos
 
 
 def w_integrand_batch(geo: WGeometry, s, t_params, x_triv):
-    """Density of the pulled-back sphere forms on the slice chart of W(γ).
-
-    Columns: the two frame directions of s first, then the kept half-edge
-    coordinates; rows as in the closed-link integrand.
-    """
-    count = len(s)
-    pos = w_config_positions(geo, s, t_params, x_triv)
-    E = len(geo.edges)
-    directions = np.empty((count, E, 3))
-    lengths = np.empty((count, E))
-    for ei, (p, q) in enumerate(geo.edges):
-        diff = pos[q] - pos[p]
-        r = np.linalg.norm(diff, axis=1)
-        lengths[:, ei] = r
-        directions[:, ei, :] = diff / np.maximum(r, 1e-300)[:, None]
-    rejected = np.any(lengths < 1e-9, axis=1)
-
-    f1, f2 = sphere_frames(directions)
-    sf1, sf2 = sphere_frames(s)
-    dim = geo.dim
-    M = np.zeros((count, dim, dim))
-
-    t_full = {v: t_params[:, j] for j, v in enumerate(geo.univ)}
-
-    def fill_column(ci, fields):
-        # fields: {vertex: (count, 3) velocity}
-        for v, tangent in fields.items():
-            for p, q in geo.edges:
-                if v not in (p, q):
-                    continue
-                ei = geo.edge_index[frozenset((p, q))]
-                dvec = directions[:, ei, :]
-                proj = tangent - dvec * np.sum(dvec * tangent, axis=1)[:, None]
-                entry = proj / np.maximum(lengths[:, ei], 1e-300)[:, None]
-                if v == p:
-                    entry = -entry
-                M[:, 2 * ei, ci] += np.sum(f1[:, ei, :] * entry, axis=1)
-                M[:, 2 * ei + 1, ci] += np.sum(f2[:, ei, :] * entry, axis=1)
-
+    """Density of the pulled-back sphere forms on the slice chart of W(γ);
+    rows as in the closed-link integrand."""
+    tangents = {}
     # s-variation columns: univalent positions move by t_v * delta
-    for ci, delta in ((0, sf1), (1, sf2)):
-        fields = {v: t_full[v][:, None] * delta for v in geo.univ}
-        fill_column(ci, fields)
-    # slice coordinates in half-edge order
-    for off, col in enumerate(geo.kept):
-        ci = 2 + off
-        if col[0] == "u":
-            v = col[1]
-            fields = {v: np.broadcast_to(s, (count, 3)) * geo.univ_sign[v]}
-        else:
-            v = col[1]
-            tangent = np.zeros((count, 3))
-            tangent[:, col[2]] = 1.0
-            fields = {v: tangent}
-        fill_column(ci, fields)
-
-    det = np.linalg.det(M)
-    values = geo.sign * det / (4 * np.pi) ** E
-    return np.where(rejected, 0.0, values), rejected
+    for ci, delta in enumerate(sphere_frames(s)):
+        for j, v in enumerate(geo.univ):
+            tangents[ci, v] = t_params[:, j, None] * delta
+    tangents.update(column_tangents(
+        geo.kept, len(s), lambda v: s * geo.univ_sign[v], offset=2))
+    return jacobian_values(geo, w_config_positions(geo, s, t_params, x_triv),
+                           tangents, 1e-9)
 
 
 class WSampler:
-    """Importance sampler on S² x (gauge slice)."""
+    """Importance sampler on S² x (gauge slice): a stratified uniform axis,
+    uniformly ordered interior legs, and propose_trivalent at unit scale."""
 
-    def __init__(self, geo: WGeometry, scale=1.0, stratify=True):
+    def __init__(self, geo: WGeometry):
         self.geo = geo
-        self.scale = scale
-        self.stratify = stratify
-        u = len(geo.univ)
-        self.interior_density = float(factorial(u - 2))
-        self.order = geo.placement_order()
+        self.interior_density = float(factorial(len(geo.univ) - 2))
 
     def sample(self, rng, count):
         geo = self.geo
-        s = _sample_sphere(rng, count, self.stratify)
+        s = _sample_sphere(rng, count)
         u = len(geo.univ)
         t_params = np.empty((count, u))
         t_params[:, 0] = 0.0
@@ -267,41 +161,20 @@ class WSampler:
             inner = np.sort(rng.uniform(0, 1, size=(count, u - 2)), axis=1)
             t_params[:, 1:-1] = inner
         density = np.full(count, self.interior_density / (4 * np.pi))
-        pos = w_config_positions(geo, s, t_params,
-                                 np.zeros((count, len(geo.triv), 3)))
-        x_triv = np.empty((count, len(geo.triv), 3))
-        for v, anchors in self.order:
-            anchor_pos = np.stack([pos[a] for a in anchors], axis=1)
-            choice = rng.integers(0, len(anchors), size=count)
-            centers = np.take_along_axis(
-                anchor_pos, choice[:, None, None], axis=1)[:, 0, :]
-            uu = rng.uniform(0.0, 1.0, size=count)
-            r = self.scale * np.tan(0.5 * np.pi * uu)
-            direc = rng.normal(size=(count, 3))
-            direc /= np.linalg.norm(direc, axis=1, keepdims=True)
-            x = centers + r[:, None] * direc
-            q = np.zeros(count)
-            for a in anchors:
-                ra = np.linalg.norm(x - pos[a], axis=1)
-                ra = np.maximum(ra, 1e-300)
-                q += self.scale / (2 * np.pi ** 2 * ra ** 2
-                                   * (self.scale ** 2 + ra ** 2))
-            q /= len(anchors)
-            density *= q
-            x_triv[:, geo.triv_index[v], :] = x
-            pos[v] = x
+        pos = {v: t_params[:, j, None] * s for j, v in enumerate(geo.univ)}
+        x_triv = propose_trivalent(geo, rng, pos, density, 1.0)
         return s, t_params, x_triv, density
 
 
-def f_gamma(gamma, samples=10 ** 6, seed=0, shards=None, workers=None,
-            stratify=True) -> MCEstimate:
+def f_gamma(gamma, samples=10 ** 6, seed=0, shards=None,
+            workers=None) -> MCEstimate:
     """The anomaly integral of a connected line diagram (by name or as an
     oriented diagram)."""
     od = line_diagram_catalog(gamma) if isinstance(gamma, str) else gamma
     if degree(od.diagram) > 3:
         raise DiagramError("anomaly integrals support degree <= 3")
     geo = WGeometry(od)
-    sampler = WSampler(geo, stratify=stratify)
+    sampler = WSampler(geo)
 
     def batch(rng, count):
         s, t_params, x_triv, density = sampler.sample(rng, count)

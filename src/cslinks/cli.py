@@ -28,7 +28,10 @@ from .support import S1, circles
 
 
 def _parse_count(text):
-    return int(float(text))
+    value = float(text)
+    if not np.isfinite(value):
+        raise ValueError(f"sample count must be finite, got {text!r}")
+    return int(value)
 
 
 def _load_curve(spec):

@@ -1,4 +1,5 @@
-"""Monte Carlo evaluation of the configuration space integrals I_L(Γ).
+"""Monte Carlo evaluation of the configuration space integrals I_L(Γ), and
+the configuration-space kernel that the anomaly integrals share.
 
 The integrand is the density of the pulled-back product of unit-area sphere
 forms against the coordinate volume of the configuration space: a square
@@ -6,6 +7,12 @@ Jacobian determinant whose rows are the two frame components of each edge
 direction differential and whose columns are the half-edge-ordered
 coordinates (one circle parameter per univalent vertex, three space
 coordinates per trivalent vertex, ordered by the vertex orientations).
+
+The kernel has three parts, used by both the closed-link integrals here and
+the anomaly integrals over W(γ): KernelGeometry (columns, placement order
+and Jacobian entries), propose_trivalent (the radial proposal for the
+trivalent vertices) and jacobian_values (edge directions, frames and the
+determinant).
 
 Sign conventions are pinned empirically (Hopf linking +1, round-unknot
 tripod +1/8): frames satisfy f1 x f2 = direction (outward) and the whole
@@ -70,8 +77,161 @@ def sphere_frames(directions):
     return f1, f2
 
 
-class DiagramGeometry:
-    """Precomputed structure shared by the integrand and the sampler.
+class KernelGeometry:
+    """Structure of an oriented diagram with a directed edge list, shared by
+    the closed-link and the anomaly integrands and samplers.
+
+    columns: the half-edge coordinate order, ('u', v) for a univalent vertex
+    or ('t', v, axis) for a trivalent one; placement_order: the trivalent
+    vertices, each with its already placed neighbours; entries: the
+    (column, vertex, edge, sign) of each Jacobian contribution, set by the
+    subclass through entries_for.
+    """
+
+    def __init__(self, od: OrientedDiagram, edges):
+        d = od.diagram
+        self.od = od
+        self.d = d
+        self.univ = [v for comp in d.placements for v in comp]
+        self.univ_sign = {u: od.univ_sign(u) for u in self.univ}
+        self.triv = sorted(d.trivalent)
+        self.triv_index = {v: i for i, v in enumerate(self.triv)}
+        self.edges = edges
+        self.edge_index = {frozenset(e): i for i, e in enumerate(edges)}
+        self.dim = 2 * len(edges)
+        self.columns = self._column_order()
+        self.placement_order = self._placement_order()
+
+    def _column_order(self):
+        cols = {}
+        for ei, (p, q) in enumerate(self.edges):
+            for half, v in ((2 * ei, p), (2 * ei + 1, q)):
+                if v in self.d.univalent:
+                    cols[half] = ("u", v)
+                else:
+                    # axis of this half-edge at v: position of the far
+                    # neighbour in the cyclic order rotated to start at the
+                    # lowest-index incident edge
+                    far = q if v == p else p
+                    cyc = self._rotated_cyclic(v)
+                    cols[half] = ("t", v, cyc.index(far))
+        return [cols[h] for h in range(self.dim)]
+
+    def _rotated_cyclic(self, t):
+        cyc = self.od.triv_cyclic(t)
+        keyed = [self.edge_index[frozenset((t, n))] for n in cyc]
+        start = keyed.index(min(keyed))
+        return tuple(cyc[(start + i) % 3] for i in range(3))
+
+    def _placement_order(self):
+        """Trivalent vertices ordered so each has a placed neighbour."""
+        placed = set(self.univ)
+        order = []
+        pending = set(self.triv)
+        while pending:
+            for v in sorted(pending):
+                nbs = [w for w in self.d.neighbors(v) if w in placed]
+                if nbs:
+                    order.append((v, tuple(nbs)))
+                    placed.add(v)
+                    pending.discard(v)
+                    break
+            else:
+                raise DiagramError("component without univalent anchor")
+        return order
+
+    def entries_for(self, moves):
+        """Jacobian entries for moves = [(column, vertices moved by it)];
+        the tail of an edge enters with sign -1."""
+        return [(ci, v, ei, -1 if v == p else 1) for ci, vertices in moves
+                for v in vertices for ei, (p, q) in enumerate(self.edges)
+                if v in (p, q)]
+
+
+def column_tangents(columns, count, univ_tangent, offset=0):
+    """{(column, vertex): velocity} for half-edge columns numbered from
+    offset: univ_tangent(v) for a univalent coordinate, the coordinate axis
+    for a trivalent one."""
+    out = {}
+    for ci, col in enumerate(columns, offset):
+        if col[0] == "u":
+            tangent = univ_tangent(col[1])
+        else:
+            tangent = np.zeros((count, 3))
+            tangent[:, col[2]] = 1.0
+        out[ci, col[1]] = tangent
+    return out
+
+
+def propose_trivalent(geo: KernelGeometry, rng, pos, density, scale):
+    """Radial half-Cauchy proposals for the trivalent vertices.
+
+    In placement order, each vertex is centred at a uniformly chosen placed
+    neighbour; the 1/r^2 density core matches the collision singularity of
+    the integrand, the r^-4 tail covers escapes to infinity.  Adds the new
+    positions to pos, multiplies density by the mixture density in place,
+    and returns the (count, trivalent, 3) positions.
+    """
+    count = len(density)
+    x_triv = np.empty((count, len(geo.triv), 3))
+    for v, anchors in geo.placement_order:
+        anchor_pos = np.stack([pos[a] for a in anchors], axis=1)
+        choice = rng.integers(0, len(anchors), size=count)
+        centers = np.take_along_axis(
+            anchor_pos, choice[:, None, None], axis=1)[:, 0, :]
+        u = rng.uniform(0.0, 1.0, size=count)
+        r = scale * np.tan(0.5 * np.pi * u)
+        direc = rng.normal(size=(count, 3))
+        direc /= np.linalg.norm(direc, axis=1, keepdims=True)
+        x = centers + r[:, None] * direc
+        q = np.zeros(count)
+        for a in anchors:
+            ra = np.maximum(np.linalg.norm(x - pos[a], axis=1), 1e-300)
+            q += scale / (2 * np.pi ** 2 * ra ** 2 * (scale ** 2 + ra ** 2))
+        q /= len(anchors)
+        density *= q
+        x_triv[:, geo.triv_index[v], :] = x
+        pos[v] = x
+    return x_triv
+
+
+def jacobian_values(geo: KernelGeometry, pos, tangents, tol):
+    """Signed densities sign * det(M) / (4pi)^E for a batch.
+
+    pos: {vertex: (count, 3)}; tangents: {(column, vertex): (count, 3)},
+    the velocity of the vertex along the column's coordinate.  Returns
+    (values, rejected_mask); configurations with an edge shorter than tol
+    are flagged and valued 0.
+    """
+    count = len(pos[geo.univ[0]])
+    E = len(geo.edges)
+    lengths = np.empty((count, E))
+    edge = []       # per edge: direction, its frame, guarded length
+    for ei, (p, q) in enumerate(geo.edges):
+        diff = pos[q] - pos[p]
+        r = np.linalg.norm(diff, axis=1)
+        lengths[:, ei] = r
+        safe = np.maximum(r, 1e-300)[:, None]
+        dvec = diff / safe
+        edge.append((dvec, *sphere_frames(dvec), safe))
+    rejected = np.any(lengths < tol, axis=1)
+
+    M = np.zeros((count, geo.dim, geo.dim))
+    for ci, v, ei, sign in geo.entries:
+        tangent = tangents[ci, v]
+        dvec, f1, f2, safe = edge[ei]
+        proj = tangent - dvec * np.sum(dvec * tangent, axis=1)[:, None]
+        entry = proj / safe
+        if sign < 0:
+            entry = -entry
+        M[:, 2 * ei, ci] += np.sum(f1 * entry, axis=1)
+        M[:, 2 * ei + 1, ci] += np.sum(f2 * entry, axis=1)
+    values = geo.sign * np.linalg.det(M) / (4 * np.pi) ** E
+    return np.where(rejected, 0.0, values), rejected
+
+
+class DiagramGeometry(KernelGeometry):
+    """Kernel geometry of a closed-link diagram on a curve.
 
     edge_order permutes the edge labels and flip_edges reverses chosen
     half-edge pairs; the integrand is invariant under both (each flips the
@@ -86,71 +246,19 @@ class DiagramGeometry:
             raise DiagramError("curve and diagram support size differ")
         if not all(d.support.is_circle(i) for i in range(d.support.n_components)):
             raise DiagramError("closed-link integrals need circle components")
-        self.od = od
-        self.d = d
-        self.curve = curve
-        self.univ = [v for comp in d.placements for v in comp]
-        self.univ_index = {v: i for i, v in enumerate(self.univ)}
-        self.triv = sorted(d.trivalent)
-        self.triv_index = {v: i for i, v in enumerate(self.triv)}
-        self.univ_sign = {u: od.univ_sign(u) for u in self.univ}
         # default edge labelling: sorted edge list; direction low -> high id
-        self.edges = sorted((tuple(sorted(e)) for e in d.edges))
+        edges = sorted((tuple(sorted(e)) for e in d.edges))
         if edge_order is not None:
-            self.edges = [self.edges[i] for i in edge_order]
-        self.edges = [tuple(reversed(e)) if frozenset(e) in flip_edges else e
-                      for e in self.edges]
-        self.edge_index = {frozenset(e): i for i, e in enumerate(self.edges)}
-        # columns in half-edge order; each is ('u', vertex) or ('t', vertex, axis)
-        self.columns = self._column_order()
-        self.n_univ = len(self.univ)
-        self.n_triv = len(self.triv)
-        self.dim = 2 * len(self.edges)
-        if self.dim != self.n_univ + 3 * self.n_triv:
-            raise DiagramError("column count mismatch (diagram not closed?)")
-        self.sign = (-1) ** len(self.edges)
+            edges = [edges[i] for i in edge_order]
+        edges = [tuple(reversed(e)) if frozenset(e) in flip_edges else e
+                 for e in edges]
+        super().__init__(od, edges)
+        self.curve = curve
+        self.univ_index = {v: i for i, v in enumerate(self.univ)}
+        self.sign = (-1) ** len(edges)
         self.diameter = curve.diameter()
-        self._placement_order = self._bfs_order()
-
-    def _column_order(self):
-        cols = {}
-        for ei, (p, q) in enumerate(self.edges):
-            for half, v in ((2 * ei, p), (2 * ei + 1, q)):
-                if v in self.univ_index:
-                    cols[half] = ("u", v)
-                else:
-                    # axis of this half-edge at v: position of the far
-                    # neighbour in the cyclic order rotated to start at the
-                    # lowest-index incident edge
-                    far = q if v == p else p
-                    cyc = self._rotated_cyclic(v)
-                    cols[half] = ("t", v, cyc.index(far))
-        return [cols[h] for h in range(2 * len(self.edges))]
-
-    def _rotated_cyclic(self, t):
-        cyc = self.od.triv_cyclic(t)
-        keyed = [self.edge_index[frozenset((t, n))] for n in cyc]
-        start = keyed.index(min(keyed))
-        return tuple(cyc[(start + i) % 3] for i in range(3))
-
-    def _bfs_order(self):
-        """Trivalent vertices ordered so each has a placed neighbour."""
-        placed = set(self.univ)
-        order = []
-        pending = set(self.triv)
-        while pending:
-            progress = False
-            for v in sorted(pending):
-                nbs = [w for w in self.d.neighbors(v) if w in placed]
-                if nbs:
-                    order.append((v, tuple(nbs)))
-                    placed.add(v)
-                    pending.discard(v)
-                    progress = True
-                    break
-            if not progress:
-                raise DiagramError("component without univalent anchor")
-        return order
+        self.entries = self.entries_for(
+            [(ci, (col[1],)) for ci, col in enumerate(self.columns)])
 
 
 class ConfigurationSampler:
@@ -158,10 +266,8 @@ class ConfigurationSampler:
 
     Univalent parameters: uniform per component, sorted and rotated into the
     placement's cyclic class (exact constant density with the multiplicity
-    factor (k-1)!/(2pi)^k).  Trivalent points: radial half-Cauchy proposals
-    centered at a uniformly chosen already-placed graph neighbour; the 1/r^2
-    density core matches the collision singularity of the integrand, the
-    r^-4 tail covers escapes to infinity.
+    factor (k-1)!/(2pi)^k).  Trivalent points: propose_trivalent at the
+    scale of the curve's diameter.
     """
 
     def __init__(self, geo: DiagramGeometry):
@@ -176,7 +282,7 @@ class ConfigurationSampler:
 
     def sample(self, rng, count):
         geo = self.geo
-        t_univ = np.empty((count, geo.n_univ))
+        t_univ = np.empty((count, len(geo.univ)))
         for ci, comp in enumerate(geo.d.placements):
             k = len(comp)
             if not k:
@@ -188,31 +294,10 @@ class ConfigurationSampler:
                 t_univ[:, geo.univ_index[v]] = np.take_along_axis(
                     u, idx[:, None], axis=1)[:, 0]
         density = np.full(count, self.univ_density)
-
         pos = {v: geo.curve.eval(geo.d.component_of(v),
                                  t_univ[:, geo.univ_index[v]])
                for v in geo.univ}
-        x_triv = np.empty((count, geo.n_triv, 3))
-        for v, anchors in geo._placement_order:
-            anchor_pos = np.stack([pos[a] for a in anchors], axis=1)
-            choice = rng.integers(0, len(anchors), size=count)
-            centers = np.take_along_axis(
-                anchor_pos, choice[:, None, None], axis=1)[:, 0, :]
-            u = rng.uniform(0.0, 1.0, size=count)
-            r = self.scale * np.tan(0.5 * np.pi * u)
-            direc = rng.normal(size=(count, 3))
-            direc /= np.linalg.norm(direc, axis=1, keepdims=True)
-            x = centers + r[:, None] * direc
-            q = np.zeros(count)
-            for a in anchors:
-                ra = np.linalg.norm(x - pos[a], axis=1)
-                ra = np.maximum(ra, 1e-300)
-                q += self.scale / (2 * np.pi ** 2 * ra ** 2
-                                   * (self.scale ** 2 + ra ** 2))
-            q /= len(anchors)
-            density *= q
-            x_triv[:, geo.triv_index[v], :] = x
-            pos[v] = x
+        x_triv = propose_trivalent(geo, rng, pos, density, self.scale)
         return t_univ, x_triv, density
 
 
@@ -222,7 +307,6 @@ def integrand_batch(geo: DiagramGeometry, t_univ, x_triv):
     Returns (values, rejected_mask); configurations with an edge shorter
     than the collision tolerance are flagged and valued 0.
     """
-    count = t_univ.shape[0]
     pos = {}
     vel = {}
     for v in geo.univ:
@@ -232,42 +316,8 @@ def integrand_batch(geo: DiagramGeometry, t_univ, x_triv):
         vel[v] = geo.curve.deriv(m, tv) * geo.univ_sign[v]
     for v in geo.triv:
         pos[v] = x_triv[:, geo.triv_index[v], :]
-
-    E = len(geo.edges)
-    directions = np.empty((count, E, 3))
-    lengths = np.empty((count, E))
-    for ei, (p, q) in enumerate(geo.edges):
-        diff = pos[q] - pos[p]
-        r = np.linalg.norm(diff, axis=1)
-        lengths[:, ei] = r
-        directions[:, ei, :] = diff / np.maximum(r, 1e-300)[:, None]
-    rejected = np.any(lengths < COLLISION_TOL * geo.diameter, axis=1)
-
-    f1, f2 = sphere_frames(directions)
-    M = np.zeros((count, geo.dim, geo.dim))
-    for ci, col in enumerate(geo.columns):
-        if col[0] == "u":
-            v = col[1]
-            tangent = vel[v]
-        else:
-            v = col[1]
-            tangent = np.zeros((count, 3))
-            tangent[:, col[2]] = 1.0
-        for p, q in geo.edges:
-            if v not in (p, q):
-                continue
-            ei = geo.edge_index[frozenset((p, q))]
-            dvec = directions[:, ei, :]
-            proj = tangent - dvec * np.sum(dvec * tangent, axis=1)[:, None]
-            entry = proj / np.maximum(lengths[:, ei], 1e-300)[:, None]
-            if v == p:
-                entry = -entry
-            M[:, 2 * ei, ci] += np.sum(f1[:, ei, :] * entry, axis=1)
-            M[:, 2 * ei + 1, ci] += np.sum(f2[:, ei, :] * entry, axis=1)
-    det = np.linalg.det(M)
-    values = geo.sign * det / (4 * np.pi) ** E
-    values = np.where(rejected, 0.0, values)
-    return values, rejected
+    tangents = column_tangents(geo.columns, t_univ.shape[0], vel.__getitem__)
+    return jacobian_values(geo, pos, tangents, COLLISION_TOL * geo.diameter)
 
 
 def sample_configuration(od: OrientedDiagram, curve: LinkCurve, rng):

@@ -4,8 +4,8 @@ series Z0, the degree-2 invariant, and the rationality (lattice) check."""
 from fractions import Fraction
 from math import gcd
 
-from .algebra import (ClassVector, Series, class_term, lattice_generators,
-                      line_unit, exp_action, reduction)
+from .algebra import (ClassVector, Series, class_term, exp_action,
+                      lattice_generators, reduction)
 from .curves import LinkCurve
 from .diagrams import THETA, Diagram, std_oriented
 from .errors import ConvergenceError, DiagramError
@@ -101,23 +101,10 @@ def z0_series(curve: LinkCurve, max_degree=2, samples=10 ** 6, seed=0,
                      "z_series": series, "estimates": estimates}
 
 
-def chord_basis_keys(support, n):
-    """Basis keys of the reduction, which are chord diagram classes."""
-    return reduction(support, n).basis
-
-
 def crossed_chord_key():
     """Canonical key of the crossed two-chord diagram on the circle."""
     d = Diagram(circles(1), ((0, 1, 2, 3),), frozenset(),
                 frozenset({frozenset((0, 2)), frozenset((1, 3))}))
-    key, sign = class_term(std_oriented(d))
-    assert sign == 1
-    return key
-
-
-def parallel_chord_key():
-    d = Diagram(circles(1), ((0, 1, 2, 3),), frozenset(),
-                frozenset({frozenset((0, 1)), frozenset((2, 3))}))
     key, sign = class_term(std_oriented(d))
     assert sign == 1
     return key

@@ -71,10 +71,15 @@ def run_sharded(batch_fn, samples, seed, shards=None, workers=None,
 
     batch_fn(rng, count) returns (weights, rejected_count) with weights an
     array of length count (rejected samples contribute weight 0 but stay in
-    the denominator: their limit contribution vanishes).
+    the denominator: their limit contribution vanishes).  The error comes
+    from the spread of the shard means, so at least two shards are needed.
     """
-    shards = shards or default_shards()
+    shards = default_shards() if shards is None else shards
     workers = workers or default_workers()
+    if samples < 1:
+        raise ValueError(f"sample count must be at least 1, got {samples}")
+    if shards < 2:
+        raise ValueError(f"shard count must be at least 2, got {shards}")
     per_shard = -(-int(samples) // shards)   # ceil; actual count reported
 
     def run_shard(idx):
@@ -101,11 +106,8 @@ def run_sharded(batch_fn, samples, seed, shards=None, workers=None,
     means = np.array([r[0] for r in results])
     rejected = sum(r[1] for r in results)
     value = float(np.mean(means))
-    if shards > 1:
-        stderr = float(np.sqrt(np.sum((means - value) ** 2)
-                               / (shards * (shards - 1))))
-    else:
-        stderr = float("inf")
+    stderr = float(np.sqrt(np.sum((means - value) ** 2)
+                           / (shards * (shards - 1))))
     return MCEstimate(value=value, stderr=stderr, samples=per_shard * shards,
                       seed=seed, shards=shards, rejected=rejected,
                       shard_means=tuple(means.tolist()))

@@ -48,11 +48,12 @@ def _polyline(curve: LinkCurve, m, samples, rot):
 
 def _segment_intersections(p, q):
     """All (i, j, si, sj) with segment i of p crossing segment j of q in the
-    xy-plane; si, sj are the interpolation fractions."""
-    a = p[:-1, :2]
-    b = p[1:, :2]
-    c = q[:-1, :2]
-    d = q[1:, :2]
+    xy-plane; si, sj are the interpolation fractions.  p and q are closed
+    polylines: segment i runs from point i to point i + 1 modulo the length."""
+    a = p[:, :2]
+    b = np.roll(p, -1, axis=0)[:, :2]
+    c = q[:, :2]
+    d = np.roll(q, -1, axis=0)[:, :2]
     out = []
     r = b - a
     s = d - c

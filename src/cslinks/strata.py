@@ -12,7 +12,7 @@ import itertools
 from dataclasses import dataclass
 
 from .diagrams import (Diagram, augmented_edges, connected_subsets, edge_counts,
-                       graph_components, is_connected)
+                       is_connected)
 from .errors import ClassificationError, DiagramError
 
 
@@ -156,10 +156,6 @@ def _is_degenerate(d: Diagram, A, ftype):
             if inside != 2:
                 return True
     return False
-
-
-def is_degenerate_face(face: FaceLabel) -> bool:
-    return face.degenerate
 
 
 def enumerate_faces(d: Diagram):

@@ -115,3 +115,16 @@ class TestMonteCarloCommands:
         rep = report(r)
         assert rep["config"] == {"samples": 20000, "seed": 7, "shards": 4,
                                  "workers": rep["config"]["workers"]}
+
+
+class TestBadCounts:
+    @pytest.mark.parametrize("flags", [
+        ("--samples", "0"), ("--samples=-5",), ("--samples", "1e400"),
+        ("--samples", "nan"), ("--shards", "0"), ("--shards", "1"),
+        ("--shards=-3",)])
+    def test_input_error(self, flags):
+        r = run_cli("anomaly", "f", "--gamma", "theta", *flags)
+        assert r.returncode == 2
+        assert r.stdout == ""
+        lines = r.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("input error:")

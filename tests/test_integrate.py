@@ -1,6 +1,9 @@
+from math import factorial
+
 import numpy as np
 import pytest
 
+from cslinks.anomaly import WGeometry, WSampler, line_diagram_catalog
 from cslinks.curves import catalog
 from cslinks.diagrams import (THETA, Diagram, std_oriented, tripod,
                               tripod_positive)
@@ -12,6 +15,21 @@ from cslinks.support import circles
 
 def fs(*pairs):
     return frozenset(frozenset(p) for p in pairs)
+
+
+def gaussian_bump_integral(sampler, seed=2):
+    """Importance estimate of the integral of a Gaussian bump in every
+    trivalent point over the sampler's configuration space."""
+    rng = np.random.default_rng(seed)
+    total = 0.0
+    n = 0
+    center = np.array([0.5, -0.3, 0.4])
+    for _ in range(10):
+        *_, x, density = sampler.sample(rng, 10 ** 5)
+        g = np.exp(-0.5 * np.sum((x - center) ** 2, axis=(1, 2)))
+        total += float(np.sum(g / density))
+        n += 10 ** 5
+    return total / n
 
 
 def hopf_chord():
@@ -121,19 +139,21 @@ class TestSampler:
         # a Gaussian bump in the space vertex equals (volume of the cyclic
         # order class) times (2 pi)^(3/2)
         geo = DiagramGeometry(std_oriented(tripod()), catalog("unknot-round"))
-        sampler = ConfigurationSampler(geo)
-        rng = np.random.default_rng(2)
-        total = 0.0
-        n = 0
-        center = np.array([0.5, -0.3, 0.4])
-        for _ in range(10):
-            t, x, density = sampler.sample(rng, 10 ** 5)
-            g = np.exp(-0.5 * np.sum((x[:, 0, :] - center) ** 2, axis=1))
-            total += float(np.sum(g / density))
-            n += 10 ** 5
-        estimate = total / n
+        estimate = gaussian_bump_integral(ConfigurationSampler(geo))
         expected = ((2 * np.pi) ** 3 / 2) * (2 * np.pi) ** 1.5
         assert abs(estimate - expected) / expected < 0.01
+
+    @pytest.mark.parametrize("name", ["d2", "a1"])
+    def test_w_importance_weights_reproduce_gaussian_integral(self, name):
+        # the anomaly side of the shared trivalent proposal: area of S^2
+        # times the volume 1/(u-2)! of the ordered interior legs times
+        # (2 pi)^(3/2) per trivalent vertex (standard error 0.2 % for d2,
+        # 0.4 % for a1)
+        geo = WGeometry(line_diagram_catalog(name))
+        estimate = gaussian_bump_integral(WSampler(geo))
+        expected = (4 * np.pi / factorial(len(geo.univ) - 2)
+                    * (2 * np.pi) ** (1.5 * len(geo.triv)))
+        assert abs(estimate - expected) / expected < 0.02
 
 
 class TestIntegrals:

@@ -60,3 +60,17 @@ class TestEstimates:
 
         est = run_sharded(rej_batch, 10 ** 4, seed=1, shards=4)
         assert 0.4 < est.rejected / est.samples < 0.6
+
+
+class TestBadCounts:
+    @pytest.mark.parametrize("samples", [0, -5])
+    def test_samples_below_one(self, samples):
+        with pytest.raises(ValueError, match="sample count"):
+            run_sharded(weight_batch, samples, seed=0, shards=4)
+
+    @pytest.mark.parametrize("shards", [0, 1, -3])
+    def test_shards_below_two(self, shards):
+        # the error comes from the spread of the shard means, and 0 is not
+        # a request for the default
+        with pytest.raises(ValueError, match="shard count"):
+            run_sharded(weight_batch, 100, seed=0, shards=shards)

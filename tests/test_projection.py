@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from cslinks.curves import LinkCurve, catalog, validate_embedding
-from cslinks.projection import (gauss_code, linking_oracle,
+from cslinks.projection import (_rotation, diagram_crossings, gauss_code,
+                                linking_oracle,
                                 smoothing_linking, switch_crossing,
                                 v2_from_code, v2_oracle, writhe_oracle)
 
@@ -32,6 +33,19 @@ class TestCrossings:
         const, cos, sin = c.components[1]
         rev = LinkCurve([c.components[0], (const, cos, -sin)])
         assert linking_oracle(rev, 0, 1) == -1
+
+    def test_crossing_on_closing_segment(self):
+        # four samples of a curve whose projection is a bow tie: the one
+        # crossing lies between segment 1 and the closing segment 3 -> 0
+        q = np.array([[1, 1, 0], [1, 0, 1], [0, 1, 1], [0, 0, 0]], float)
+        p = q @ _rotation()          # undo the projection's rotation
+        const = p.mean(axis=0)
+        cos = [(p[0] - p[2]) / 2, (p[0] + p[2] - p[1] - p[3]) / 4]
+        sin = [(p[1] - p[3]) / 2, np.zeros(3)]
+        crossings = diagram_crossings(LinkCurve([(const, cos, sin)]), 4)
+        assert len(crossings) == 1
+        c = crossings[0]
+        assert c.param_over < np.pi < 1.5 * np.pi < c.param_under
 
     def test_trefoil_writhe(self):
         assert writhe_oracle(catalog("trefoil")) == 3
