@@ -656,7 +656,6 @@ def check_ihx_prime(support, n, k, perturb=False):
     i.e. 2c([I] - [H] + [X]) = 0 in A_n^k.  Instances involving a
     non-subprincipal diagram are skipped (their faces are degenerate)."""
     red = reduction(support, n, k)
-    checked = 0
     for d in enumerate_diagrams(support, n):
         od = std_oriented(d)
         for e in sorted(d.internal_edges(), key=lambda e: tuple(sorted(e))):
@@ -676,8 +675,7 @@ def check_ihx_prime(support, n, k, perturb=False):
                 lhs = lhs.scale(2)
             if not red.reduce(lhs - rhs).is_zero():
                 return False
-            checked += 1
-    return True if checked else True
+    return True
 
 
 def _consecutive_univalent_pairs(d: Diagram):

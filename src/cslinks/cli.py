@@ -34,10 +34,19 @@ def _parse_count(text):
     return int(value)
 
 
+def _workers(args):
+    """The reported worker count: only an absent --workers means the default
+    (run_sharded refuses counts below one)."""
+    return default_workers() if args.workers is None else args.workers
+
+
 def _load_curve(spec):
+    """(curve, validation report): a catalog curve (pinned by the tests,
+    report None) or a curve file, which must pass validate_embedding."""
     if spec in CATALOG_NAMES:
-        return catalog(spec)
-    return LinkCurve.from_json(Path(spec).read_text())
+        return catalog(spec), None
+    curve = LinkCurve.from_json(Path(spec).read_text())
+    return curve, validate_embedding(curve)
 
 
 def _support(name):
@@ -176,7 +185,7 @@ def cmd_algebra_check_gluings(args, started):
 
 def cmd_integrate(args, started):
     od = diagram_io.parse_diagram(Path(args.diagram).read_text())
-    curve = _load_curve(args.curve)
+    curve, _ = _load_curve(args.curve)
     est = integrate_diagram(od, curve, samples=_parse_count(args.samples),
                             seed=args.seed, shards=args.shards,
                             workers=args.workers)
@@ -185,14 +194,14 @@ def cmd_integrate(args, started):
         "estimate": est.as_dict(),
         "config": {"samples": _parse_count(args.samples), "seed": args.seed,
                    "shards": args.shards or default_shards(),
-                   "workers": args.workers or default_workers()},
+                   "workers": _workers(args)},
     }
     _emit(report, started, table=getattr(args, "table", False))
     return 0
 
 
 def cmd_invariant(args, started):
-    curve = _load_curve(args.curve)
+    curve, _ = _load_curve(args.curve)
     samples = _parse_count(args.samples)
     common = dict(samples=samples, seed=args.seed, shards=args.shards,
                   workers=args.workers)
@@ -236,7 +245,7 @@ def cmd_invariant(args, started):
         raise DiagramError(f"unknown invariant {args.which!r}")
     report["config"] = {"samples": samples, "seed": args.seed,
                         "shards": args.shards or default_shards(),
-                        "workers": args.workers or default_workers()}
+                        "workers": _workers(args)}
     report["estimate"] = report.get("estimate")
     if report["estimate"] is None:
         report.pop("estimate")
@@ -258,7 +267,7 @@ def cmd_anomaly_f(args, started):
 
 
 def cmd_anomaly_framing(args, started):
-    curve = _load_curve(args.curve)
+    curve, _ = _load_curve(args.curve)
     rows = anomaly.framing_report(curve, samples=_parse_count(args.samples),
                                   seed=args.seed, shards=args.shards,
                                   workers=args.workers)
@@ -272,9 +281,9 @@ def cmd_anomaly_framing(args, started):
 
 
 def cmd_curve_validate(args, started):
-    curve = _load_curve(args.curve)
+    curve, checked = _load_curve(args.curve)
     report = {"command": "curve validate", "curve": args.curve,
-              "report": validate_embedding(curve)}
+              "report": checked or validate_embedding(curve)}
     _emit(report, started)
     return 0
 

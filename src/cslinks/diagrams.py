@@ -309,11 +309,14 @@ def _encode(d: Diagram, vmap):
 def _canonical_cached(support, placements, trivalent, edges):
     """Minimal labeling by branch-and-bound on incremental adjacency vectors.
 
-    For a fixed univalent rotation, trivalent slots are filled one at a time;
-    a slot's adjacency bit-vector against the already-labeled vertices is
-    compared against the best known prefix, pruning dominated branches.
-    Returns the minimal encoding and every vertex map achieving it (needed
-    for automorphisms and orientation-sign transport).
+    A labeling gives each vertex a segment: its adjacency bits against the
+    vertices labeled before it, kept as an int built by seg << 1 | adjacent
+    (for equal lengths ints order like the bit tuples).  For a fixed
+    univalent rotation, trivalent slots are filled one at a time, only by
+    vertices whose segment is the least available (any other choice gives a
+    larger labeling), and a prefix above the best one found is cut.
+    Returns the minimal encoding and every vertex map achieving it, in
+    search order (needed for automorphisms and orientation-sign transport).
     """
     d = Diagram(support, placements, frozenset(trivalent),
                 frozenset(frozenset(e) for e in edges))
@@ -321,58 +324,44 @@ def _canonical_cached(support, placements, trivalent, edges):
     for a, b in map(tuple, d.edges):
         adj[a].add(b)
         adj[b].add(a)
-    trivs = sorted(d.trivalent)
     u_total = len(d.univalent)
     best = {"segs": None, "maps": []}
 
-    def univ_segments(umap):
-        inv = sorted(umap, key=umap.get)
-        segs = []
-        for k, v in enumerate(inv):
-            segs.append(tuple(1 if inv[j] in adj[v] else 0 for j in range(k)))
-        return segs, inv
+    def segment(v, order):
+        seg = 0
+        for w in order:
+            seg = seg << 1 | (w in adj[v])
+        return seg
 
-    def dfs(order, remaining, prefix, tight):
-        # tight: prefix equals the best prefix so far; only then can a larger
-        # segment be pruned and only then can completing tie with best
-        level = len(prefix)
-        if not remaining:
-            # full comparison: best may have moved since tight was computed
+    def dfs(order, segs, prefix):
+        # segs: the segment of every unlabeled vertex against order
+        if not segs:
             if best["segs"] is None or prefix < best["segs"]:
-                best["segs"] = list(prefix)
-                best["maps"] = [list(order)]
+                best["segs"] = prefix
+                best["maps"] = [order]
             elif prefix == best["segs"]:
-                best["maps"].append(list(order))
+                best["maps"].append(order)
             return
-        for v in sorted(remaining):
-            seg = tuple(1 if order[j] in adj[v] else 0 for j in range(len(order)))
-            sub_tight = tight
-            if tight and best["segs"] is not None:
-                ref = best["segs"][level]
-                if seg > ref:
-                    continue
-                if seg < ref:
-                    sub_tight = False
-            dfs(order + [v], remaining - {v}, prefix + [seg], sub_tight)
+        least = min(segs.values())
+        prefix = prefix + [least]
+        for v in sorted(segs):
+            if segs[v] != least:
+                continue
+            # checked before every child: best may have moved below prefix
+            if best["segs"] is not None and prefix > best["segs"][:len(prefix)]:
+                return
+            dfs(order + [v], {w: s << 1 | (w in adj[v])
+                              for w, s in segs.items() if w != v}, prefix)
 
     for umap in _rotated_umaps(d):
-        segs, inv = univ_segments(umap)
-        tight = True
-        if best["segs"] is not None:
-            head = best["segs"][:u_total]
-            if segs > head:
-                continue
-            tight = segs == head
-        dfs(inv, set(trivs), list(segs), tight)
+        inv = sorted(umap, key=umap.get)
+        head = [segment(v, inv[:k]) for k, v in enumerate(inv)]
+        if best["segs"] is not None and head > best["segs"][:u_total]:
+            continue
+        dfs(inv, {t: segment(t, inv) for t in d.trivalent}, head)
 
-    maps = []
-    for order in best["maps"]:
-        maps.append({v: k for k, v in enumerate(order)})
-    enc = _encode(d, maps[0]) if maps else ((), 0, ())
-    if not d.vertices:
-        return ((tuple(len(c) for c in d.placements), 0, ()),
-                (tuple(),))
-    return enc, tuple(tuple(sorted(m.items())) for m in maps)
+    maps = [{v: k for k, v in enumerate(order)} for order in best["maps"]]
+    return _encode(d, maps[0]), tuple(tuple(sorted(m.items())) for m in maps)
 
 
 def canonical_form(d: Diagram):
@@ -484,15 +473,20 @@ def enumerate_diagrams(support: Support, n: int, connected_only=False):
 
     Deterministic order (sorted by canonical encoding).  Degrees above
     MAX_DEGREE are refused: the brute-force generator is exponential.
+    Memoised per (support, n, connected_only); each call gets a fresh list.
     """
     if n > MAX_DEGREE:
         raise CapabilityError(f"diagram enumeration supports degree <= {MAX_DEGREE}")
     if n < 0:
         raise CapabilityError("degree must be nonnegative")
+    return list(_enumerate_cached(support, n, connected_only))
+
+
+@lru_cache(maxsize=None)
+def _enumerate_cached(support, n, connected_only):
     if n == 0:
-        empty = Diagram(support, tuple(() for _ in support.components),
-                        frozenset(), frozenset())
-        return [empty]
+        return (Diagram(support, tuple(() for _ in support.components),
+                        frozenset(), frozenset()),)
     out = {}
     for t in range(0, 2 * n):
         u = 2 * n - t
@@ -513,7 +507,7 @@ def enumerate_diagrams(support: Support, n: int, connected_only=False):
                 key = canonical_form(d)
                 if key not in out:
                     out[key] = canonical_diagram(d)
-    return [out[k] for k in sorted(out)]
+    return tuple(out[k] for k in sorted(out))
 
 
 # ---------------------------------------------------------------------------

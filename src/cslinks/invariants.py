@@ -28,10 +28,18 @@ def alpha_exact(max_degree=2) -> ClassVector:
     return _theta_line_vector().scale(Fraction(1, 2))
 
 
+def _check_component(curve: LinkCurve, m):
+    if not 0 <= m < curve.n_components:
+        raise DiagramError(f"component {m} out of range: the curve has "
+                           f"components 0..{curve.n_components - 1}")
+
+
 def linking_number(curve: LinkCurve, m1, m2, samples=10 ** 6, seed=0,
                    shards=None, workers=None):
     """Gauss double integral between two components, its rounding, and the
     projection crossing-sign oracle."""
+    _check_component(curve, m1)
+    _check_component(curve, m2)
     if m1 == m2:
         raise DiagramError("linking number needs two distinct components")
     support = circles(curve.n_components)
@@ -54,6 +62,7 @@ def linking_number(curve: LinkCurve, m1, m2, samples=10 ** 6, seed=0,
 def self_linking(curve: LinkCurve, m=0, samples=10 ** 6, seed=0,
                  shards=None, workers=None) -> MCEstimate:
     """The Gauss self-integral of one component (framing / writhe)."""
+    _check_component(curve, m)
     sub = LinkCurve([curve.components[m]])
     return integrate_diagram(std_oriented(THETA), sub, samples=samples,
                              seed=seed, shards=shards, workers=workers)

@@ -75,11 +75,13 @@ def run_sharded(batch_fn, samples, seed, shards=None, workers=None,
     from the spread of the shard means, so at least two shards are needed.
     """
     shards = default_shards() if shards is None else shards
-    workers = workers or default_workers()
+    workers = default_workers() if workers is None else workers
     if samples < 1:
         raise ValueError(f"sample count must be at least 1, got {samples}")
     if shards < 2:
         raise ValueError(f"shard count must be at least 2, got {shards}")
+    if workers < 1:
+        raise ValueError(f"worker count must be at least 1, got {workers}")
     per_shard = -(-int(samples) // shards)   # ceil; actual count reported
 
     def run_shard(idx):

@@ -4,6 +4,8 @@ import sys
 
 import pytest
 
+from cslinks import cli
+from cslinks.curves import catalog, validate_embedding
 from cslinks.diagram_io import serialize_diagram
 from cslinks.diagrams import std_oriented, tripod_positive
 
@@ -117,14 +119,61 @@ class TestMonteCarloCommands:
                                  "workers": rep["config"]["workers"]}
 
 
+def one_line_input_error(r, *words):
+    assert r.returncode == 2
+    assert r.stdout == ""
+    lines = r.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("input error:")
+    for word in words:
+        assert word in lines[0]
+
+
 class TestBadCounts:
     @pytest.mark.parametrize("flags", [
         ("--samples", "0"), ("--samples=-5",), ("--samples", "1e400"),
         ("--samples", "nan"), ("--shards", "0"), ("--shards", "1"),
-        ("--shards=-3",)])
+        ("--shards=-3",), ("--workers", "0"), ("--workers=-3",)])
     def test_input_error(self, flags):
-        r = run_cli("anomaly", "f", "--gamma", "theta", *flags)
-        assert r.returncode == 2
-        assert r.stdout == ""
-        lines = r.stderr.splitlines()
-        assert len(lines) == 1 and lines[0].startswith("input error:")
+        one_line_input_error(run_cli("anomaly", "f", "--gamma", "theta",
+                                     *flags))
+
+
+class TestBadComponent:
+    @pytest.mark.parametrize("flags", [("--m2", "5"), ("--m1=-1",)])
+    def test_linking(self, flags):
+        r = run_cli("invariant", "linking", "--curve", "hopf-link",
+                    "--samples", "1e3", *flags)
+        one_line_input_error(r, "component")
+
+    @pytest.mark.parametrize("m", ["1", "-1"])
+    def test_selflink(self, m):
+        r = run_cli("invariant", "selflink", "--curve", "unknot-round",
+                    "--samples", "1e3", "--m1=" + m)
+        one_line_input_error(r, "component")
+
+
+class TestCurveFiles:
+    def test_doubled_segment_rejected(self, tmp_path):
+        # a segment traced back and forth: not an embedding
+        f = tmp_path / "segment.json"
+        f.write_text(json.dumps({"components": [
+            {"const": [0, 0, 0], "cos": [[1, 0, 0]], "sin": [[1, 0, 0]]}]}))
+        r = run_cli("invariant", "selflink", "--curve", str(f),
+                    "--samples", "1e4")
+        one_line_input_error(r, "separation")
+
+    def test_file_validated_once(self, tmp_path, monkeypatch, capsys):
+        f = tmp_path / "hopf.json"
+        f.write_text(catalog("hopf-link").to_json())
+        calls = []
+
+        def counted(curve):
+            calls.append(curve)
+            return validate_embedding(curve)
+
+        monkeypatch.setattr(cli, "validate_embedding", counted)
+        assert cli.main(["curve", "validate", "--curve", str(f)]) == 0
+        assert len(calls) == 1
+        assert json.loads(capsys.readouterr().out)["report"]["samples"] == 4096
+        assert cli.main(["curve", "validate", "--curve", "hopf-link"]) == 0
+        assert len(calls) == 2

@@ -2,8 +2,10 @@ import itertools
 
 import pytest
 
-from cslinks.diagrams import (THETA, Diagram, canonical_diagram,
-                              canonical_form, degree, enumerate_diagrams,
+from cslinks.diagrams import (THETA, Diagram, _compositions,
+                              _graphs_with_valences, _rotated_umaps,
+                              canonical_diagram, canonical_form,
+                              canonical_maps, degree, enumerate_diagrams,
                               automorphism_count, edge_counts,
                               half_edge_count_check, is_principal,
                               is_subprincipal, quotient_diagram, std_oriented,
@@ -182,6 +184,14 @@ class TestEnumeration:
         with pytest.raises(CapabilityError):
             enumerate_diagrams(S1, 5)
 
+    def test_returned_list_is_private(self):
+        a = enumerate_diagrams(S1, 2)
+        expected = list(a)
+        a.pop()
+        a.append(THETA)
+        a.reverse()
+        assert enumerate_diagrams(S1, 2) == expected
+
     def test_two_component_degree1(self):
         ds = enumerate_diagrams(circles(2), 1)
         assert len(ds) == 3  # theta on either circle, chord across
@@ -240,6 +250,59 @@ class TestCanonicalForm:
         t = next(iter(od.diagram.trivalent))
         assert canonical_oriented(od) == canonical_oriented(
             od.flip_vertex(t).flip_vertex(t))
+
+
+def labelled_graphs(support, n):
+    """Every valid labelled diagram the enumerator visits at degree n."""
+    for t in range(0, 2 * n):
+        u = 2 * n - t
+        for sizes in _compositions(u, support.n_components):
+            placements, start = [], 0
+            for k in sizes:
+                placements.append(tuple(range(start, start + k)))
+                start += k
+            for g in _graphs_with_valences(u, t):
+                try:
+                    yield Diagram(support, tuple(placements),
+                                  frozenset(range(u, u + t)), g)
+                except DiagramError:
+                    pass
+
+
+def brute_force_canonical(d):
+    """Least segment list over every rotation x trivalent permutation, with
+    the encoding read off the segments and every map that reaches it."""
+    best, maps = None, set()
+    for umap in _rotated_umaps(d):
+        inv = sorted(umap, key=umap.get)
+        for perm in itertools.permutations(sorted(d.trivalent)):
+            order = inv + list(perm)
+            segs = [tuple(int(frozenset((order[j], v)) in d.edges)
+                          for j in range(k)) for k, v in enumerate(order)]
+            vmap = tuple(sorted((v, k) for k, v in enumerate(order)))
+            if best is None or segs < best:
+                best, maps = segs, {vmap}
+            elif segs == best:
+                maps.add(vmap)
+    edges = tuple((j, k) for k, seg in enumerate(best)
+                  for j, bit in enumerate(seg) if bit)
+    key = (d.support, tuple(len(c) for c in d.placements), len(d.trivalent),
+           tuple(sorted(edges)))
+    return key, maps
+
+
+class TestCanonicalOracle:
+    @pytest.mark.parametrize("support", [S1, R1, circles(2)])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_matches_brute_force(self, support, n):
+        checked = 0
+        for d in labelled_graphs(support, n):
+            key, maps = canonical_maps(d)
+            got = [tuple(sorted(m.items())) for m in maps]
+            assert len(got) == len(set(got))
+            assert (key, set(got)) == brute_force_canonical(d)
+            checked += 1
+        assert checked > 0
 
 
 class TestQuotient:

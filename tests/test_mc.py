@@ -74,3 +74,9 @@ class TestBadCounts:
         # a request for the default
         with pytest.raises(ValueError, match="shard count"):
             run_sharded(weight_batch, 100, seed=0, shards=shards)
+
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_workers_below_one(self, workers):
+        # only None asks for the default worker count
+        with pytest.raises(ValueError, match="worker count"):
+            run_sharded(weight_batch, 100, seed=0, shards=4, workers=workers)
