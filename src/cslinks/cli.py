@@ -371,7 +371,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args, started)
-    except (DiagramError, EmbeddingError, KeyError, FileNotFoundError,
+    except (DiagramError, EmbeddingError, KeyError, OSError,
             ValueError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2

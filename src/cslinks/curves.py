@@ -11,7 +11,11 @@ import json
 
 import numpy as np
 
+from .blocks import closest_pair
 from .errors import EmbeddingError
+
+
+CURVE_SCHEMA = '{"components": [{"const": [x,y,z], "cos": [[...]], "sin": [[...]]}]}'
 
 
 class LinkCurve:
@@ -81,8 +85,14 @@ class LinkCurve:
     @classmethod
     def from_json(cls, text):
         data = json.loads(text)
-        comps = [(c["const"], c.get("cos", []), c.get("sin", []))
-                 for c in data["components"]]
+        try:
+            comps = [(c["const"], c.get("cos", []), c.get("sin", []))
+                     for c in data["components"]]
+        except (TypeError, KeyError):
+            comps = []
+        if not comps:
+            raise ValueError(f"a curve file must hold {CURVE_SCHEMA} with at "
+                             "least one component")
         return cls(comps)
 
 
@@ -107,35 +117,24 @@ def validate_embedding(curve: LinkCurve, samples=4096, delta=0.05, eta=1e-3):
               "min_speed": min_speed}
     min_same = np.inf
     min_cross = np.inf
-    witness = None
-    chunk = 512
+    worst, witness = np.inf, None
+
+    def apart(rows, cols):
+        dt = np.abs(ts[rows, None] - ts[None, cols])
+        return np.minimum(dt, 2 * np.pi - dt) > delta
+
     for m in range(curve.n_components):
-        for i0 in range(0, samples, chunk):
-            block = pts[m][i0:i0 + chunk]
-            dist = np.linalg.norm(block[:, None, :] - pts[m][None, :, :], axis=-1)
-            dt = np.abs(ts[i0:i0 + chunk, None] - ts[None, :])
-            ang = np.minimum(dt, 2 * np.pi - dt)
-            mask = ang > delta
-            if mask.any():
-                vals = np.where(mask, dist, np.inf)
-                j = np.unravel_index(np.argmin(vals), vals.shape)
-                if vals[j] < min_same:
-                    min_same = float(vals[j])
-                    witness = (m, m, float(ts[i0 + j[0]]), float(ts[j[1]]))
-        for m2 in range(m + 1, curve.n_components):
-            for i0 in range(0, samples, chunk):
-                block = pts[m][i0:i0 + chunk]
-                dist = np.linalg.norm(block[:, None, :] - pts[m2][None, :, :],
-                                      axis=-1)
-                j = np.unravel_index(np.argmin(dist), dist.shape)
-                if dist[j] < min_cross:
-                    min_cross = float(dist[j])
-                    if dist[j] < eta:
-                        witness = (m, m2, float(ts[i0 + j[0]]), float(ts[j[1]]))
+        for m2 in range(m, curve.n_components):
+            if m == m2:
+                d, i, j = closest_pair(pts[m], pts[m], apart, upper=True)
+                min_same = min(min_same, d)
+            else:
+                d, i, j = closest_pair(pts[m], pts[m2])
+                min_cross = min(min_cross, d)
+            if d < worst:
+                worst, witness = d, (m, m2, float(ts[i]), float(ts[j]))
     report["min_separation_same"] = min_same if np.isfinite(min_same) else None
     report["min_separation_cross"] = min_cross if np.isfinite(min_cross) else None
-    worst = min(x for x in (min_same, min_cross) if np.isfinite(x)) \
-        if curve.n_components else min_same
     if worst < eta:
         raise EmbeddingError(
             f"embedding fails at resolution: separation {worst:.2e} < {eta}",

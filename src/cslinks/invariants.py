@@ -8,7 +8,7 @@ from .algebra import (ClassVector, Series, class_term, exp_action,
                       lattice_generators, reduction)
 from .curves import LinkCurve
 from .diagrams import THETA, Diagram, std_oriented
-from .errors import ConvergenceError, DiagramError
+from .errors import CapabilityError, ConvergenceError, DiagramError
 from .integrate import integrate_diagram, z_n
 from .mc import MCEstimate
 from .projection import linking_oracle
@@ -32,6 +32,12 @@ def _check_component(curve: LinkCurve, m):
     if not 0 <= m < curve.n_components:
         raise DiagramError(f"component {m} out of range: the curve has "
                            f"components 0..{curve.n_components - 1}")
+
+
+def _check_degree(n):
+    """Refuse a negative degree before any integral is spent on it."""
+    if n < 0:
+        raise CapabilityError("degree must be nonnegative")
 
 
 def linking_number(curve: LinkCurve, m1, m2, samples=10 ** 6, seed=0,
@@ -71,6 +77,7 @@ def self_linking(curve: LinkCurve, m=0, samples=10 ** 6, seed=0,
 def z_series(curve: LinkCurve, max_degree, samples=10 ** 6, seed=0,
              shards=None, workers=None):
     """Z through max_degree: reduced vectors, errors and raw estimates."""
+    _check_degree(max_degree)
     support = circles(curve.n_components)
     series = Series(support)
     errors = {}
@@ -196,6 +203,7 @@ def lattice_check(curve: LinkCurve, n, k, samples=10 ** 6, seed=0,
 
     Requires every component's self-linking integral to sit within the
     framing tolerance of an integer (the rationality hypothesis)."""
+    _check_degree(n)
     framings = []
     for m in range(curve.n_components):
         est = self_linking(curve, m, samples=samples, seed=seed + 503 + m,

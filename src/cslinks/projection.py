@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .blocks import block, block_pairs
 from .curves import LinkCurve
 from .errors import SamplingError
 
@@ -48,8 +49,9 @@ def _polyline(curve: LinkCurve, m, samples, rot):
 
 def _segment_intersections(p, q):
     """All (i, j, si, sj) with segment i of p crossing segment j of q in the
-    xy-plane; si, sj are the interpolation fractions.  p and q are closed
-    polylines: segment i runs from point i to point i + 1 modulo the length."""
+    xy-plane, in (i, j) order; si, sj are the interpolation fractions.  p
+    and q are closed polylines: segment i runs from point i to point i + 1
+    modulo the length.  Only block pairs whose xy-boxes overlap can cross."""
     a = p[:, :2]
     b = np.roll(p, -1, axis=0)[:, :2]
     c = q[:, :2]
@@ -57,20 +59,22 @@ def _segment_intersections(p, q):
     out = []
     r = b - a
     s = d - c
-    chunk = 256
-    for i0 in range(0, len(a), chunk):
-        ai, ri = a[i0:i0 + chunk], r[i0:i0 + chunk]
-        denom = ri[:, None, 0] * s[None, :, 1] - ri[:, None, 1] * s[None, :, 0]
-        diff = c[None, :, :] - ai[:, None, :]
-        t_num = diff[..., 0] * s[None, :, 1] - diff[..., 1] * s[None, :, 0]
+    ka, kb, gap = block_pairs(a, c, closed=True)
+    for rows, cols in zip(map(block, ka[gap == 0]), map(block, kb[gap == 0])):
+        ai, ri = a[rows], r[rows]
+        cj, sj = c[cols], s[cols]
+        denom = ri[:, None, 0] * sj[None, :, 1] - ri[:, None, 1] * sj[None, :, 0]
+        diff = cj[None, :, :] - ai[:, None, :]
+        t_num = diff[..., 0] * sj[None, :, 1] - diff[..., 1] * sj[None, :, 0]
         u_num = diff[..., 0] * ri[:, None, 1] - diff[..., 1] * ri[:, None, 0]
         with np.errstate(divide="ignore", invalid="ignore"):
             t = t_num / denom
             u = u_num / denom
         hit = (np.abs(denom) > 1e-14) & (t > 0) & (t < 1) & (u > 0) & (u < 1)
         for i, j in zip(*np.nonzero(hit)):
-            out.append((i0 + int(i), int(j), float(t[i, j]), float(u[i, j])))
-    return out
+            out.append((rows.start + int(i), cols.start + int(j),
+                        float(t[i, j]), float(u[i, j])))
+    return sorted(out)
 
 
 def diagram_crossings(curve: LinkCurve, samples=4096):

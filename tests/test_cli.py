@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from cslinks import cli
+from cslinks import cli, invariants
 from cslinks.curves import catalog, validate_embedding
 from cslinks.diagram_io import serialize_diagram
 from cslinks.diagrams import std_oriented, tripod_positive
@@ -177,3 +177,28 @@ class TestCurveFiles:
         assert json.loads(capsys.readouterr().out)["report"]["samples"] == 4096
         assert cli.main(["curve", "validate", "--curve", "hopf-link"]) == 0
         assert len(calls) == 2
+
+    def test_directory_is_input_error(self, tmp_path):
+        r = run_cli("curve", "validate", "--curve", str(tmp_path))
+        one_line_input_error(r, "directory")
+
+    @pytest.mark.parametrize("text", ["[1, 2]", '{"components": {}}'])
+    def test_wrong_schema_is_input_error(self, tmp_path, text):
+        f = tmp_path / "curve.json"
+        f.write_text(text)
+        r = run_cli("curve", "validate", "--curve", str(f))
+        one_line_input_error(r, '{"components": [{"const"')
+
+
+class TestBadDegree:
+    @pytest.mark.parametrize("which", ["z0", "lattice"])
+    def test_negative_degree(self, which, monkeypatch, capsys):
+        def refused(*args, **kwargs):
+            raise AssertionError("an integral ran for a negative degree")
+
+        monkeypatch.setattr(invariants, "integrate_diagram", refused)
+        assert cli.main(["invariant", which, "--curve", "unknot-round",
+                         "--degree", "-1", "--samples", "1e3"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "input error: degree must be nonnegative\n"

@@ -68,6 +68,21 @@ class TestValidation:
         with pytest.raises(EmbeddingError):
             validate_embedding(c, samples=8192, eta=0.01)
 
+    def test_witness_is_the_worst_pair(self):
+        # two planar limaçons 0.008 apart: the worst pair is a self-approach
+        # of component 0 (7.7e-4), not the closer-than-eta pair across
+        # the components
+        limacon = ([1, 0, 0], [[1, 0, 0], [1, 0, 0]], [[0, 1, 0], [0, 1, 0]])
+        lifted = ([1, 0, 0.008],) + limacon[1:]
+        c = LinkCurve([limacon, lifted])
+        with pytest.raises(EmbeddingError) as err:
+            validate_embedding(c, samples=8192, eta=0.01)
+        assert "separation 7.67e-04" in str(err.value)
+        m, m2, t1, t2 = err.value.witness
+        assert (m, m2) == (0, 0)
+        gap = np.linalg.norm(c.eval(0, t1) - c.eval(0, t2))
+        assert gap == pytest.approx(7.67e-4, abs=1e-6)
+
     def test_zero_velocity_fails(self):
         c = LinkCurve([([0, 0, 0], [[0, 0, 0]], [[0, 0, 0]])])
         with pytest.raises(EmbeddingError):
@@ -80,6 +95,13 @@ class TestJson:
         back = LinkCurve.from_json(c.to_json())
         ts = np.linspace(0, 2 * np.pi, 11)
         assert np.allclose(c.eval(0, ts), back.eval(0, ts), atol=1e-15)
+
+    @pytest.mark.parametrize("text", ['[1, 2]', '{"components": 5}',
+                                      '{"components": []}',
+                                      '{"components": [{"cos": []}]}'])
+    def test_wrong_schema(self, text):
+        with pytest.raises(ValueError, match="components"):
+            LinkCurve.from_json(text)
 
     def test_schema_fields(self):
         import json
