@@ -12,7 +12,7 @@ import json
 import numpy as np
 
 from .blocks import closest_pair
-from .errors import EmbeddingError
+from .errors import DiagramError, EmbeddingError
 
 
 CURVE_SCHEMA = '{"components": [{"const": [x,y,z], "cos": [[...]], "sin": [[...]]}]}'
@@ -40,33 +40,48 @@ class LinkCurve:
     def n_components(self):
         return len(self.components)
 
+    def _harmonics(self, m, t):
+        """(h, cos(h t), sin(h t)) over the harmonics h = 1..H of component
+        m, with a trailing axis of length H after the shape of t."""
+        h = np.arange(1, len(self.components[m][1]) + 1, dtype=float)
+        ht = np.multiply.outer(np.asarray(t, dtype=float), h)
+        return h, np.cos(ht), np.sin(ht)
+
+    def _point(self, m, c, s):
+        const, cos, sin = self.components[m]
+        return const + np.tensordot(c, cos, axes=(-1, 0)) \
+            + np.tensordot(s, sin, axes=(-1, 0))
+
+    def _velocity(self, m, h, c, s):
+        _, cos, sin = self.components[m]
+        return np.tensordot(-s * h, cos, axes=(-1, 0)) \
+            + np.tensordot(c * h, sin, axes=(-1, 0))
+
     def eval(self, m, t):
         """Point L_m(t); t may be an array (... , ) giving (... , 3)."""
-        const, cos, sin = self.components[m]
-        t = np.asarray(t, dtype=float)
-        h = np.arange(1, len(cos) + 1, dtype=float)
-        ht = np.multiply.outer(t, h)
-        out = const + np.tensordot(np.cos(ht), cos, axes=(-1, 0)) \
-            + np.tensordot(np.sin(ht), sin, axes=(-1, 0))
-        return out
+        _, c, s = self._harmonics(m, t)
+        return self._point(m, c, s)
 
     def deriv(self, m, t):
         """Velocity L'_m(t)."""
-        const, cos, sin = self.components[m]
-        t = np.asarray(t, dtype=float)
-        h = np.arange(1, len(cos) + 1, dtype=float)
-        ht = np.multiply.outer(t, h)
-        out = np.tensordot(-np.sin(ht) * h, cos, axes=(-1, 0)) \
-            + np.tensordot(np.cos(ht) * h, sin, axes=(-1, 0))
-        return out
+        return self._velocity(m, *self._harmonics(m, t))
+
+    def jet(self, m, t):
+        """(L_m(t), L'_m(t)) from one table of harmonics; the same values,
+        bit for bit, as eval and deriv."""
+        h, c, s = self._harmonics(m, t)
+        return self._point(m, c, s), self._velocity(m, h, c, s)
 
     def tangent(self, m, t):
-        """Unit tangent; raises if the immersion degenerates."""
+        """Unit tangent; raises if the immersion degenerates, with the
+        witness (m, t0) for the first parameter t0 of zero velocity."""
         v = self.deriv(m, t)
         norm = np.linalg.norm(v, axis=-1, keepdims=True)
-        if np.any(norm < 1e-12):
+        bad = norm[..., 0] < 1e-12
+        if np.any(bad):
+            t0 = np.asarray(t, dtype=float)[bad][0]
             raise EmbeddingError(f"zero velocity on component {m}",
-                                 witness=t)
+                                 witness=(m, float(t0)))
         return v / norm
 
     def diameter(self, samples=512):
@@ -96,6 +111,13 @@ class LinkCurve:
         return cls(comps)
 
 
+def check_component(curve: LinkCurve, m):
+    """Raise DiagramError unless m names a component of the curve."""
+    if not 0 <= m < curve.n_components:
+        raise DiagramError(f"component {m} out of range: the curve has "
+                           f"components 0..{curve.n_components - 1}")
+
+
 def validate_embedding(curve: LinkCurve, samples=4096, delta=0.05, eta=1e-3):
     """Sampled immersion/embedding check.
 
@@ -105,9 +127,9 @@ def validate_embedding(curve: LinkCurve, samples=4096, delta=0.05, eta=1e-3):
     with witness parameters on violation.
     """
     ts = np.linspace(0, 2 * np.pi, samples, endpoint=False)
-    pts = [curve.eval(m, ts) for m in range(curve.n_components)]
-    speeds = [np.linalg.norm(curve.deriv(m, ts), axis=-1)
-              for m in range(curve.n_components)]
+    jets = [curve.jet(m, ts) for m in range(curve.n_components)]
+    pts = [x for x, _ in jets]
+    speeds = [np.linalg.norm(v, axis=-1) for _, v in jets]
     min_speed = min(float(s.min()) for s in speeds)
     if min_speed <= 0:
         m = int(np.argmin([s.min() for s in speeds]))

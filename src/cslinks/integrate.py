@@ -45,10 +45,8 @@ def gauss_kernel(curve: LinkCurve, a, b):
     """
     m1, s = a
     m2, t = b
-    x = curve.eval(m1, s)
-    y = curve.eval(m2, t)
-    dx = curve.deriv(m1, s)
-    dy = curve.deriv(m2, t)
+    x, dx = curve.jet(m1, s)
+    y, dy = curve.jet(m2, t)
     diff = y - x
     r = np.linalg.norm(diff, axis=-1)
     if np.any(r < 1e-12):
@@ -261,13 +259,26 @@ class DiagramGeometry(KernelGeometry):
             [(ci, (col[1],)) for ci, col in enumerate(self.columns)])
 
 
+def univalent_jets(geo: DiagramGeometry, t_univ):
+    """Points and signed velocities of the univalent vertices: two lists of
+    (count, 3) arrays in geo.univ order, from one curve jet per vertex; the
+    velocity carries the vertex's orientation sign."""
+    x_univ, v_univ = [], []
+    for i, v in enumerate(geo.univ):
+        x, dx = geo.curve.jet(geo.d.component_of(v), t_univ[:, i])
+        x_univ.append(x)
+        v_univ.append(dx * geo.univ_sign[v])
+    return x_univ, v_univ
+
+
 class ConfigurationSampler:
     """Importance sampler for configurations of a diagram on a curve.
 
     Univalent parameters: uniform per component, sorted and rotated into the
     placement's cyclic class (exact constant density with the multiplicity
-    factor (k-1)!/(2pi)^k).  Trivalent points: propose_trivalent at the
-    scale of the curve's diameter.
+    factor (k-1)!/(2pi)^k); their points and velocities come from
+    univalent_jets.  Trivalent points: propose_trivalent at the scale of the
+    curve's diameter.
     """
 
     def __init__(self, geo: DiagramGeometry):
@@ -281,6 +292,10 @@ class ConfigurationSampler:
         self.univ_density = k_total
 
     def sample(self, rng, count):
+        """(t_univ, x_univ, v_univ, x_triv, density) for count
+        configurations: the circle parameters, the univalent points and
+        signed velocities (see univalent_jets), the trivalent points and
+        the proposal density."""
         geo = self.geo
         t_univ = np.empty((count, len(geo.univ)))
         for ci, comp in enumerate(geo.d.placements):
@@ -294,29 +309,25 @@ class ConfigurationSampler:
                 t_univ[:, geo.univ_index[v]] = np.take_along_axis(
                     u, idx[:, None], axis=1)[:, 0]
         density = np.full(count, self.univ_density)
-        pos = {v: geo.curve.eval(geo.d.component_of(v),
-                                 t_univ[:, geo.univ_index[v]])
-               for v in geo.univ}
+        x_univ, v_univ = univalent_jets(geo, t_univ)
+        pos = dict(zip(geo.univ, x_univ))
         x_triv = propose_trivalent(geo, rng, pos, density, self.scale)
-        return t_univ, x_triv, density
+        return t_univ, x_univ, v_univ, x_triv, density
 
 
-def integrand_batch(geo: DiagramGeometry, t_univ, x_triv):
-    """Signed density values for a batch of configurations.
+def integrand_batch(geo: DiagramGeometry, x_univ, v_univ, x_triv):
+    """Signed density values for a batch of configurations, given the
+    univalent points and signed velocities (as univalent_jets returns them)
+    and the trivalent points.
 
     Returns (values, rejected_mask); configurations with an edge shorter
     than the collision tolerance are flagged and valued 0.
     """
-    pos = {}
-    vel = {}
-    for v in geo.univ:
-        m = geo.d.component_of(v)
-        tv = t_univ[:, geo.univ_index[v]]
-        pos[v] = geo.curve.eval(m, tv)
-        vel[v] = geo.curve.deriv(m, tv) * geo.univ_sign[v]
+    pos = dict(zip(geo.univ, x_univ))
     for v in geo.triv:
         pos[v] = x_triv[:, geo.triv_index[v], :]
-    tangents = column_tangents(geo.columns, t_univ.shape[0], vel.__getitem__)
+    vel = dict(zip(geo.univ, v_univ))
+    tangents = column_tangents(geo.columns, len(x_triv), vel.__getitem__)
     return jacobian_values(geo, pos, tangents, COLLISION_TOL * geo.diameter)
 
 
@@ -326,7 +337,7 @@ def sample_configuration(od: OrientedDiagram, curve: LinkCurve, rng):
     Returns ({vertex: parameter}, {vertex: point}, density)."""
     geo = DiagramGeometry(od, curve)
     sampler = ConfigurationSampler(geo)
-    t_univ, x_triv, density = sampler.sample(rng, 1)
+    t_univ, _, _, x_triv, density = sampler.sample(rng, 1)
     univ = {v: float(t_univ[0, geo.univ_index[v]]) for v in geo.univ}
     triv = {v: tuple(x_triv[0, geo.triv_index[v]]) for v in geo.triv}
     return univ, triv, float(density[0])
@@ -344,7 +355,7 @@ def integrand_at(od: OrientedDiagram, curve: LinkCurve, univ_params,
         x = np.array([[triv_points[v] for v in geo.triv]], dtype=float)
     else:
         x = np.zeros((1, 0, 3))
-    values, rejected = integrand_batch(geo, t, x)
+    values, rejected = integrand_batch(geo, *univalent_jets(geo, t), x)
     if rejected[0]:
         raise SamplingError("configuration within the collision tolerance")
     return float(values[0])
@@ -360,8 +371,8 @@ def integrate_diagram(od: OrientedDiagram, curve: LinkCurve, samples=10 ** 6,
     sampler = ConfigurationSampler(geo)
 
     def batch(rng, count):
-        t_univ, x_triv, density = sampler.sample(rng, count)
-        values, rejected = integrand_batch(geo, t_univ, x_triv)
+        _, x_univ, v_univ, x_triv, density = sampler.sample(rng, count)
+        values, rejected = integrand_batch(geo, x_univ, v_univ, x_triv)
         return values / density, int(np.sum(rejected))
 
     return run_sharded(batch, samples, seed, shards, workers)

@@ -6,7 +6,7 @@ from math import gcd
 
 from .algebra import (ClassVector, Series, class_term, exp_action,
                       lattice_generators, reduction)
-from .curves import LinkCurve
+from .curves import LinkCurve, check_component
 from .diagrams import THETA, Diagram, std_oriented
 from .errors import CapabilityError, ConvergenceError, DiagramError
 from .integrate import integrate_diagram, z_n
@@ -28,12 +28,6 @@ def alpha_exact(max_degree=2) -> ClassVector:
     return _theta_line_vector().scale(Fraction(1, 2))
 
 
-def _check_component(curve: LinkCurve, m):
-    if not 0 <= m < curve.n_components:
-        raise DiagramError(f"component {m} out of range: the curve has "
-                           f"components 0..{curve.n_components - 1}")
-
-
 def _check_degree(n):
     """Refuse a negative degree before any integral is spent on it."""
     if n < 0:
@@ -44,8 +38,8 @@ def linking_number(curve: LinkCurve, m1, m2, samples=10 ** 6, seed=0,
                    shards=None, workers=None):
     """Gauss double integral between two components, its rounding, and the
     projection crossing-sign oracle."""
-    _check_component(curve, m1)
-    _check_component(curve, m2)
+    check_component(curve, m1)
+    check_component(curve, m2)
     if m1 == m2:
         raise DiagramError("linking number needs two distinct components")
     support = circles(curve.n_components)
@@ -68,7 +62,7 @@ def linking_number(curve: LinkCurve, m1, m2, samples=10 ** 6, seed=0,
 def self_linking(curve: LinkCurve, m=0, samples=10 ** 6, seed=0,
                  shards=None, workers=None) -> MCEstimate:
     """The Gauss self-integral of one component (framing / writhe)."""
-    _check_component(curve, m)
+    check_component(curve, m)
     sub = LinkCurve([curve.components[m]])
     return integrate_diagram(std_oriented(THETA), sub, samples=samples,
                              seed=seed, shards=shards, workers=workers)

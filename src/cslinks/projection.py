@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blocks import block, block_pairs
-from .curves import LinkCurve
+from .curves import LinkCurve, check_component
 from .errors import SamplingError
 
 # fixed generic rotation applied before projecting to the xy-plane, so that
@@ -78,7 +78,8 @@ def _segment_intersections(p, q):
 
 
 def diagram_crossings(curve: LinkCurve, samples=4096):
-    """All crossings of the rotated xy-projection, with signs.
+    """All crossings of the rotated xy-projection, with signs, component
+    pair by component pair: (0, 0), (0, 1), ..., (1, 1), ...
 
     The sign is +1 when the (over, under) tangent pair is positively
     oriented in the projection plane.
@@ -86,49 +87,63 @@ def diagram_crossings(curve: LinkCurve, samples=4096):
     rot = _rotation()
     polys = [_polyline(curve, m, samples, rot)
              for m in range(curve.n_components)]
+    return [c for mi in range(curve.n_components)
+            for mj in range(mi, curve.n_components)
+            for c in _pair_crossings(polys, mi, mj, samples)]
+
+
+def component_crossings(curve: LinkCurve, m1, m2, samples=4096):
+    """The crossings of diagram_crossings between components m1 and m2 (the
+    self-crossings when m1 == m2), from a scan of that pair alone."""
+    check_component(curve, m1)
+    check_component(curve, m2)
+    rot = _rotation()
+    polys = {m: _polyline(curve, m, samples, rot) for m in {m1, m2}}
+    return _pair_crossings(polys, min(m1, m2), max(m1, m2), samples)
+
+
+def _pair_crossings(polys, mi, mj, samples):
+    """Crossings of component mi over or under component mj (mi <= mj) in
+    the order of their segment indices; polys[m] = (ts, points)."""
+    ti, pi = polys[mi]
+    tj, pj = polys[mj]
     crossings = []
-    for mi in range(curve.n_components):
-        for mj in range(mi, curve.n_components):
-            ti, pi = polys[mi]
-            tj, pj = polys[mj]
-            for i, j, si, sj in _segment_intersections(pi, pj):
-                if mi == mj:
-                    if i >= j:
-                        continue   # each unordered pair once
-                    if abs(i - j) < 2 or abs(i - j) > samples - 2:
-                        continue   # neighbouring segments share a vertex
-                step_i = 2 * np.pi / samples
-                par_i = ti[i] + si * step_i
-                par_j = tj[j] + sj * step_i
-                zi = pi[i, 2] * (1 - si) + pi[(i + 1) % samples, 2] * si
-                zj = pj[j, 2] * (1 - sj) + pj[(j + 1) % samples, 2] * sj
-                di = pi[(i + 1) % samples, :2] - pi[i, :2]
-                dj = pj[(j + 1) % samples, :2] - pj[j, :2]
-                if abs(zi - zj) < 1e-12:
-                    raise SamplingError("projection is not generic here")
-                # sign convention matches the gauss_kernel orientation (the
-                # Hopf catalog entry scores +1 on both); it is the mirror of
-                # the over-cross-under right-hand convention
-                cross = dj[0] * di[1] - dj[1] * di[0]
-                if zi > zj:
-                    sign = 1 if cross > 0 else -1
-                    crossings.append(Crossing(mi, mj, par_i, par_j, sign))
-                else:
-                    sign = 1 if -cross > 0 else -1
-                    crossings.append(Crossing(mj, mi, par_j, par_i, sign))
+    for i, j, si, sj in _segment_intersections(pi, pj):
+        if mi == mj:
+            if i >= j:
+                continue   # each unordered pair once
+            if abs(i - j) < 2 or abs(i - j) > samples - 2:
+                continue   # neighbouring segments share a vertex
+        step_i = 2 * np.pi / samples
+        par_i = ti[i] + si * step_i
+        par_j = tj[j] + sj * step_i
+        zi = pi[i, 2] * (1 - si) + pi[(i + 1) % samples, 2] * si
+        zj = pj[j, 2] * (1 - sj) + pj[(j + 1) % samples, 2] * sj
+        di = pi[(i + 1) % samples, :2] - pi[i, :2]
+        dj = pj[(j + 1) % samples, :2] - pj[j, :2]
+        if abs(zi - zj) < 1e-12:
+            raise SamplingError("projection is not generic here")
+        # sign convention matches the gauss_kernel orientation (the Hopf
+        # catalog entry scores +1 on both); it is the mirror of the
+        # over-cross-under right-hand convention
+        cross = dj[0] * di[1] - dj[1] * di[0]
+        if zi > zj:
+            sign = 1 if cross > 0 else -1
+            crossings.append(Crossing(mi, mj, par_i, par_j, sign))
+        else:
+            sign = 1 if -cross > 0 else -1
+            crossings.append(Crossing(mj, mi, par_j, par_i, sign))
     return crossings
 
 
 def writhe_oracle(curve: LinkCurve, m=0, samples=4096) -> int:
     """Sum of crossing signs of component m with itself."""
-    return sum(c.sign for c in diagram_crossings(curve, samples)
-               if c.comp_over == m and c.comp_under == m)
+    return sum(c.sign for c in component_crossings(curve, m, m, samples))
 
 
 def linking_oracle(curve: LinkCurve, m1, m2, samples=4096) -> int:
     """Half the signed count of crossings between two components."""
-    total = sum(c.sign for c in diagram_crossings(curve, samples)
-                if {c.comp_over, c.comp_under} == {m1, m2})
+    total = sum(c.sign for c in component_crossings(curve, m1, m2, samples))
     if total % 2:
         raise SamplingError("odd inter-component crossing count")
     return total // 2
@@ -140,8 +155,7 @@ def linking_oracle(curve: LinkCurve, m1, m2, samples=4096) -> int:
 def gauss_code(curve: LinkCurve, m=0, samples=4096):
     """Passages of component m through its self-crossings, in parameter
     order: a list of (crossing id, is_over, sign)."""
-    crossings = [c for c in diagram_crossings(curve, samples)
-                 if c.comp_over == m and c.comp_under == m]
+    crossings = component_crossings(curve, m, m, samples)
     passages = []
     for cid, c in enumerate(crossings):
         passages.append((c.param_over, cid, True, c.sign))

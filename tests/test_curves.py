@@ -27,6 +27,30 @@ class TestEvaluation:
             assert np.linalg.norm(fd - v) < 1e-4 * max(1, np.linalg.norm(v))
             assert abs(np.linalg.norm(c.tangent(0, t)) - 1) < 1e-12
 
+    @pytest.mark.parametrize("name", CATALOG_NAMES)
+    def test_jet_is_eval_and_deriv(self, name):
+        # one harmonic table gives the same bits as the two evaluations
+        c = catalog(name)
+        rng = np.random.default_rng(4)
+        for t in (1.3, rng.uniform(0, 2 * np.pi, 50),
+                  rng.uniform(-7, 7, (20, 3))):
+            for m in range(c.n_components):
+                x, v = c.jet(m, t)
+                assert np.array_equal(x, c.eval(m, t))
+                assert np.array_equal(v, c.deriv(m, t))
+                assert x.shape == v.shape == np.shape(t) + (3,)
+
+    def test_tangent_witness_is_first_zero_velocity(self):
+        # (cos t, 0, 0) stops at t = 0 and t = pi
+        c = LinkCurve([([0, 0, 0], [[1, 0, 0]], [[0, 0, 0]])])
+        ts = np.linspace(0, 2 * np.pi, 8, endpoint=False)
+        with pytest.raises(EmbeddingError) as err:
+            c.tangent(0, ts)
+        assert err.value.witness == (0, 0.0)
+        with pytest.raises(EmbeddingError) as err:
+            c.tangent(0, ts[1:])
+        assert err.value.witness == (0, float(ts[4]))
+
 
 class TestCatalog:
     @pytest.mark.parametrize("name", CATALOG_NAMES)

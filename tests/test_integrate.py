@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 
 from cslinks.anomaly import WGeometry, WSampler, line_diagram_catalog
-from cslinks.curves import catalog
+from cslinks.curves import LinkCurve, catalog
 from cslinks.diagrams import (THETA, Diagram, std_oriented, tripod,
                               tripod_positive)
-from cslinks.integrate import (ConfigurationSampler, DiagramGeometry,
-                               gauss_kernel, integrand_at, integrand_batch,
-                               integrate_diagram, sample_configuration, z_n)
+from cslinks.integrate import (COLLISION_TOL, ConfigurationSampler,
+                               DiagramGeometry, column_tangents, gauss_kernel,
+                               integrand_at, integrand_batch,
+                               integrate_diagram, jacobian_values,
+                               sample_configuration, univalent_jets, z_n)
 from cslinks.support import circles
 
 
@@ -35,6 +37,45 @@ def gaussian_bump_integral(sampler, seed=2):
 def hopf_chord():
     return std_oriented(Diagram(circles(2), ((0,), (1,)), frozenset(),
                                 fs((0, 1))))
+
+
+def crossed_chord():
+    return std_oriented(Diagram(circles(1), ((0, 1, 2, 3),), frozenset(),
+                                fs((0, 2), (1, 3))))
+
+
+def reference_integrand(geo, t_univ, x_triv):
+    """The integrand assembled from separate curve evaluations: eval for
+    the univalent points, deriv for their velocities."""
+    pos = {}
+    vel = {}
+    for v in geo.univ:
+        m = geo.d.component_of(v)
+        tv = t_univ[:, geo.univ_index[v]]
+        pos[v] = geo.curve.eval(m, tv)
+        vel[v] = geo.curve.deriv(m, tv) * geo.univ_sign[v]
+    for v in geo.triv:
+        pos[v] = x_triv[:, geo.triv_index[v], :]
+    tangents = column_tangents(geo.columns, t_univ.shape[0], vel.__getitem__)
+    return jacobian_values(geo, pos, tangents, COLLISION_TOL * geo.diameter)
+
+
+class CountingCurve(LinkCurve):
+    """A LinkCurve that counts the parameters it evaluates at."""
+
+    points = 0
+
+    def eval(self, m, t):
+        self.points += np.size(t)
+        return super().eval(m, t)
+
+    def deriv(self, m, t):
+        self.points += np.size(t)
+        return super().deriv(m, t)
+
+    def jet(self, m, t):
+        self.points += np.size(t)
+        return super().jet(m, t)
 
 
 class TestPointwise:
@@ -73,9 +114,7 @@ class TestPointwise:
 
     def test_two_chord_product(self):
         c = catalog("trefoil")
-        d = Diagram(circles(1), ((0, 1, 2, 3),), frozenset(),
-                    fs((0, 2), (1, 3)))
-        od = std_oriented(d)
+        od = crossed_chord()
         rng = np.random.default_rng(3)
         for _ in range(50):
             t = np.sort(rng.uniform(0, 2 * np.pi, 4))
@@ -106,16 +145,31 @@ class TestPointwise:
         od = std_oriented(tripod())
         t = np.array([[0.3, 1.9, 4.4]])
         x = np.array([[[0.2, -0.1, 0.6]]])
-        base = integrand_batch(DiagramGeometry(od, c), t, x)[0][0]
+
+        def value(geo):
+            return integrand_batch(geo, *univalent_jets(geo, t), x)[0][0]
+
+        base = value(DiagramGeometry(od, c))
         for flip in [frozenset({frozenset((0, 3))}),
                      frozenset({frozenset((1, 3)), frozenset((2, 3))})]:
-            v = integrand_batch(DiagramGeometry(od, c, flip_edges=flip),
-                                t, x)[0][0]
+            v = value(DiagramGeometry(od, c, flip_edges=flip))
             assert abs(v - base) < 1e-14
         for order in ([1, 2, 0], [2, 1, 0]):
-            v = integrand_batch(DiagramGeometry(od, c, edge_order=order),
-                                t, x)[0][0]
+            v = value(DiagramGeometry(od, c, edge_order=order))
             assert abs(v - base) < 1e-14
+
+    @pytest.mark.parametrize("od, name", [
+        (std_oriented(THETA), "trefoil"), (crossed_chord(), "trefoil"),
+        (std_oriented(tripod()), "trefoil"), (hopf_chord(), "hopf-link")])
+    def test_integrand_equals_separate_evaluations(self, od, name):
+        geo = DiagramGeometry(od, catalog(name))
+        rng = np.random.default_rng(8)
+        t, x_univ, v_univ, x, _ = ConfigurationSampler(geo).sample(rng, 4096)
+        values, rejected = integrand_batch(geo, x_univ, v_univ, x)
+        ref_values, ref_rejected = reference_integrand(geo, t, x)
+        assert np.array_equal(values, ref_values)
+        assert np.array_equal(rejected, ref_rejected)
+        assert np.any(values != 0)
 
 
 class TestSampler:
@@ -130,7 +184,7 @@ class TestSampler:
         geo = DiagramGeometry(std_oriented(THETA), catalog("unknot-round"))
         sampler = ConfigurationSampler(geo)
         rng = np.random.default_rng(1)
-        t, x, density = sampler.sample(rng, 128)
+        *_, density = sampler.sample(rng, 128)
         expected = 1.0 / (2 * np.pi) ** 2
         assert np.allclose(density, expected)
 
@@ -157,6 +211,21 @@ class TestSampler:
 
 
 class TestIntegrals:
+    @pytest.mark.parametrize("od, name", [(crossed_chord(), "trefoil"),
+                                          (std_oriented(tripod()), "trefoil"),
+                                          (hopf_chord(), "hopf-link")])
+    def test_one_curve_evaluation_per_sample(self, od, name):
+        # each univalent parameter of a sample is evaluated once, for its
+        # point and its velocity together; besides, the geometry samples
+        # the curve once for its diameter
+        curve = CountingCurve(catalog(name).components)
+        curve.diameter()
+        diameter_points = curve.points
+        curve.points = 0
+        integrate_diagram(od, curve, samples=1000, shards=2)
+        univalent = len(od.diagram.univalent)
+        assert curve.points == diameter_points + univalent * 1000
+
     def test_hopf_chord(self):
         est = integrate_diagram(hopf_chord(), catalog("hopf-link"),
                                 samples=2 * 10 ** 5, seed=3)

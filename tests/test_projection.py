@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
-from cslinks.curves import LinkCurve, catalog, validate_embedding
-from cslinks.projection import (_rotation, diagram_crossings, gauss_code,
-                                linking_oracle,
+from cslinks.curves import (CATALOG_NAMES, LinkCurve, catalog,
+                            validate_embedding)
+from cslinks.errors import DiagramError
+from cslinks.projection import (_rotation, component_crossings,
+                                diagram_crossings, gauss_code, linking_oracle,
                                 smoothing_linking, switch_crossing,
                                 v2_from_code, v2_oracle, writhe_oracle)
 
@@ -52,6 +54,36 @@ class TestCrossings:
 
     def test_kinked_unknot_writhe(self):
         assert writhe_oracle(catalog("unknot-planar-perturbed")) == 1
+
+    @pytest.mark.parametrize("name", CATALOG_NAMES)
+    def test_pair_scans_equal_filtered_all_pairs(self, name):
+        # the oracles scan one component pair; they keep the crossings, in
+        # the order, that the all-pairs scan gives for that pair
+        c = catalog(name)
+        every = diagram_crossings(c)
+        comps = range(c.n_components)
+        for m1 in comps:
+            for m2 in comps:
+                pair = [x for x in every
+                        if {x.comp_over, x.comp_under} == {m1, m2}]
+                assert component_crossings(c, m1, m2) == pair
+            own = [x for x in every if x.comp_over == x.comp_under == m1]
+            assert writhe_oracle(c, m1) == sum(x.sign for x in own)
+            passages = sorted(
+                [(x.param_over, i, True, x.sign) for i, x in enumerate(own)]
+                + [(x.param_under, i, False, x.sign)
+                   for i, x in enumerate(own)])
+            assert gauss_code(c, m1) == [p[1:] for p in passages]
+        if c.n_components == 2:
+            cross = [x for x in every if x.comp_over != x.comp_under]
+            assert 2 * linking_oracle(c, 0, 1) == sum(x.sign for x in cross)
+            assert linking_oracle(c, 1, 0) == linking_oracle(c, 0, 1)
+
+    def test_component_out_of_range(self):
+        with pytest.raises(DiagramError, match="component 2 out of range"):
+            linking_oracle(catalog("hopf-link"), 0, 2)
+        with pytest.raises(DiagramError, match="component -1 out of range"):
+            writhe_oracle(catalog("trefoil"), -1)
 
     def test_crossing_count_stable(self):
         for samples in (2048, 4096):
