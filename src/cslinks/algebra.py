@@ -16,7 +16,7 @@ from math import factorial
 from .diagrams import (Diagram, OrientedDiagram, canonical_diagram,
                        canonical_oriented, degree, enumerate_diagrams,
                        is_principal, is_subprincipal, std_oriented)
-from .errors import DiagramError
+from .errors import CapabilityError, DiagramError
 from .support import R1
 
 _REPS = {}
@@ -296,6 +296,8 @@ class Reduction:
     """
 
     def __init__(self, support, n, k=None):
+        if n < 0:
+            raise CapabilityError("degree must be nonnegative")
         if k is not None and k > 2 * n:
             raise DiagramError("k must be at most 2n")
         self.support = support

@@ -270,29 +270,24 @@ def _cyclic_sign(cyc):
 # ---------------------------------------------------------------------------
 # Canonical form, isomorphism, automorphisms
 
-def _raw_key(d: Diagram):
-    return (d.support, d.placements, tuple(sorted(d.trivalent)),
-            tuple(sorted(tuple(sorted(e)) for e in d.edges)))
-
-
-def _rotated_umaps(d: Diagram):
+def _rotated_umaps(support, placements):
     """Univalent relabelings onto normal-form names: every rotation per circle
     component (total orders on lines are kept).  Components never permute."""
     bases = []
     acc = 0
-    for comp in d.placements:
+    for comp in placements:
         bases.append(acc)
         acc += len(comp)
     rot_choices = []
-    for i, comp in enumerate(d.placements):
+    for i, comp in enumerate(placements):
         k = len(comp)
-        if k and d.support.is_circle(i):
+        if k and support.is_circle(i):
             rot_choices.append(range(k))
         else:
             rot_choices.append(range(1))
     for rots in itertools.product(*rot_choices):
         umap = {}
-        for i, comp in enumerate(d.placements):
+        for i, comp in enumerate(placements):
             k = len(comp)
             for j in range(k):
                 umap[comp[(j + rots[i]) % k]] = bases[i] + j
@@ -306,7 +301,7 @@ def _encode(d: Diagram, vmap):
 
 
 @lru_cache(maxsize=None)
-def _canonical_cached(support, placements, trivalent, edges):
+def _canonical_cached(d: Diagram):
     """Minimal labeling by branch-and-bound on incremental adjacency vectors.
 
     A labeling gives each vertex a segment: its adjacency bits against the
@@ -318,8 +313,6 @@ def _canonical_cached(support, placements, trivalent, edges):
     Returns the minimal encoding and every vertex map achieving it, in
     search order (needed for automorphisms and orientation-sign transport).
     """
-    d = Diagram(support, placements, frozenset(trivalent),
-                frozenset(frozenset(e) for e in edges))
     adj = {v: set() for v in d.vertices}
     for a, b in map(tuple, d.edges):
         adj[a].add(b)
@@ -353,7 +346,7 @@ def _canonical_cached(support, placements, trivalent, edges):
             dfs(order + [v], {w: s << 1 | (w in adj[v])
                               for w, s in segs.items() if w != v}, prefix)
 
-    for umap in _rotated_umaps(d):
+    for umap in _rotated_umaps(d.support, d.placements):
         inv = sorted(umap, key=umap.get)
         head = [segment(v, inv[:k]) for k, v in enumerate(inv)]
         if best["segs"] is not None and head > best["segs"][:u_total]:
@@ -366,12 +359,12 @@ def _canonical_cached(support, placements, trivalent, edges):
 
 def canonical_form(d: Diagram):
     """Canonical encoding; equal iff diagrams are isomorphic."""
-    enc, _ = _canonical_cached(*_raw_key(d))
+    enc, _ = _canonical_cached(d)
     return (d.support,) + enc
 
 
 def canonical_maps(d: Diagram):
-    enc, maps = _canonical_cached(*_raw_key(d))
+    enc, maps = _canonical_cached(d)
     return (d.support,) + enc, [dict(m) for m in maps]
 
 
@@ -482,21 +475,43 @@ def enumerate_diagrams(support: Support, n: int, connected_only=False):
     return list(_enumerate_cached(support, n, connected_only))
 
 
+def _relabellings(support, placements, t):
+    """The group the canonical labeling minimises over, as vertex maps
+    (tuples indexed by vertex): every rotation of the univalent labels per
+    circle component times every order of the trivalent labels u..u+t-1."""
+    u = sum(len(comp) for comp in placements)
+    return [tuple(umap[v] for v in range(u)) + perm
+            for umap in _rotated_umaps(support, placements)
+            for perm in itertools.permutations(range(u, u + t))]
+
+
 @lru_cache(maxsize=None)
 def _enumerate_cached(support, n, connected_only):
+    """Canonicalises one labelled graph per relabelling orbit: the orbits of
+    `_relabellings` are exactly the isomorphism classes of one (u, t,
+    placement sizes) group, and validity and connectedness are invariant."""
     if n == 0:
         return (Diagram(support, tuple(() for _ in support.components),
                         frozenset(), frozenset()),)
     out = {}
     for t in range(0, 2 * n):
         u = 2 * n - t
-        if u < 1:
-            continue
+        graphs = _graphs_with_valences(u, t)
+        # one edge object per vertex pair, hashed once for every orbit image
+        edge = [[frozenset((a, b)) for b in range(u + t)]
+                for a in range(u + t)]
         for sizes in _compositions(u, support.n_components):
             bases = [sum(sizes[:i]) for i in range(len(sizes))]
             placements = tuple(tuple(range(bases[i], bases[i] + k))
                                for i, k in enumerate(sizes))
-            for g in _graphs_with_valences(u, t):
+            relabellings = _relabellings(support, placements, t)
+            seen = set()
+            for g in graphs:
+                if g in seen:
+                    continue
+                pairs = [tuple(e) for e in g]
+                seen.update(frozenset([edge[p[a]][p[b]] for a, b in pairs])
+                            for p in relabellings)
                 try:
                     d = Diagram(support, placements,
                                 frozenset(range(u, u + t)), g)
@@ -504,9 +519,7 @@ def _enumerate_cached(support, n, connected_only):
                     continue
                 if connected_only and not is_connected(d.vertices, d.edges):
                     continue
-                key = canonical_form(d)
-                if key not in out:
-                    out[key] = canonical_diagram(d)
+                out[canonical_form(d)] = canonical_diagram(d)
     return tuple(out[k] for k in sorted(out))
 
 

@@ -198,6 +198,8 @@ def lattice_check(curve: LinkCurve, n, k, samples=10 ** 6, seed=0,
     Requires every component's self-linking integral to sit within the
     framing tolerance of an integer (the rationality hypothesis)."""
     _check_degree(n)
+    if k > 2 * n:
+        raise DiagramError("k must be at most 2n")
     framings = []
     for m in range(curve.n_components):
         est = self_linking(curve, m, samples=samples, seed=seed + 503 + m,

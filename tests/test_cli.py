@@ -202,3 +202,23 @@ class TestBadDegree:
         out, err = capsys.readouterr()
         assert out == ""
         assert err == "input error: degree must be nonnegative\n"
+
+    def test_lattice_k_checked_before_framing(self, monkeypatch, capsys):
+        def refused(*args, **kwargs):
+            raise AssertionError("a framing integral ran for k > 2n")
+
+        monkeypatch.setattr(invariants, "self_linking", refused)
+        assert cli.main(["invariant", "lattice", "--curve", "unknot-round",
+                         "--degree", "1", "--k", "9",
+                         "--samples", "1e5"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "input error: k must be at most 2n\n"
+
+    @pytest.mark.parametrize("k", ["2", "-5"])
+    def test_check_gluings_negative_degree(self, k, capsys):
+        assert cli.main(["algebra", "check-gluings", "--n", "-1",
+                         "--k", k]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "input error: degree must be nonnegative\n"

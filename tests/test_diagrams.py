@@ -3,7 +3,8 @@ import itertools
 import pytest
 
 from cslinks.diagrams import (THETA, Diagram, _compositions,
-                              _graphs_with_valences, _rotated_umaps,
+                              _graphs_with_valences, _relabellings,
+                              _rotated_umaps, is_connected,
                               canonical_diagram, canonical_form,
                               canonical_maps, degree, enumerate_diagrams,
                               automorphism_count, edge_counts,
@@ -11,7 +12,9 @@ from cslinks.diagrams import (THETA, Diagram, _compositions,
                               is_subprincipal, quotient_diagram, std_oriented,
                               canonical_oriented, tripod)
 from cslinks.errors import CapabilityError, DiagramError
-from cslinks.support import R1, S1, circles
+from cslinks.support import CIRCLE, LINE, R1, S1, Support, circles
+
+CIRCLE_LINE = Support((("0", CIRCLE), ("1", LINE)))
 
 
 def fs(*pairs):
@@ -273,7 +276,7 @@ def brute_force_canonical(d):
     """Least segment list over every rotation x trivalent permutation, with
     the encoding read off the segments and every map that reaches it."""
     best, maps = None, set()
-    for umap in _rotated_umaps(d):
+    for umap in _rotated_umaps(d.support, d.placements):
         inv = sorted(umap, key=umap.get)
         for perm in itertools.permutations(sorted(d.trivalent)):
             order = inv + list(perm)
@@ -303,6 +306,38 @@ class TestCanonicalOracle:
             assert (key, set(got)) == brute_force_canonical(d)
             checked += 1
         assert checked > 0
+
+
+class TestOrbitSkipping:
+    @pytest.mark.parametrize("connected_only", [False, True])
+    @pytest.mark.parametrize("support", [S1, R1, circles(2), CIRCLE_LINE],
+                             ids=["S1", "R1", "S1x2", "S1+R1"])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_matches_canonicalising_every_graph(self, support, n,
+                                                connected_only):
+        reference = {}
+        for d in labelled_graphs(support, n):
+            if connected_only and not is_connected(d.vertices, d.edges):
+                continue
+            key = canonical_form(d)
+            if key not in reference:
+                reference[key] = canonical_diagram(d)
+        expected = [reference[k] for k in sorted(reference)]
+        assert enumerate_diagrams(support, n, connected_only) == expected
+
+    @pytest.mark.parametrize("support, n", [(S1, 3), (R1, 3),
+                                            (CIRCLE_LINE, 2)],
+                             ids=["S1-3", "R1-3", "S1+R1-2"])
+    def test_relabelling_orbit_is_class(self, support, n):
+        graphs = list(labelled_graphs(support, n))
+        classes = {}
+        for d in graphs:
+            classes.setdefault(canonical_form(d), set()).add(d.edges)
+        for d in graphs:
+            orbit = {frozenset(frozenset(p[v] for v in e) for e in d.edges)
+                     for p in _relabellings(support, d.placements,
+                                            len(d.trivalent))}
+            assert orbit == classes[canonical_form(d)]
 
 
 class TestQuotient:
