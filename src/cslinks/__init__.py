@@ -15,7 +15,7 @@ from .strata import FaceLabel, StratumFamily, classify_face, enumerate_strata
 from .algebra import (ClassVector, LabelledDiagram, Series, beta,
                       check_ihx_prime, check_stu_prime, dim_A_n, exp_action,
                       insert, lattice_generators, product, quotient_A_n_k,
-                      reduce_to_basis, generate_relations)
+                      reduce_to_basis)
 from .integrate import gauss_kernel, integrate_diagram, integrand_at, z_n
 from .anomaly import (anomaly_alpha, degree3_region_predicates, disc_integral,
                       f_gamma, framing_report, symmetry_check_central,

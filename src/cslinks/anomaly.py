@@ -16,13 +16,14 @@ from math import factorial
 
 import numpy as np
 
-from .algebra import ClassVector, Series, class_term, reduction
+from .algebra import ClassVector, Series, reduction
 from .curves import LinkCurve
-from .diagrams import (Diagram, OrientedDiagram, automorphism_count, degree,
-                       is_connected, std_oriented)
+from .diagrams import (Diagram, OrientedDiagram, automorphism_count,
+                       canonical_oriented, degree, is_connected, std_oriented)
 from .errors import DiagramError, EmbeddingError
-from .integrate import (KernelGeometry, column_tangents, integrate_diagram,
-                        jacobian_values, propose_trivalent, sphere_frames)
+from .integrate import (KernelGeometry, column_tangents, jacobian_values,
+                        propose_trivalent, sphere_frames)
+from .invariants import self_linking
 from .mc import MCEstimate, run_sharded
 from .support import R1
 
@@ -207,7 +208,7 @@ def anomaly_alpha(max_degree, samples=10 ** 6, seed=0, shards=None,
                           shards=shards, workers=workers)
             estimates[name] = est
             aut = automorphism_count(od.diagram)
-            key, sign = class_term(od)
+            key, sign = canonical_oriented(od)
             if sign:
                 vec = vec + ClassVector(R1, n, {key: sign * est.value / (2 * aut)})
         series[n] = red.reduce(vec)
@@ -351,13 +352,11 @@ def framing_report(curve: LinkCurve, samples=10 ** 6, seed=0, shards=None,
                    workers=None):
     """Per component: the Gauss self-integral, the disc integral, their
     framing combination and its distance to the nearest integer."""
-    from .diagrams import THETA
     rows = []
     for m in range(curve.n_components):
-        sub = LinkCurve([curve.components[m]])
-        est = integrate_diagram(std_oriented(THETA), sub, samples=samples,
-                                seed=seed + m, shards=shards, workers=workers)
-        disc = disc_integral(sub, 0)
+        est = self_linking(curve, m, samples=samples, seed=seed + m,
+                           shards=shards, workers=workers)
+        disc = disc_integral(curve, m)
         total = est.value + 2 * disc.value
         rows.append({
             "component": m,

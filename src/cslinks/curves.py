@@ -168,10 +168,6 @@ def _fourier(const, cos=(), sin=()):
     return (const, list(cos), list(sin))
 
 
-def _zeros(n):
-    return [0.0, 0.0, 0.0]
-
-
 def catalog(name: str) -> LinkCurve:
     """Standard curves with fixed coefficients (all pass validate_embedding).
 

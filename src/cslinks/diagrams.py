@@ -368,18 +368,25 @@ def canonical_maps(d: Diagram):
     return (d.support,) + enc, [dict(m) for m in maps]
 
 
+def _normal_placements(sizes):
+    """Univalent vertices 0..u-1 numbered consecutively along the components."""
+    bases = [sum(sizes[:i]) for i in range(len(sizes))]
+    return tuple(tuple(range(b, b + k)) for b, k in zip(bases, sizes))
+
+
+def diagram_from_key(key) -> Diagram:
+    """The normal-form diagram that a canonical key encodes."""
+    support, sizes, t_count, edges = key
+    u_total = sum(sizes)
+    return Diagram(support, _normal_placements(sizes),
+                   frozenset(range(u_total, u_total + t_count)),
+                   frozenset(frozenset(e) for e in edges))
+
+
 def canonical_diagram(d: Diagram) -> Diagram:
     """A normal-form representative of the isomorphism class of d."""
     key, _ = canonical_maps(d)
-    sizes = key[1]
-    bases = [sum(sizes[:i]) for i in range(len(sizes))]
-    placements = []
-    for i, k in enumerate(sizes):
-        placements.append(tuple(range(bases[i], bases[i] + k)))
-    u_total = sum(sizes)
-    triv = frozenset(range(u_total, u_total + key[2]))
-    edges = frozenset(frozenset(e) for e in key[3])
-    return Diagram(d.support, tuple(placements), triv, edges)
+    return diagram_from_key(key)
 
 
 def _orientation_sign(od: OrientedDiagram, vmap):
@@ -468,11 +475,16 @@ def enumerate_diagrams(support: Support, n: int, connected_only=False):
     MAX_DEGREE are refused: the brute-force generator is exponential.
     Memoised per (support, n, connected_only); each call gets a fresh list.
     """
+    check_degree(n)
+    return list(_enumerate_cached(support, n, connected_only))
+
+
+def check_degree(n):
+    """Refuse a degree that enumeration cannot serve."""
     if n > MAX_DEGREE:
         raise CapabilityError(f"diagram enumeration supports degree <= {MAX_DEGREE}")
     if n < 0:
         raise CapabilityError("degree must be nonnegative")
-    return list(_enumerate_cached(support, n, connected_only))
 
 
 def _relabellings(support, placements, t):
@@ -501,9 +513,7 @@ def _enumerate_cached(support, n, connected_only):
         edge = [[frozenset((a, b)) for b in range(u + t)]
                 for a in range(u + t)]
         for sizes in _compositions(u, support.n_components):
-            bases = [sum(sizes[:i]) for i in range(len(sizes))]
-            placements = tuple(tuple(range(bases[i], bases[i] + k))
-                               for i, k in enumerate(sizes))
+            placements = _normal_placements(sizes)
             relabellings = _relabellings(support, placements, t)
             seen = set()
             for g in graphs:
@@ -519,7 +529,8 @@ def _enumerate_cached(support, n, connected_only):
                     continue
                 if connected_only and not is_connected(d.vertices, d.edges):
                     continue
-                out[canonical_form(d)] = canonical_diagram(d)
+                key = canonical_form(d)
+                out[key] = diagram_from_key(key)
     return tuple(out[k] for k in sorted(out))
 
 

@@ -25,10 +25,10 @@ from math import factorial
 
 import numpy as np
 
-from .algebra import ClassVector, class_term, reduction
+from .algebra import ClassVector, reduction
 from .curves import LinkCurve
 from .diagrams import OrientedDiagram, automorphism_count, \
-    enumerate_diagrams, is_subprincipal, std_oriented
+    canonical_oriented, enumerate_diagrams, is_subprincipal, std_oriented
 from .errors import DiagramError, SamplingError
 from .mc import MCEstimate, run_sharded
 from .support import circles
@@ -379,7 +379,7 @@ def integrate_diagram(od: OrientedDiagram, curve: LinkCurve, samples=10 ** 6,
 
 
 def z_n(curve: LinkCurve, n: int, k=None, samples=10 ** 6, seed=0,
-        shards=None, workers=None, subprincipal_only=True):
+        shards=None, workers=None):
     """The degree-n part of the configuration space integral series.
 
     Returns (vector, errors, estimates): the reduced class vector with
@@ -393,19 +393,20 @@ def z_n(curve: LinkCurve, n: int, k=None, samples=10 ** 6, seed=0,
         return vec, {}, {}
     red = reduction(support, n, k)
     estimates = {}
+    auts = {}
     vec_terms = {}
     for idx, d in enumerate(enumerate_diagrams(support, n)):
-        if subprincipal_only and not is_subprincipal(d):
+        if not is_subprincipal(d):
             continue
         od = std_oriented(d)
-        key, sign = class_term(od)
+        key, sign = canonical_oriented(od)
         if sign == 0:
             continue
         est = integrate_diagram(od, curve, samples=samples,
                                 seed=seed + 7919 * idx,
                                 shards=shards, workers=workers)
         estimates[key] = est
-        aut = automorphism_count(d)
+        auts[key] = aut = automorphism_count(d)
         vec_terms[key] = vec_terms.get(key, 0.0) + sign * est.value / aut
     raw = ClassVector(support, n, vec_terms)
     reduced = red.reduce(raw)
@@ -414,13 +415,7 @@ def z_n(curve: LinkCurve, n: int, k=None, samples=10 ** 6, seed=0,
     for key, est in estimates.items():
         unit = ClassVector(support, n, {key: Fraction(1)})
         coeffs = red.reduce(unit)
-        aut = automorphism_count(_diagram_of_key(key))
         for bk, c in coeffs.terms.items():
-            coords_err[bk] += (float(c) * est.stderr / aut) ** 2
+            coords_err[bk] += (float(c) * est.stderr / auts[key]) ** 2
     errors = {bk: float(np.sqrt(v)) for bk, v in coords_err.items() if v}
     return reduced, errors, estimates
-
-
-def _diagram_of_key(key):
-    from .algebra import representative
-    return representative(key).diagram

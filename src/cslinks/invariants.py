@@ -4,11 +4,12 @@ series Z0, the degree-2 invariant, and the rationality (lattice) check."""
 from fractions import Fraction
 from math import gcd
 
-from .algebra import (ClassVector, Series, class_term, exp_action,
-                      lattice_generators, reduction)
+from .algebra import (ClassVector, Series, exp_action, lattice_generators,
+                      reduction)
 from .curves import LinkCurve, check_component
-from .diagrams import THETA, Diagram, std_oriented
-from .errors import CapabilityError, ConvergenceError, DiagramError
+from .diagrams import (THETA, Diagram, canonical_oriented, check_degree,
+                       std_oriented)
+from .errors import ConvergenceError, DiagramError
 from .integrate import integrate_diagram, z_n
 from .mc import MCEstimate
 from .projection import linking_oracle
@@ -20,18 +21,10 @@ def _theta_line_vector():
     return ClassVector.of(std_oriented(d))
 
 
-def alpha_exact(max_degree=2) -> ClassVector:
+def alpha_exact() -> ClassVector:
     """The anomaly through degree 2, exactly: [θ]/2 in degree one and zero
     in degree two (the central symmetry kills even degrees)."""
-    if max_degree > 3:
-        raise DiagramError("exact anomaly available through degree 3 only")
     return _theta_line_vector().scale(Fraction(1, 2))
-
-
-def _check_degree(n):
-    """Refuse a negative degree before any integral is spent on it."""
-    if n < 0:
-        raise CapabilityError("degree must be nonnegative")
 
 
 def linking_number(curve: LinkCurve, m1, m2, samples=10 ** 6, seed=0,
@@ -71,7 +64,7 @@ def self_linking(curve: LinkCurve, m=0, samples=10 ** 6, seed=0,
 def z_series(curve: LinkCurve, max_degree, samples=10 ** 6, seed=0,
              shards=None, workers=None):
     """Z through max_degree: reduced vectors, errors and raw estimates."""
-    _check_degree(max_degree)
+    check_degree(max_degree)
     support = circles(curve.n_components)
     series = Series(support)
     errors = {}
@@ -115,7 +108,7 @@ def crossed_chord_key():
     """Canonical key of the crossed two-chord diagram on the circle."""
     d = Diagram(circles(1), ((0, 1, 2, 3),), frozenset(),
                 frozenset({frozenset((0, 2)), frozenset((1, 3))}))
-    key, sign = class_term(std_oriented(d))
+    key, sign = canonical_oriented(std_oriented(d))
     assert sign == 1
     return key
 
@@ -197,7 +190,7 @@ def lattice_check(curve: LinkCurve, n, k, samples=10 ** 6, seed=0,
 
     Requires every component's self-linking integral to sit within the
     framing tolerance of an integer (the rationality hypothesis)."""
-    _check_degree(n)
+    check_degree(n)
     if k > 2 * n:
         raise DiagramError("k must be at most 2n")
     framings = []

@@ -2,15 +2,18 @@ from fractions import Fraction
 
 import pytest
 
-from cslinks.algebra import (ClassVector, LabelledDiagram, beta, beta_coefficient, check_ihx_prime,
-                             check_stu_prime, class_term, dim_A_n,
+from cslinks import algebra
+from cslinks.algebra import (ClassVector, LabelledDiagram, Reduction, beta,
+                             beta_coefficient, check_ihx_prime,
+                             check_stu_prime, dim_A_n,
                              dim_chords_mod_4t, exp_action, four_t_relators,
-                             generate_relations, ihx_relators, insert,
+                             ihx_relators, insert,
                              lattice_generators, line_unit, product,
                              quotient_A_n_k, reduce_to_basis, reduction,
                              stu_relators, representative)
-from cslinks.diagrams import (THETA, Diagram, enumerate_diagrams,
-                              is_principal, std_oriented, tripod)
+from cslinks.diagrams import (THETA, Diagram, canonical_oriented,
+                              enumerate_diagrams, is_principal, std_oriented,
+                              tripod)
 from cslinks.errors import DiagramError
 from cslinks.support import R1, S1
 
@@ -33,19 +36,19 @@ def line_H(pattern):
 
 class TestRelations:
     def test_degree1_no_relations(self):
-        assert generate_relations(S1, 1) == []
+        assert stu_relators(S1, 1) + ihx_relators(S1, 1) == []
 
     def test_degree2_stu_expresses_tripod(self):
         rels = stu_relators(S1, 2)
         assert len(rels) == 3  # one per leg of the tripod
-        key_y, _ = class_term(std_oriented(tripod()))
+        key_y, _ = canonical_oriented(std_oriented(tripod()))
         for r in rels:
             assert key_y in r.terms
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_relators_reduce_to_zero(self, n):
         red = reduction(S1, n)
-        for r in generate_relations(S1, n):
+        for r in stu_relators(S1, n) + ihx_relators(S1, n):
             assert red.reduce(r).is_zero()
 
     def test_ihx_consequence_of_stu(self):
@@ -55,6 +58,19 @@ class TestRelations:
         assert rels
         for r in rels:
             assert red.reduce(r).is_zero()
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3])
+    def test_ihx_rows_add_no_pivot(self, n, monkeypatch):
+        # eliminating the IHX relators as well leaves every quotient as is
+        ks = [None] + list(range(2 * n + 1))
+        stu_only = [Reduction(S1, n, k) for k in ks]
+        stu = algebra.stu_relators
+        monkeypatch.setattr(algebra, "stu_relators",
+                            lambda s, m: stu(s, m) + ihx_relators(s, m))
+        for k, red in zip(ks, stu_only):
+            both = Reduction(S1, n, k)
+            assert (both.order, both.pivots, both.basis) == (
+                red.order, red.pivots, red.basis)
 
     def test_four_t_consequence_of_stu(self):
         red = reduction(S1, 3)
@@ -224,9 +240,15 @@ class TestGluings:
     def test_stu_prime(self, n, k):
         assert check_stu_prime(S1, n, k)
 
-    def test_perturbed_beta_fails(self):
-        assert not check_ihx_prime(S1, 3, 3, perturb=True)
-        assert not check_stu_prime(S1, 2, 3, perturb=True)
+    def test_perturbed_beta_fails(self, monkeypatch):
+        ihx = algebra.ihx_replacements
+        monkeypatch.setattr(algebra, "ihx_replacements",
+                            lambda od, e: ihx(od, e)[::-1])
+        assert not check_ihx_prime(S1, 3, 3)
+        monkeypatch.undo()
+        monkeypatch.setattr(algebra, "beta_coefficient",
+                            lambda n, k, e_count: Fraction(1))
+        assert not check_stu_prime(S1, 2, 3)
 
 
 class TestLattice:

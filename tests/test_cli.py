@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from cslinks import cli, invariants
+from cslinks import cli, integrate, invariants
 from cslinks.curves import catalog, validate_embedding
 from cslinks.diagram_io import serialize_diagram
 from cslinks.diagrams import std_oriented, tripod_positive
@@ -214,6 +214,23 @@ class TestBadDegree:
         out, err = capsys.readouterr()
         assert out == ""
         assert err == "input error: k must be at most 2n\n"
+
+    @pytest.mark.parametrize("which,module,attr", [
+        ("z0", integrate, "integrate_diagram"),
+        ("lattice", invariants, "self_linking")], ids=["z0", "lattice"])
+    def test_degree_above_four(self, which, module, attr, monkeypatch,
+                               capsys):
+        def refused(*args, **kwargs):
+            raise AssertionError("an integral ran for a degree above 4")
+
+        monkeypatch.setattr(module, attr, refused)
+        assert cli.main(["invariant", which, "--curve", "trefoil-framed",
+                         "--degree", "5", "--k", "2",
+                         "--samples", "1e3"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == ("input error: diagram enumeration supports "
+                       "degree <= 4\n")
 
     @pytest.mark.parametrize("k", ["2", "-5"])
     def test_check_gluings_negative_degree(self, k, capsys):
