@@ -309,22 +309,22 @@ def _default_base_point(curve: LinkCurve, m, samples=1024):
     return cand / np.linalg.norm(cand)
 
 
-def disc_integral(curve: LinkCurve, m=0, base_point=None, samples=20000,
-                  antipode_margin=0.05) -> DiscIntegral:
+def disc_integral(curve: LinkCurve, m=0, base_point=None,
+                  samples=20000) -> DiscIntegral:
     """Signed area (mass-1 normalisation) of the geodesic cone from the base
     point to the tangent indicatrix, with the disc oriented opposite to the
     usual plane orientation: the boundary basis (tangent, outward normal)
     is direct.
 
     The extension is valid only when the indicatrix keeps an angular margin
-    from the antipode of the base point.
+    of 0.05 radians from the antipode of the base point.
     """
     q = _default_base_point(curve, m) if base_point is None else \
         np.asarray(base_point, dtype=float)
     q = q / np.linalg.norm(q)
     ts = np.linspace(0, 2 * np.pi, samples, endpoint=False)
     tang = curve.tangent(m, ts)
-    if np.max(tang @ -q) > np.cos(antipode_margin):
+    if np.max(tang @ -q) > np.cos(0.05):
         raise EmbeddingError(
             "tangent indicatrix approaches the antipode of the base point; "
             "choose another base point", witness=q)
@@ -439,21 +439,23 @@ def square_substitution_invariant(e1, e2, e3, e4):
     return is_square(e1, e2, e3, e4) == is_square(e2, e3, -e1, -e4)
 
 
+def _psi_image(down, up, ta, tb):
+    """Unit edge directions (e1..e5): the legs `down` from the first vertex
+    ta, the legs `up` into the second vertex tb, and the internal edge from
+    ta to tb."""
+    def unit(v):
+        return v / np.linalg.norm(v)
+
+    return (*(unit(z - ta) for z in down), *(unit(tb - z) for z in up),
+            unit(tb - ta))
+
+
 def psi_image_a1(z, ta, tb):
     """Edge directions of an a1 (legs aabb) configuration: legs z1<z2 into
     the first vertex pointing down, z3<z4 into the second pointing up, and
     the internal edge from the first to the second."""
     z1, z2, z3, z4 = z
-
-    def unit(v):
-        return v / np.linalg.norm(v)
-
-    e1 = unit(z1 - ta)
-    e2 = unit(z2 - ta)
-    e3 = unit(tb - z3)
-    e4 = unit(tb - z4)
-    e5 = unit(tb - ta)
-    return e1, e2, e3, e4, e5
+    return _psi_image((z1, z2), (z3, z4), ta, tb)
 
 
 def psi_image_a3(z, ta, tb):
@@ -461,16 +463,7 @@ def psi_image_a3(z, ta, tb):
     labelling that matches the region description: the outer legs point
     down from the first vertex, the inner legs up into the second."""
     z1, z2, z3, z4 = z
-
-    def unit(v):
-        return v / np.linalg.norm(v)
-
-    e1 = unit(z1 - ta)
-    e2 = unit(z4 - ta)
-    e3 = unit(tb - z2)
-    e4 = unit(tb - z3)
-    e5 = unit(tb - ta)
-    return e1, e2, e3, e4, e5
+    return _psi_image((z1, z4), (z2, z3), ta, tb)
 
 
 def degree3_region_predicates(vectors):

@@ -1,9 +1,11 @@
 """Command-line interface.
 
-Every Monte Carlo command emits a JSON report embedding the fully resolved
-configuration (seed, samples, shards), so a run can be replayed exactly;
-identical commands with the same seed produce byte-identical reports apart
-from the wall-time field.
+Each command returns its report and exit code; main adds the wall time and
+prints the report as JSON (or as a plain-text table with --table).  Every
+Monte Carlo report embeds its fully resolved configuration (samples, seed,
+shards, workers) as "config", so a run can be replayed exactly; identical
+commands with the same seed produce byte-identical reports apart from the
+wall-time field.
 
 Exit codes: 0 success, 2 input error, 3 convergence failure.
 """
@@ -27,17 +29,17 @@ from .strata import enumerate_faces
 from .support import S1, circles
 
 
-def _parse_count(text):
-    value = float(text)
-    if not np.isfinite(value):
-        raise ValueError(f"sample count must be finite, got {text!r}")
-    return int(value)
-
-
-def _workers(args):
-    """The reported worker count: only an absent --workers means the default
-    (run_sharded refuses counts below one)."""
-    return default_workers() if args.workers is None else args.workers
+def _mc_settings(args):
+    """The resolved Monte Carlo settings: both the keyword arguments of the
+    library call and the report's replay config.  Only an absent --shards or
+    --workers means the default (run_sharded refuses bad counts)."""
+    samples = float(args.samples)
+    if not np.isfinite(samples):
+        raise ValueError(f"sample count must be finite, got {args.samples!r}")
+    return {"samples": int(samples), "seed": args.seed,
+            "shards": default_shards() if args.shards is None else args.shards,
+            "workers": (default_workers() if args.workers is None
+                        else args.workers)}
 
 
 def _load_curve(spec):
@@ -56,15 +58,6 @@ def _support(name):
     if name.startswith("S1X"):
         return circles(int(name[3:]))
     raise DiagramError(f"unknown support {name!r} (use S1 or S1xN)")
-
-
-def _emit(report, started, table=False):
-    report["wall_time_s"] = round(time.time() - started, 3)
-    if table:
-        _print_table(report)
-        return
-    json.dump(report, sys.stdout, indent=1, default=_coerce)
-    sys.stdout.write("\n")
 
 
 def _print_table(report, indent=0):
@@ -98,9 +91,6 @@ def _coerce(obj):
         return obj.item()
     if isinstance(obj, frozenset):
         return sorted(obj)
-    from fractions import Fraction
-    if isinstance(obj, Fraction):
-        return str(obj)
     return str(obj)
 
 
@@ -109,7 +99,7 @@ def _vector_terms(vec):
                                                     key=lambda kv: str(kv[0]))}
 
 
-def cmd_diagrams_enumerate(args, started):
+def cmd_diagrams_enumerate(args):
     support = _support(args.support)
     diagrams = enumerate_diagrams(support, args.degree)
     texts = [diagram_io.serialize_diagram(std_oriented(d)) for d in diagrams]
@@ -125,11 +115,10 @@ def cmd_diagrams_enumerate(args, started):
         "diagrams": texts if not args.out else None,
         "out": args.out,
     }
-    _emit(report, started)
-    return 0
+    return report, 0
 
 
-def cmd_diagrams_classify(args, started):
+def cmd_diagrams_classify(args):
     od = diagram_io.parse_diagram(Path(args.file).read_text())
     d = od.diagram
     faces = []
@@ -146,11 +135,10 @@ def cmd_diagrams_classify(args, started):
         "subprincipal": is_subprincipal(d),
         "faces": faces,
     }
-    _emit(report, started)
-    return 0
+    return report, 0
 
 
-def cmd_algebra_reduce(args, started):
+def cmd_algebra_reduce(args):
     terms = diagram_io.parse_class_vector(Path(args.file).read_text())
     if not terms:
         raise DiagramError("empty vector file")
@@ -167,11 +155,10 @@ def cmd_algebra_reduce(args, started):
         "coordinates": {str(key): str(reduced.terms.get(key, 0))
                         for key in red.basis},
     }
-    _emit(report, started)
-    return 0
+    return report, 0
 
 
-def cmd_algebra_check_gluings(args, started):
+def cmd_algebra_check_gluings(args):
     ihx = algebra.check_ihx_prime(S1, args.n, args.k)
     stu = algebra.check_stu_prime(S1, args.n, args.k)
     report = {
@@ -179,34 +166,26 @@ def cmd_algebra_check_gluings(args, started):
         "ihx_prime": "PASS" if ihx else "FAIL",
         "stu_prime": "PASS" if stu else "FAIL",
     }
-    _emit(report, started)
-    return 0 if (ihx and stu) else 3
+    return report, 0 if (ihx and stu) else 3
 
 
-def cmd_integrate(args, started):
+def cmd_integrate(args):
     od = diagram_io.parse_diagram(Path(args.diagram).read_text())
     curve, _ = _load_curve(args.curve)
-    est = integrate_diagram(od, curve, samples=_parse_count(args.samples),
-                            seed=args.seed, shards=args.shards,
-                            workers=args.workers)
+    config = _mc_settings(args)
+    est = integrate_diagram(od, curve, **config)
     report = {
         "command": "integrate", "diagram": args.diagram, "curve": args.curve,
-        "estimate": est.as_dict(),
-        "config": {"samples": _parse_count(args.samples), "seed": args.seed,
-                   "shards": args.shards or default_shards(),
-                   "workers": _workers(args)},
+        "estimate": est.as_dict(), "config": config,
     }
-    _emit(report, started, table=getattr(args, "table", False))
-    return 0
+    return report, 0
 
 
-def cmd_invariant(args, started):
+def cmd_invariant(args):
     curve, _ = _load_curve(args.curve)
-    samples = _parse_count(args.samples)
-    common = dict(samples=samples, seed=args.seed, shards=args.shards,
-                  workers=args.workers)
+    config = _mc_settings(args)
     if args.which == "linking":
-        res = invariants.linking_number(curve, args.m1, args.m2, **common)
+        res = invariants.linking_number(curve, args.m1, args.m2, **config)
         report = {"command": "invariant linking", "curve": args.curve,
                   "components": [args.m1, args.m2],
                   "estimate": res["estimate"].as_dict(),
@@ -215,19 +194,19 @@ def cmd_invariant(args, started):
                   "warning": res["warning"]}
         code = 3 if res["warning"] else 0
     elif args.which == "selflink":
-        est = invariants.self_linking(curve, args.m1, **common)
+        est = invariants.self_linking(curve, args.m1, **config)
         report = {"command": "invariant selflink", "curve": args.curve,
                   "component": args.m1, "estimate": est.as_dict()}
         code = 0
     elif args.which == "v2":
-        res = invariants.v2(curve, **common)
+        res = invariants.v2(curve, **config)
         report = {"command": "invariant v2", "curve": args.curve,
                   "value": res["value"], "stderr": res["stderr"],
                   "integer": res["integer"], "residual": res["residual"],
                   "z2": _vector_terms(res["z2"]), "warning": res["warning"]}
         code = 3 if res["warning"] else 0
     elif args.which == "z0":
-        series, info = invariants.z0_series(curve, args.degree, **common)
+        series, info = invariants.z0_series(curve, args.degree, **config)
         report = {"command": "invariant z0", "curve": args.curve,
                   "degree": args.degree,
                   "coefficients": {str(n): _vector_terms(v)
@@ -235,7 +214,7 @@ def cmd_invariant(args, started):
                   "framings": [e.as_dict() for e in info["framings"]]}
         code = 0
     elif args.which == "lattice":
-        res = invariants.lattice_check(curve, args.degree, args.k, **common)
+        res = invariants.lattice_check(curve, args.degree, args.k, **config)
         report = {"command": "invariant lattice", "curve": args.curve,
                   "n": args.degree, "k": args.k,
                   "framings": [e.as_dict() for e in res["framings"]],
@@ -243,49 +222,32 @@ def cmd_invariant(args, started):
         code = 0
     else:
         raise DiagramError(f"unknown invariant {args.which!r}")
-    report["config"] = {"samples": samples, "seed": args.seed,
-                        "shards": args.shards or default_shards(),
-                        "workers": _workers(args)}
-    report["estimate"] = report.get("estimate")
-    if report["estimate"] is None:
-        report.pop("estimate")
-    _emit(report, started, table=getattr(args, "table", False))
-    return code
+    report["config"] = config
+    return report, code
 
 
-def cmd_anomaly_f(args, started):
-    est = anomaly.f_gamma(args.gamma, samples=_parse_count(args.samples),
-                          seed=args.seed, shards=args.shards,
-                          workers=args.workers)
+def cmd_anomaly_f(args):
+    config = _mc_settings(args)
+    est = anomaly.f_gamma(args.gamma, **config)
     report = {"command": "anomaly f", "gamma": args.gamma,
-              "estimate": est.as_dict(),
-              "config": {"samples": _parse_count(args.samples),
-                         "seed": args.seed,
-                         "shards": args.shards or default_shards()}}
-    _emit(report, started, table=getattr(args, "table", False))
-    return 0
+              "estimate": est.as_dict(), "config": config}
+    return report, 0
 
 
-def cmd_anomaly_framing(args, started):
+def cmd_anomaly_framing(args):
     curve, _ = _load_curve(args.curve)
-    rows = anomaly.framing_report(curve, samples=_parse_count(args.samples),
-                                  seed=args.seed, shards=args.shards,
-                                  workers=args.workers)
+    config = _mc_settings(args)
+    rows = anomaly.framing_report(curve, **config)
     report = {"command": "anomaly framing", "curve": args.curve,
-              "components": rows,
-              "config": {"samples": _parse_count(args.samples),
-                         "seed": args.seed,
-                         "shards": args.shards or default_shards()}}
-    _emit(report, started, table=getattr(args, "table", False))
-    return 0
+              "components": rows, "config": config}
+    return report, 0
 
 
-def cmd_curve_validate(args, started):
+def cmd_curve_validate(args):
     curve, checked = _load_curve(args.curve)
     report = {"command": "curve validate", "curve": args.curve,
               "report": checked or validate_embedding(curve)}
-    _emit(report, started)
-    return 0
+    return report, 0
 
 
 def build_parser():
@@ -358,7 +320,7 @@ def _mc_args(parser):
                         help="sample count; scientific notation accepted")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--shards", type=int, default=None,
-                        help="logical shards (default CSLINKS_SHARDS or 16)")
+                        help="logical shards (default 16)")
     parser.add_argument("--workers", type=int, default=None,
                         help="worker threads (result-independent)")
     parser.add_argument("--table", action="store_true",
@@ -367,10 +329,16 @@ def _mc_args(parser):
 
 def main(argv=None):
     started = time.time()
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args, started)
+        report, code = args.func(args)
+        report["wall_time_s"] = round(time.time() - started, 3)
+        if getattr(args, "table", False):
+            _print_table(report)
+        else:
+            json.dump(report, sys.stdout, indent=1, default=_coerce)
+            sys.stdout.write("\n")
+        return code
     except (DiagramError, EmbeddingError, KeyError, OSError,
             ValueError) as exc:
         print(f"input error: {exc}", file=sys.stderr)

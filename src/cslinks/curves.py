@@ -123,13 +123,20 @@ def validate_embedding(curve: LinkCurve, samples=4096, delta=0.05, eta=1e-3):
 
     Pairs of sample points closer than eta fail the check when their angular
     separation exceeds delta (same component) or always (distinct
-    components).  Returns min-separation statistics; raises EmbeddingError
-    with witness parameters on violation.
+    components), and so does a curve whose sampled points, speeds or
+    separations are not finite.  Returns min-separation statistics; raises
+    EmbeddingError with witness parameters on violation.
     """
     ts = np.linspace(0, 2 * np.pi, samples, endpoint=False)
-    jets = [curve.jet(m, ts) for m in range(curve.n_components)]
-    pts = [x for x, _ in jets]
-    speeds = [np.linalg.norm(v, axis=-1) for _, v in jets]
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        jets = [curve.jet(m, ts) for m in range(curve.n_components)]
+        pts = [x for x, _ in jets]
+        speeds = [np.linalg.norm(v, axis=-1) for _, v in jets]
+        # a finite bounding-box diagonal bounds every separation found below
+        extent = np.linalg.norm(np.ptp(np.concatenate(pts), axis=0))
+    if not (np.isfinite(extent) and np.isfinite(np.concatenate(speeds)).all()):
+        raise EmbeddingError("curve is not finite: a sampled point, speed or "
+                             "separation is infinite or NaN")
     min_speed = min(float(s.min()) for s in speeds)
     if min_speed <= 0:
         m = int(np.argmin([s.min() for s in speeds]))

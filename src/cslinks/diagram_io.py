@@ -125,7 +125,11 @@ def parse_class_vector(text: str):
         head = lines[0].split()
         if len(head) != 2 or head[0] != "coeff":
             raise DiagramError("each record must start with 'coeff p/q'")
-        coeff = Fraction(head[1])
+        try:
+            coeff = Fraction(head[1])
+        except (ValueError, ZeroDivisionError):
+            raise DiagramError(f"bad coefficient {head[1]!r} (use p/q with "
+                               "q nonzero)") from None
         od = parse_diagram("\n".join(lines[1:]))
         terms.append((coeff, od))
     return terms

@@ -183,13 +183,13 @@ def lattice_report(support, n, k):
 
 
 def lattice_check(curve: LinkCurve, n, k, samples=10 ** 6, seed=0,
-                  shards=None, workers=None, framing_tolerance=0.05):
+                  shards=None, workers=None):
     """Express the degree-n Monte Carlo estimate of Z in the integral
     lattice of beta generators and report the distance of its coordinates
     to integers.
 
-    Requires every component's self-linking integral to sit within the
-    framing tolerance of an integer (the rationality hypothesis)."""
+    Requires every component's self-linking integral to sit within 0.05 of
+    an integer (the rationality hypothesis)."""
     check_degree(n)
     if k > 2 * n:
         raise DiagramError("k must be at most 2n")
@@ -198,7 +198,7 @@ def lattice_check(curve: LinkCurve, n, k, samples=10 ** 6, seed=0,
         est = self_linking(curve, m, samples=samples, seed=seed + 503 + m,
                            shards=shards, workers=workers)
         framings.append(est)
-        if abs(est.value - round(est.value)) > framing_tolerance:
+        if abs(est.value - round(est.value)) > 0.05:
             raise ConvergenceError(
                 f"component {m} framing {est.value:.4f} is not near an "
                 "integer; the rationality hypothesis fails")

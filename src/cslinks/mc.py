@@ -6,13 +6,12 @@ and independent of how many worker threads execute the shards.  Batch sums
 are Kahan-compensated within a shard; shard results merge in index order.
 """
 
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-DEFAULT_BATCH = 1 << 16
+BATCH = 1 << 16
 
 
 def shard_stream(seed: int, shard: int) -> np.random.Generator:
@@ -21,11 +20,11 @@ def shard_stream(seed: int, shard: int) -> np.random.Generator:
 
 
 def default_shards():
-    return int(os.environ.get("CSLINKS_SHARDS", "16"))
+    return 16
 
 
 def default_workers():
-    return int(os.environ.get("CSLINKS_WORKERS", "1"))
+    return 1
 
 
 @dataclass
@@ -65,8 +64,8 @@ class _Kahan:
         self.total = t
 
 
-def run_sharded(batch_fn, samples, seed, shards=None, workers=None,
-                batch=DEFAULT_BATCH) -> MCEstimate:
+def run_sharded(batch_fn, samples, seed, shards=None,
+                workers=None) -> MCEstimate:
     """Estimate the mean of the weights produced by batch_fn.
 
     batch_fn(rng, count) returns (weights, rejected_count) with weights an
@@ -90,7 +89,7 @@ def run_sharded(batch_fn, samples, seed, shards=None, workers=None,
         rejected = 0
         done = 0
         while done < per_shard:
-            b = min(batch, per_shard - done)
+            b = min(BATCH, per_shard - done)
             w, rej = batch_fn(rng, b)
             if len(w) != b:
                 raise ValueError("batch_fn returned a wrong-sized batch")

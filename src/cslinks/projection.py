@@ -172,10 +172,6 @@ def v2_from_code(code) -> int:
     signs.  The pattern is validated by the crossing-change recursion
     v2(K+) - v2(K-) = lk(smoothing) in the test suite.
     """
-    return _pattern_count(code, first_over=True, second_over=False)
-
-
-def _pattern_count(code, first_over, second_over):
     pos = {}
     for i, (cid, over, sign) in enumerate(code):
         pos.setdefault(cid, []).append((i, over, sign))
@@ -191,7 +187,7 @@ def _pattern_count(code, first_over, second_over):
             # interleaved with ca met first: ia1 < ib1 < ia2 < ib2
             if not (ia1 < ib1 < ia2 < ib2):
                 continue
-            if oa1 == first_over and ob1 == second_over:
+            if oa1 and not ob1:
                 total += sa * sb
     return total
 

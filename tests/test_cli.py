@@ -55,6 +55,16 @@ class TestAlgebraCommands:
         assert r.returncode == 0
         assert rep["ihx_prime"] == "PASS" and rep["stu_prime"] == "PASS"
 
+    @pytest.mark.parametrize("coeff", ["1/0", "x"])
+    def test_reduce_bad_coefficient(self, coeff, tmp_path):
+        from cslinks.diagram_io import serialize_class_vector
+        f = tmp_path / "vec.txt"
+        f.write_text(serialize_class_vector(
+            [(1, std_oriented(tripod_positive().diagram))]).replace(
+                "coeff 1", f"coeff {coeff}"))
+        one_line_input_error(run_cli("algebra", "reduce", str(f)),
+                             f"coefficient {coeff!r}")
+
     def test_reduce_vector_file(self, tmp_path):
         from cslinks.diagram_io import serialize_class_vector
         from fractions import Fraction
@@ -111,12 +121,35 @@ class TestMonteCarloCommands:
                     "--samples", "1e3")
         assert r.returncode == 2
 
-    def test_report_embeds_replay_config(self):
-        r = run_cli("invariant", "selflink", "--curve", "unknot-round",
-                    "--samples", "2e4", "--seed", "7", "--shards", "4")
-        rep = report(r)
-        assert rep["config"] == {"samples": 20000, "seed": 7, "shards": 4,
-                                 "workers": rep["config"]["workers"]}
+    @pytest.mark.parametrize("command", [
+        ("integrate", "--curve", "unknot-round"),
+        ("invariant", "selflink", "--curve", "unknot-round"),
+        ("anomaly", "f", "--gamma", "theta"),
+        ("anomaly", "framing", "--curve", "unknot-round")],
+        ids=["integrate", "selflink", "anomaly-f", "anomaly-framing"])
+    def test_report_embeds_replay_config(self, command, tmp_path):
+        if command[0] == "integrate":
+            f = tmp_path / "y.diagram"
+            f.write_text(serialize_diagram(tripod_positive()))
+            command += ("--diagram", str(f))
+        r = run_cli(*command, "--samples", "2e4", "--seed", "7",
+                    "--shards", "4")
+        assert report(r)["config"] == {"samples": 20000, "seed": 7,
+                                       "shards": 4, "workers": 1}
+
+    def test_table_output(self):
+        r = run_cli("anomaly", "f", "--gamma", "theta", "--samples", "1e4",
+                    "--seed", "2", "--table")
+        assert r.returncode == 0 and r.stderr == ""
+        lines = r.stdout.splitlines()
+        assert lines[0].split() == ["command", "anomaly", "f"]
+        assert "estimate:" in lines and "config:" in lines
+        fields = dict(line.split(None, 1) for line in lines
+                      if not line.endswith(":"))
+        assert float(fields["value"]) == pytest.approx(1.0, abs=1e-12)
+        assert fields["samples"] == "10000" and fields["seed"] == "2"
+        assert fields["shards"] == "16" and fields["workers"] == "1"
+        assert float(fields["wall_time_s"]) >= 0
 
 
 def one_line_input_error(r, *words):
@@ -177,6 +210,19 @@ class TestCurveFiles:
         assert json.loads(capsys.readouterr().out)["report"]["samples"] == 4096
         assert cli.main(["curve", "validate", "--curve", "hopf-link"]) == 0
         assert len(calls) == 2
+
+    @pytest.mark.parametrize("component", [
+        {"const": [float("nan"), 0, 0], "cos": [[1, 0, 0]],
+         "sin": [[0, 1, 0]]},
+        {"const": [0, 0, 0], "cos": [[float("inf"), 0, 0]],
+         "sin": [[0, 1, 0]]},
+        {"const": [0, 0, 0], "cos": [[1e200, 0, 0]], "sin": [[0, 1e200, 0]]}],
+        ids=["nan-point", "infinite-coefficient", "infinite-speed"])
+    def test_nonfinite_curve_rejected(self, component, tmp_path):
+        f = tmp_path / "curve.json"
+        f.write_text(json.dumps({"components": [component]}))
+        r = run_cli("curve", "validate", "--curve", str(f))
+        one_line_input_error(r, "not finite")
 
     def test_directory_is_input_error(self, tmp_path):
         r = run_cli("curve", "validate", "--curve", str(tmp_path))

@@ -107,6 +107,23 @@ class TestValidation:
         gap = np.linalg.norm(c.eval(0, t1) - c.eval(0, t2))
         assert gap == pytest.approx(7.67e-4, abs=1e-6)
 
+    @pytest.mark.parametrize("component", [
+        ([np.nan, 0, 0], [[1, 0, 0]], [[0, 1, 0]]),
+        ([0, 0, 0], [[np.inf, 0, 0]], [[0, 1, 0]]),
+        ([0, 0, 0], [[1e200, 0, 0]], [[0, 1e200, 0]])],
+        ids=["nan-point", "infinite-coefficient", "infinite-speed"])
+    def test_nonfinite_curve_fails(self, component):
+        with pytest.raises(EmbeddingError, match="not finite"):
+            validate_embedding(LinkCurve([component]))
+
+    def test_overflowing_separation_fails(self):
+        # finite points and speeds, but the distance between the two
+        # components overflows
+        c = LinkCurve([([1e200, 0, 0], [[1, 0, 0]], [[0, 1, 0]]),
+                       ([-1e200, 0, 0], [[1, 0, 0]], [[0, 1, 0]])])
+        with pytest.raises(EmbeddingError, match="not finite"):
+            validate_embedding(c)
+
     def test_zero_velocity_fails(self):
         c = LinkCurve([([0, 0, 0], [[0, 0, 0]], [[0, 0, 0]])])
         with pytest.raises(EmbeddingError):

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from cslinks.mc import MCEstimate, combined_stderr, run_sharded, shard_stream
+from cslinks.mc import (MCEstimate, combined_stderr, default_workers,
+                        run_sharded, shard_stream)
 
 
 def weight_batch(rng, count):
@@ -40,7 +41,7 @@ class TestEstimates:
         assert 0 < est.stderr < 0.01
 
     def test_sample_accounting(self):
-        est = run_sharded(weight_batch, 1000, seed=0, shards=16, batch=64)
+        est = run_sharded(weight_batch, 1000, seed=0, shards=16)
         assert est.samples == 16 * 63  # ceil(1000/16) = 63 per shard
 
     def test_nonfinite_rejected(self):
@@ -60,6 +61,16 @@ class TestEstimates:
 
         est = run_sharded(rej_batch, 10 ** 4, seed=1, shards=4)
         assert 0.4 < est.rejected / est.samples < 0.6
+
+
+class TestDefaults:
+    def test_environment_sets_no_count(self, monkeypatch):
+        # a value left in the shell must not change a seeded result
+        monkeypatch.setenv("CSLINKS_SHARDS", "4")
+        monkeypatch.setenv("CSLINKS_WORKERS", "3")
+        est = run_sharded(weight_batch, 1600, seed=0, shards=None)
+        assert est.shards == 16 and len(est.shard_means) == 16
+        assert default_workers() == 1
 
 
 class TestBadCounts:
