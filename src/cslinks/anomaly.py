@@ -91,7 +91,7 @@ class WGeometry(KernelGeometry):
             + [self.columns.index(c) for c in gauge])
         self.sign = W_GAUGE_SIGN * (-1) ** len(self.edges) * self.gauge_sign
         # s-variation columns move every leg; slice columns one vertex each
-        self.entries = self.entries_for(
+        self.set_entries(
             [(0, self.univ), (1, self.univ)]
             + [(2 + off, (c[1],)) for off, c in enumerate(self.kept)])
 

@@ -24,7 +24,7 @@ from .diagrams import degree as diagram_degree
 from .diagrams import enumerate_diagrams, is_principal, is_subprincipal, std_oriented
 from .errors import ConvergenceError, DiagramError, EmbeddingError
 from .integrate import integrate_diagram
-from .mc import default_shards, default_workers
+from .mc import SHARDS, default_workers
 from .strata import enumerate_faces
 from .support import S1, circles
 
@@ -37,7 +37,7 @@ def _mc_settings(args):
     if not np.isfinite(samples):
         raise ValueError(f"sample count must be finite, got {args.samples!r}")
     return {"samples": int(samples), "seed": args.seed,
-            "shards": default_shards() if args.shards is None else args.shards,
+            "shards": SHARDS if args.shards is None else args.shards,
             "workers": (default_workers() if args.workers is None
                         else args.workers)}
 

@@ -8,11 +8,18 @@ direction differential and whose columns are the half-edge-ordered
 coordinates (one circle parameter per univalent vertex, three space
 coordinates per trivalent vertex, ordered by the vertex orientations).
 
+A column that moves one edge only (a univalent parameter) is expanded out
+exactly: the two frame rows of its edge fold into one frame-free row, the
+Biot-Savart field of the moving end, and a chord folds away entirely into
+a Gauss-kernel factor.  So the tripod needs a 3x3 determinant, the
+degree-3 classes with two trivalent vertices a 6x6 one, and a chord
+diagram none.
+
 The kernel has three parts, used by both the closed-link integrals here and
-the anomaly integrals over W(γ): KernelGeometry (columns, placement order
-and Jacobian entries), propose_trivalent (the radial proposal for the
-trivalent vertices) and jacobian_values (edge directions, frames and the
-determinant).
+the anomaly integrals over W(γ): KernelGeometry (columns, placement order,
+Jacobian entries and their fold plan), propose_trivalent (the radial
+proposal for the trivalent vertices) and jacobian_values (edge lengths,
+chord factors and the reduced determinant).
 
 Sign conventions are pinned empirically (Hopf linking +1, round-unknot
 tripod +1/8): frames satisfy f1 x f2 = direction (outward) and the whole
@@ -21,6 +28,7 @@ density equal the classical Gauss linking integrand exactly.
 """
 
 from fractions import Fraction
+from itertools import combinations
 from math import factorial
 
 import numpy as np
@@ -55,6 +63,15 @@ def gauss_kernel(curve: LinkCurve, a, b):
     return num / (4 * np.pi * r ** 3)
 
 
+def _cross(a, b):
+    """np.cross over the last axis, bit for bit, without its axis
+    handling (which costs more than the products at batch sizes)."""
+    a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
+    b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
+    return np.stack([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2,
+                     a0 * b1 - a1 * b0], axis=-1)
+
+
 def sphere_frames(directions):
     """Deterministic oriented frames: f1 x f2 = direction (outward).
 
@@ -68,10 +85,10 @@ def sphere_frames(directions):
     x[..., 0] = 1.0
     near_pole = np.abs(d[..., 2]) > 0.99
     a = np.where(near_pole[..., None], x, z)
-    f1 = np.cross(a, d)
+    f1 = _cross(a, d)
     n = np.linalg.norm(f1, axis=-1, keepdims=True)
     f1 = f1 / n
-    f2 = np.cross(d, f1)
+    f2 = _cross(d, f1)
     return f1, f2
 
 
@@ -83,7 +100,26 @@ class KernelGeometry:
     or ('t', v, axis) for a trivalent one; placement_order: the trivalent
     vertices, each with its already placed neighbours; entries: the
     (column, vertex, edge, sign) of each Jacobian contribution, set by the
-    subclass through entries_for.
+    subclass through set_entries.
+
+    The fold plan.  In the full 2E x 2E matrix, edge e owns two frame rows
+    (f1 . b, f2 . b), where b is a column's entry vector on e (the signed
+    velocity of the edge's moved ends over the edge length).  A column
+    whose entries all lie on one edge e (a univalent parameter; in W the
+    interior leg parameters and, for theta, both s columns) is removed by
+    Laplace expansion.  The two frame rows of e become one frame-free
+    folded row d . (a x b), with d the edge direction and a the folded
+    column's entry vector, by (f1.a)(f2.b) - (f2.a)(f1.b) = (f1 x f2).(a x b).
+    A second such column on a folded edge (a chord) leaves the scalar
+    factor d . (a x a'), the Gauss kernel.  Each step contributes
+    (-1)^(row + column) at its current position; fold_sign is their
+    product.
+
+    rows: the reduced matrix rows, (edge, 0 | 1) for a frame row and
+    (edge, 'w') for a folded row; folded: {edge: folded column}; chords:
+    the (edge, second column) scalar factors; blocks: {(edge, column):
+    [(vertex, sign)]}; cells: per reduced row, the (position, column) of
+    its nonzero entries.
     """
 
     def __init__(self, od: OrientedDiagram, edges):
@@ -138,12 +174,39 @@ class KernelGeometry:
                 raise DiagramError("component without univalent anchor")
         return order
 
-    def entries_for(self, moves):
-        """Jacobian entries for moves = [(column, vertices moved by it)];
-        the tail of an edge enters with sign -1."""
-        return [(ci, v, ei, -1 if v == p else 1) for ci, vertices in moves
-                for v in vertices for ei, (p, q) in enumerate(self.edges)
-                if v in (p, q)]
+    def set_entries(self, moves):
+        """Jacobian entries for moves = [(column, vertices moved by it)],
+        the tail of an edge entering with sign -1, and their fold plan."""
+        self.entries = [(ci, v, ei, -1 if v == p else 1)
+                        for ci, vertices in moves for v in vertices
+                        for ei, (p, q) in enumerate(self.edges) if v in (p, q)]
+        self.blocks = {}
+        for ci, v, ei, s in self.entries:
+            self.blocks.setdefault((ei, ci), []).append((v, s))
+        on_edges = {}
+        for ei, ci in self.blocks:
+            on_edges.setdefault(ci, []).append(ei)
+        rows = [(ei, f) for ei in range(len(self.edges)) for f in (0, 1)]
+        kept = list(range(self.dim))
+        self.folded = {}
+        self.chords = []
+        self.fold_sign = 1
+        for ci in range(self.dim):
+            if len(on_edges[ci]) != 1:
+                continue
+            ei = on_edges[ci][0]
+            at = [i for i, row in enumerate(rows) if row[0] == ei]
+            self.fold_sign *= (-1) ** (at[0] + kept.index(ci))
+            kept.remove(ci)
+            if len(at) == 2:
+                rows[at[0]:at[0] + 2] = [(ei, "w")]
+                self.folded[ei] = ci
+            else:
+                del rows[at[0]]
+                self.chords.append((ei, ci))
+        self.rows = rows
+        self.cells = [[(j, ci) for j, ci in enumerate(kept)
+                       if (ei, ci) in self.blocks] for ei, _ in rows]
 
 
 def column_tangents(columns, count, univ_tangent, offset=0):
@@ -194,7 +257,8 @@ def propose_trivalent(geo: KernelGeometry, rng, pos, density, scale):
 
 
 def jacobian_values(geo: KernelGeometry, pos, tangents, tol):
-    """Signed densities sign * det(M) / (4pi)^E for a batch.
+    """Signed densities sign * det(M) / (4pi)^E for a batch, from the fold
+    plan of geo: the chord factors times the reduced determinant.
 
     pos: {vertex: (count, 3)}; tangents: {(column, vertex): (count, 3)},
     the velocity of the vertex along the column's coordinate.  Returns
@@ -204,27 +268,52 @@ def jacobian_values(geo: KernelGeometry, pos, tangents, tol):
     count = len(pos[geo.univ[0]])
     E = len(geo.edges)
     lengths = np.empty((count, E))
-    edge = []       # per edge: direction, its frame, guarded length
+    diffs, safe = [], []
     for ei, (p, q) in enumerate(geo.edges):
         diff = pos[q] - pos[p]
         r = np.linalg.norm(diff, axis=1)
         lengths[:, ei] = r
-        safe = np.maximum(r, 1e-300)[:, None]
-        dvec = diff / safe
-        edge.append((dvec, *sphere_frames(dvec), safe))
+        diffs.append(diff)
+        safe.append(np.maximum(r, 1e-300))
     rejected = np.any(lengths < tol, axis=1)
 
-    M = np.zeros((count, geo.dim, geo.dim))
-    for ci, v, ei, sign in geo.entries:
-        tangent = tangents[ci, v]
-        dvec, f1, f2, safe = edge[ei]
-        proj = tangent - dvec * np.sum(dvec * tangent, axis=1)[:, None]
-        entry = proj / safe
-        if sign < 0:
-            entry = -entry
-        M[:, 2 * ei, ci] += np.sum(f1 * entry, axis=1)
-        M[:, 2 * ei + 1, ci] += np.sum(f2 * entry, axis=1)
-    values = geo.sign * np.linalg.det(M) / (4 * np.pi) ** E
+    # velocity[e, c] = (vector, sign): the tangents of the ends of e that
+    # column c moves, summed with their signs, where the sign of a single
+    # end is kept apart so that no tangent is copied.  The entry vector b
+    # is sign * vector / length, so a frame entry is f . b and a folded
+    # entry d . (a x b) is (diff x vector_a) . vector_b * signs / length^3.
+    velocity = {}
+    for (ei, ci), moved in geo.blocks.items():
+        if len(moved) == 1:
+            (v, s), = moved
+            velocity[ei, ci] = tangents[ci, v], s
+        else:
+            velocity[ei, ci] = sum(s * tangents[ci, v] for v, s in moved), 1
+    folded = {}
+    for ei, ci in geo.folded.items():
+        vector, sign = velocity[ei, ci]
+        folded[ei] = _cross(diffs[ei], vector), sign, safe[ei] ** 3
+
+    values = np.full(count, geo.sign * geo.fold_sign / (4 * np.pi) ** E)
+    for ei, ci in geo.chords:
+        row, sign, scale = folded[ei]
+        vector, s = velocity[ei, ci]
+        values *= np.einsum("ij,ij->i", row, vector) / (sign * s * scale)
+    if geo.rows:
+        # filled transposed, so that each entry is one contiguous write
+        M = np.zeros((len(geo.rows), len(geo.rows), count))
+        for i, (ei, kind) in enumerate(geo.rows):
+            if kind == "w":
+                row, sign, scale = folded[ei]
+            else:
+                if kind == 0:
+                    frames = sphere_frames(diffs[ei] / safe[ei][:, None])
+                row, sign, scale = frames[kind], 1, safe[ei]
+            for j, ci in geo.cells[i]:
+                vector, s = velocity[ei, ci]
+                M[j, i] = (np.einsum("ij,ij->i", row, vector)
+                           / (sign * s * scale))
+        values *= np.linalg.det(M.T)
     return np.where(rejected, 0.0, values), rejected
 
 
@@ -255,7 +344,7 @@ class DiagramGeometry(KernelGeometry):
         self.univ_index = {v: i for i, v in enumerate(self.univ)}
         self.sign = (-1) ** len(edges)
         self.diameter = curve.diameter()
-        self.entries = self.entries_for(
+        self.set_entries(
             [(ci, (col[1],)) for ci, col in enumerate(self.columns)])
 
 
@@ -378,13 +467,23 @@ def integrate_diagram(od: OrientedDiagram, curve: LinkCurve, samples=10 ** 6,
     return run_sharded(batch, samples, seed, shards, workers)
 
 
+def has_trivalent_triangle(d) -> bool:
+    """Whether three trivalent vertices are pairwise joined.  The integrand
+    of such a diagram vanishes at every point: the directions of the three
+    triangle edges depend only on (x1 - x2, x2 - x3) up to scale, so their
+    6-form pulls back through a map of rank at most 5."""
+    return any({frozenset((a, b)), frozenset((b, c)), frozenset((a, c))}
+               <= d.edges for a, b, c in combinations(sorted(d.trivalent), 3))
+
+
 def z_n(curve: LinkCurve, n: int, k=None, samples=10 ** 6, seed=0,
         shards=None, workers=None):
     """The degree-n part of the configuration space integral series.
 
     Returns (vector, errors, estimates): the reduced class vector with
     float coefficients, a dict basis-key -> standard error propagated
-    through the reduction, and the per-diagram-class estimates.
+    through the reduction, and the per-diagram-class estimates.  Classes
+    with a trivalent triangle are 0 exactly and are not sampled.
     """
     support = circles(curve.n_components)
     if n == 0:
@@ -396,7 +495,7 @@ def z_n(curve: LinkCurve, n: int, k=None, samples=10 ** 6, seed=0,
     auts = {}
     vec_terms = {}
     for idx, d in enumerate(enumerate_diagrams(support, n)):
-        if not is_subprincipal(d):
+        if not is_subprincipal(d) or has_trivalent_triangle(d):
             continue
         od = std_oriented(d)
         key, sign = canonical_oriented(od)

@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 BATCH = 1 << 16
+SHARDS = 16
 
 
 def shard_stream(seed: int, shard: int) -> np.random.Generator:
@@ -19,11 +20,9 @@ def shard_stream(seed: int, shard: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def default_shards():
-    return 16
-
-
 def default_workers():
+    # kept as a function: the benchmark's tracer (perfbench/tracing.py)
+    # calls it for the worker count it records
     return 1
 
 
@@ -71,9 +70,10 @@ def run_sharded(batch_fn, samples, seed, shards=None,
     batch_fn(rng, count) returns (weights, rejected_count) with weights an
     array of length count (rejected samples contribute weight 0 but stay in
     the denominator: their limit contribution vanishes).  The error comes
-    from the spread of the shard means, so at least two shards are needed.
+    from the spread of the shard means, so at least two shards are needed,
+    and each shard takes at least one sample.
     """
-    shards = default_shards() if shards is None else shards
+    shards = SHARDS if shards is None else shards
     workers = default_workers() if workers is None else workers
     if samples < 1:
         raise ValueError(f"sample count must be at least 1, got {samples}")
@@ -81,6 +81,9 @@ def run_sharded(batch_fn, samples, seed, shards=None,
         raise ValueError(f"shard count must be at least 2, got {shards}")
     if workers < 1:
         raise ValueError(f"worker count must be at least 1, got {workers}")
+    if shards > samples:
+        raise ValueError(f"shard count {shards} exceeds the sample count "
+                         f"{int(samples)}")
     per_shard = -(-int(samples) // shards)   # ceil; actual count reported
 
     def run_shard(idx):

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+from test_integrate import assert_fold_matches, folded_and_full
 
+from cslinks import anomaly
 from cslinks.anomaly import (LINE_CATALOG, WGeometry, WSampler,
                              anomaly_alpha, degree3_region_predicates,
                              disc_integral, f_gamma, framing_report,
@@ -24,6 +26,19 @@ class TestGauge:
             line_diagram_catalog(name)
         with pytest.raises(KeyError):
             line_diagram_catalog("theta9")
+
+
+class TestFold:
+    @pytest.mark.parametrize("name", ["theta", "a1", "a2", "a3"])
+    def test_matches_full_determinant(self, monkeypatch, name):
+        # the folded kernel against the full assembly on the gauge slice;
+        # d2 and the wheel vanish pointwise (TestVanishingIntegrands)
+        geo = WGeometry(line_diagram_catalog(name))
+        rng = np.random.default_rng(12)
+        s, t, x, _ = WSampler(geo).sample(rng, 4096)
+        values, full, shortest = folded_and_full(
+            monkeypatch, anomaly, w_integrand_batch, geo, s, t, x)
+        assert_fold_matches(values, full, shortest >= 1e-2)
 
 
 class TestVanishingIntegrands:

@@ -165,7 +165,8 @@ class TestBadCounts:
     @pytest.mark.parametrize("flags", [
         ("--samples", "0"), ("--samples=-5",), ("--samples", "1e400"),
         ("--samples", "nan"), ("--shards", "0"), ("--shards", "1"),
-        ("--shards=-3",), ("--workers", "0"), ("--workers=-3",)])
+        ("--shards=-3",), ("--workers", "0"), ("--workers=-3",),
+        ("--samples", "15"), ("--samples", "3", "--shards", "4")])
     def test_input_error(self, flags):
         one_line_input_error(run_cli("anomaly", "f", "--gamma", "theta",
                                      *flags))

@@ -3,15 +3,19 @@ from math import factorial
 import numpy as np
 import pytest
 
+from cslinks import integrate
 from cslinks.anomaly import WGeometry, WSampler, line_diagram_catalog
 from cslinks.curves import LinkCurve, catalog
-from cslinks.diagrams import (THETA, Diagram, std_oriented, tripod,
+from cslinks.diagrams import (THETA, Diagram, enumerate_diagrams,
+                              is_subprincipal, std_oriented, tripod,
                               tripod_positive)
 from cslinks.integrate import (COLLISION_TOL, ConfigurationSampler,
                                DiagramGeometry, column_tangents, gauss_kernel,
-                               integrand_at, integrand_batch,
-                               integrate_diagram, jacobian_values,
-                               sample_configuration, univalent_jets, z_n)
+                               has_trivalent_triangle, integrand_at,
+                               integrand_batch, integrate_diagram,
+                               jacobian_values, sample_configuration,
+                               sphere_frames, univalent_jets, z_n)
+from cslinks.mc import MCEstimate
 from cslinks.support import circles
 
 
@@ -44,6 +48,11 @@ def crossed_chord():
                                 fs((0, 2), (1, 3))))
 
 
+def parallel_chord():
+    return std_oriented(Diagram(circles(1), ((0, 1, 2, 3),), frozenset(),
+                                fs((0, 1), (2, 3))))
+
+
 def reference_integrand(geo, t_univ, x_triv):
     """The integrand assembled from separate curve evaluations: eval for
     the univalent points, deriv for their velocities."""
@@ -58,6 +67,62 @@ def reference_integrand(geo, t_univ, x_triv):
         pos[v] = x_triv[:, geo.triv_index[v], :]
     tangents = column_tangents(geo.columns, t_univ.shape[0], vel.__getitem__)
     return jacobian_values(geo, pos, tangents, COLLISION_TOL * geo.diameter)
+
+
+def full_jacobian_values(geo, pos, tangents, tol):
+    """The integrand from the full 2E x 2E determinant, two frame rows per
+    edge and one column per coordinate, with nothing folded: the oracle of
+    jacobian_values."""
+    count = len(pos[geo.univ[0]])
+    E = len(geo.edges)
+    lengths = np.empty((count, E))
+    edge = []
+    for ei, (p, q) in enumerate(geo.edges):
+        diff = pos[q] - pos[p]
+        r = np.linalg.norm(diff, axis=1)
+        lengths[:, ei] = r
+        safe = np.maximum(r, 1e-300)[:, None]
+        dvec = diff / safe
+        edge.append((dvec, *sphere_frames(dvec), safe))
+    rejected = np.any(lengths < tol, axis=1)
+    M = np.zeros((count, geo.dim, geo.dim))
+    for ci, v, ei, sign in geo.entries:
+        tangent = tangents[ci, v]
+        dvec, f1, f2, safe = edge[ei]
+        proj = tangent - dvec * np.sum(dvec * tangent, axis=1)[:, None]
+        entry = sign * proj / safe
+        M[:, 2 * ei, ci] += np.sum(f1 * entry, axis=1)
+        M[:, 2 * ei + 1, ci] += np.sum(f2 * entry, axis=1)
+    values = geo.sign * np.linalg.det(M) / (4 * np.pi) ** E
+    return np.where(rejected, 0.0, values), rejected
+
+
+def folded_and_full(monkeypatch, module, integrand, *args):
+    """(folded values, oracle values, shortest edge) of one integrand call:
+    the kernel's own inputs are handed to the oracle as well."""
+    seen = []
+    kernel = module.jacobian_values
+
+    def spy(geo, pos, tangents, tol):
+        seen.append((geo, pos, tangents, tol))
+        return kernel(geo, pos, tangents, tol)
+
+    monkeypatch.setattr(module, "jacobian_values", spy)
+    values, rejected = integrand(*args)
+    (geo, pos, tangents, tol), = seen
+    full, full_rejected = full_jacobian_values(geo, pos, tangents, tol)
+    assert np.array_equal(rejected, full_rejected)
+    shortest = np.min([np.linalg.norm(pos[q] - pos[p], axis=1)
+                       for p, q in geo.edges], axis=0)
+    return values, full, shortest
+
+
+def assert_fold_matches(values, full, keep):
+    # near collisions the oracle's projection cancels digits, so only
+    # configurations with every edge at least 1e-2 of the scale count
+    assert np.count_nonzero(keep) > len(keep) // 2
+    err = np.max(np.abs(values - full)[keep])
+    assert err <= 1e-12 * np.max(np.abs(full[keep]))
 
 
 class CountingCurve(LinkCurve):
@@ -170,6 +235,84 @@ class TestPointwise:
         assert np.array_equal(values, ref_values)
         assert np.array_equal(rejected, ref_rejected)
         assert np.any(values != 0)
+
+
+class TestFold:
+    @pytest.mark.parametrize("name", ["trefoil", "figure8", "hopf-link"])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_matches_full_determinant(self, monkeypatch, name, n):
+        # the folded kernel against the full 2E x 2E assembly on every
+        # subprincipal class; triangle classes vanish pointwise and have
+        # their own test below
+        curve = catalog(name)
+        for idx, d in enumerate(enumerate_diagrams(circles(curve.n_components),
+                                                   n)):
+            if not is_subprincipal(d) or has_trivalent_triangle(d):
+                continue
+            geo = DiagramGeometry(std_oriented(d), curve)
+            rng = np.random.default_rng(idx)
+            _, x_univ, v_univ, x, _ = ConfigurationSampler(geo).sample(rng,
+                                                                       4096)
+            values, full, shortest = folded_and_full(
+                monkeypatch, integrate, integrand_batch, geo, x_univ, v_univ,
+                x)
+            assert_fold_matches(values, full,
+                                shortest >= 1e-2 * geo.diameter)
+
+    def test_triangle_class_vanishes_pointwise(self, monkeypatch):
+        curve = catalog("trefoil")
+        d, = [d for d in enumerate_diagrams(circles(1), 3)
+              if is_subprincipal(d) and has_trivalent_triangle(d)]
+        geo = DiagramGeometry(std_oriented(d), curve)
+        rng = np.random.default_rng(11)
+        _, x_univ, v_univ, x, _ = ConfigurationSampler(geo).sample(rng, 4096)
+        _, full, _ = folded_and_full(monkeypatch, integrate, integrand_batch,
+                                     geo, x_univ, v_univ, x)
+        assert np.max(np.abs(full)) < 1e-12
+
+    def test_z_n_skips_triangle_classes(self, monkeypatch):
+        integrated = []
+
+        def fake(od, curve, samples, seed, shards, workers):
+            integrated.append(od.diagram)
+            return MCEstimate(0.0, 0.0, samples, seed, 2)
+
+        monkeypatch.setattr(integrate, "integrate_diagram", fake)
+        z_n(catalog("trefoil"), 3, samples=100)
+        assert integrated
+        assert not any(has_trivalent_triangle(d) for d in integrated)
+
+    @pytest.mark.parametrize("od, name", [
+        (std_oriented(THETA), "trefoil"), (crossed_chord(), "trefoil"),
+        (parallel_chord(), "trefoil"), (hopf_chord(), "hopf-link")])
+    def test_chord_diagrams_take_no_determinant(self, monkeypatch, od, name):
+        def refuse(matrix):
+            raise AssertionError("a chord diagram called det")
+
+        monkeypatch.setattr(np.linalg, "det", refuse)
+        geo = DiagramGeometry(od, catalog(name))
+        rng = np.random.default_rng(4)
+        _, x_univ, v_univ, x, _ = ConfigurationSampler(geo).sample(rng, 256)
+        values, _ = integrand_batch(geo, x_univ, v_univ, x)
+        assert np.any(values != 0)
+
+    @pytest.mark.parametrize("trivalent, shape", [(1, (3, 3)), (2, (6, 6))])
+    def test_reduced_determinant_shape(self, monkeypatch, trivalent, shape):
+        d = next(d for d in enumerate_diagrams(circles(1), trivalent + 1)
+                 if is_subprincipal(d) and len(d.trivalent) == trivalent)
+        shapes = []
+        det = np.linalg.det
+
+        def record(matrix):
+            shapes.append(matrix.shape)
+            return det(matrix)
+
+        monkeypatch.setattr(np.linalg, "det", record)
+        geo = DiagramGeometry(std_oriented(d), catalog("trefoil"))
+        rng = np.random.default_rng(5)
+        _, x_univ, v_univ, x, _ = ConfigurationSampler(geo).sample(rng, 64)
+        integrand_batch(geo, x_univ, v_univ, x)
+        assert shapes == [(64, *shape)]
 
 
 class TestSampler:

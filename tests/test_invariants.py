@@ -2,11 +2,13 @@ import numpy as np
 import pytest
 
 from cslinks.curves import LinkCurve, catalog
+from cslinks.diagrams import Diagram, canonical_oriented, std_oriented
 from cslinks.errors import ConvergenceError, DiagramError
 from cslinks.invariants import (alpha_exact, lattice_check, linking_number,
                                 self_linking, v2, z0_series,
                                 z_roundtrip_residual)
 from cslinks.projection import writhe_oracle
+from cslinks.support import circles
 
 
 class TestLinking:
@@ -74,6 +76,17 @@ class TestZ0:
         series, info = z0_series(catalog("unknot-round"), 1,
                                  samples=10 ** 4, seed=0)
         assert series.vector(1).is_zero()
+
+    def test_hopf_link_two_cross_chords(self):
+        # Z0 is group-like, so the class of two chords that both join
+        # components 0 and 1 carries lk^2/2 = 1/2
+        d = Diagram(circles(2), ((0, 1), (2, 3)), frozenset(),
+                    frozenset({frozenset((0, 2)), frozenset((1, 3))}))
+        key, sign = canonical_oriented(std_oriented(d))
+        series, info = z0_series(catalog("hopf-link"), 2, samples=10 ** 5,
+                                 seed=1)
+        coeff = sign * series.vector(2).terms[key]
+        assert abs(coeff - 0.5) <= 3 * info["z_errors"][2][key]
 
     def test_roundtrip(self):
         res = z0_series(catalog("unknot-planar-perturbed"), 2,

@@ -86,6 +86,13 @@ class TestBadCounts:
         with pytest.raises(ValueError, match="shard count"):
             run_sharded(weight_batch, 100, seed=0, shards=shards)
 
+    @pytest.mark.parametrize("samples, shards", [(3, 4), (15, None)])
+    def test_more_shards_than_samples(self, samples, shards):
+        # every shard takes at least one sample, so more shards than
+        # samples would report more samples than were asked for
+        with pytest.raises(ValueError, match="shard count"):
+            run_sharded(weight_batch, samples, seed=0, shards=shards)
+
     @pytest.mark.parametrize("workers", [0, -3])
     def test_workers_below_one(self, workers):
         # only None asks for the default worker count
