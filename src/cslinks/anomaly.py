@@ -21,8 +21,8 @@ from .curves import LinkCurve
 from .diagrams import (Diagram, OrientedDiagram, automorphism_count,
                        canonical_oriented, degree, is_connected, std_oriented)
 from .errors import DiagramError, EmbeddingError
-from .integrate import (KernelGeometry, column_tangents, jacobian_values,
-                        propose_trivalent, sphere_frames)
+from .integrate import (KernelGeometry, jacobian_values, propose_trivalent,
+                        sphere_frames)
 from .invariants import self_linking
 from .mc import MCEstimate, run_sharded
 from .support import R1
@@ -30,6 +30,8 @@ from .support import R1
 # pinned so that f_theta = +1 (the W-fibration over S² has degree one for
 # the single-chord diagram); see the acceptance suite
 W_GAUGE_SIGN = -1.0
+DISC_SAMPLES = 20000        # tangent points of the disc integral
+BASE_POINT_SAMPLES = 1024   # tangent points of the default base point
 
 
 def line_diagram_catalog(name: str) -> OrientedDiagram:
@@ -91,9 +93,7 @@ class WGeometry(KernelGeometry):
             + [self.columns.index(c) for c in gauge])
         self.sign = W_GAUGE_SIGN * (-1) ** len(self.edges) * self.gauge_sign
         # s-variation columns move every leg; slice columns one vertex each
-        self.set_entries(
-            [(0, self.univ), (1, self.univ)]
-            + [(2 + off, (c[1],)) for off, c in enumerate(self.kept)])
+        self.set_entries([("s", 0), ("s", 1)] + self.kept)
 
 
 def _permutation_sign(seq):
@@ -137,8 +137,8 @@ def w_integrand_batch(geo: WGeometry, s, t_params, x_triv):
     for ci, delta in enumerate(sphere_frames(s)):
         for j, v in enumerate(geo.univ):
             tangents[ci, v] = t_params[:, j, None] * delta
-    tangents.update(column_tangents(
-        geo.kept, len(s), lambda v: s * geo.univ_sign[v], offset=2))
+    for v in geo.univ[1:-1]:    # the interior legs' slice columns
+        tangents[2 + geo.kept.index(("u", v)), v] = s * geo.univ_sign[v]
     return jacobian_values(geo, w_config_positions(geo, s, t_params, x_triv),
                            tangents, 1e-9)
 
@@ -296,8 +296,8 @@ class DiscIntegral:
     samples: int
 
 
-def _default_base_point(curve: LinkCurve, m, samples=1024):
-    ts = np.linspace(0, 2 * np.pi, samples, endpoint=False)
+def _default_base_point(curve: LinkCurve, m):
+    ts = np.linspace(0, 2 * np.pi, BASE_POINT_SAMPLES, endpoint=False)
     tang = curve.tangent(m, ts)
     dt = np.roll(tang, -1, axis=0) - tang
     binormal = np.cross(tang, dt)
@@ -309,8 +309,7 @@ def _default_base_point(curve: LinkCurve, m, samples=1024):
     return cand / np.linalg.norm(cand)
 
 
-def disc_integral(curve: LinkCurve, m=0, base_point=None,
-                  samples=20000) -> DiscIntegral:
+def disc_integral(curve: LinkCurve, m=0, base_point=None) -> DiscIntegral:
     """Signed area (mass-1 normalisation) of the geodesic cone from the base
     point to the tangent indicatrix, with the disc oriented opposite to the
     usual plane orientation: the boundary basis (tangent, outward normal)
@@ -322,7 +321,7 @@ def disc_integral(curve: LinkCurve, m=0, base_point=None,
     q = _default_base_point(curve, m) if base_point is None else \
         np.asarray(base_point, dtype=float)
     q = q / np.linalg.norm(q)
-    ts = np.linspace(0, 2 * np.pi, samples, endpoint=False)
+    ts = np.linspace(0, 2 * np.pi, DISC_SAMPLES, endpoint=False)
     tang = curve.tangent(m, ts)
     if np.max(tang @ -q) > np.cos(0.05):
         raise EmbeddingError(
@@ -345,7 +344,7 @@ def disc_integral(curve: LinkCurve, m=0, base_point=None,
     value = area / (4 * np.pi)
     error = abs(area - area_half) / (4 * np.pi)
     return DiscIntegral(value=value, error=error, base_point=tuple(q),
-                        samples=samples)
+                        samples=DISC_SAMPLES)
 
 
 def framing_report(curve: LinkCurve, samples=10 ** 6, seed=0, shards=None,

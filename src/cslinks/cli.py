@@ -29,17 +29,23 @@ from .strata import enumerate_faces
 from .support import S1, circles
 
 
+def _count(flag, text):
+    """A whole count, plain or in scientific notation (1e6)."""
+    try:
+        if float(text).is_integer():
+            return int(float(text))
+    except ValueError:
+        pass
+    raise ValueError(f"{flag} must be a whole finite count, got {text!r}")
+
+
 def _mc_settings(args):
     """The resolved Monte Carlo settings: both the keyword arguments of the
-    library call and the report's replay config.  Only an absent --shards or
-    --workers means the default (run_sharded refuses bad counts)."""
-    samples = float(args.samples)
-    if not np.isfinite(samples):
-        raise ValueError(f"sample count must be finite, got {args.samples!r}")
-    return {"samples": int(samples), "seed": args.seed,
-            "shards": SHARDS if args.shards is None else args.shards,
-            "workers": (default_workers() if args.workers is None
-                        else args.workers)}
+    library call and the report's replay config (run_sharded refuses bad
+    counts)."""
+    return {"samples": _count("--samples", args.samples), "seed": args.seed,
+            "shards": _count("--shards", args.shards),
+            "workers": _count("--workers", args.workers)}
 
 
 def _load_curve(spec):
@@ -319,9 +325,9 @@ def _mc_args(parser):
     parser.add_argument("--samples", default="1e6",
                         help="sample count; scientific notation accepted")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--shards", type=int, default=None,
+    parser.add_argument("--shards", default=str(SHARDS),
                         help="logical shards (default 16)")
-    parser.add_argument("--workers", type=int, default=None,
+    parser.add_argument("--workers", default=str(default_workers()),
                         help="worker threads (result-independent)")
     parser.add_argument("--table", action="store_true",
                         help="plain-text table instead of JSON")

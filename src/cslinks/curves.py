@@ -16,6 +16,7 @@ from .errors import DiagramError, EmbeddingError
 
 
 CURVE_SCHEMA = '{"components": [{"const": [x,y,z], "cos": [[...]], "sin": [[...]]}]}'
+DIAMETER_SAMPLES = 512   # points per component of the diameter's box
 
 
 class LinkCurve:
@@ -84,9 +85,9 @@ class LinkCurve:
                                  witness=(m, float(t0)))
         return v / norm
 
-    def diameter(self, samples=512):
-        pts = np.concatenate([self.eval(m, np.linspace(0, 2 * np.pi, samples,
-                                                       endpoint=False))
+    def diameter(self):
+        ts = np.linspace(0, 2 * np.pi, DIAMETER_SAMPLES, endpoint=False)
+        pts = np.concatenate([self.eval(m, ts)
                               for m in range(self.n_components)])
         return float(np.linalg.norm(pts.max(axis=0) - pts.min(axis=0)))
 

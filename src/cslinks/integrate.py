@@ -13,7 +13,8 @@ exactly: the two frame rows of its edge fold into one frame-free row, the
 Biot-Savart field of the moving end, and a chord folds away entirely into
 a Gauss-kernel factor.  So the tripod needs a 3x3 determinant, the
 degree-3 classes with two trivalent vertices a 6x6 one, and a chord
-diagram none.
+diagram none.  A trivalent vertex moves freely in R^3, so its three
+columns take the components of each of its edge rows as they stand.
 
 The kernel has three parts, used by both the closed-link integrals here and
 the anomaly integrals over W(γ): KernelGeometry (columns, placement order,
@@ -98,9 +99,10 @@ class KernelGeometry:
 
     columns: the half-edge coordinate order, ('u', v) for a univalent vertex
     or ('t', v, axis) for a trivalent one; placement_order: the trivalent
-    vertices, each with its already placed neighbours; entries: the
-    (column, vertex, edge, sign) of each Jacobian contribution, set by the
-    subclass through set_entries.
+    vertices, each with its already placed neighbours; jacobian_columns and
+    entries: the Jacobian's column labels and the (column, vertex, edge,
+    sign) of each of its contributions, set by the subclass through
+    set_entries.
 
     The fold plan.  In the full 2E x 2E matrix, edge e owns two frame rows
     (f1 . b, f2 . b), where b is a column's entry vector on e (the signed
@@ -115,11 +117,18 @@ class KernelGeometry:
     (-1)^(row + column) at its current position; fold_sign is their
     product.
 
+    A trivalent coordinate moves its vertex along one axis, so its entry on
+    a row is that component of the row over the edge length, signed by the
+    end: rows list their trivalent ends and take no velocity for them.
+
     rows: the reduced matrix rows, (edge, 0 | 1) for a frame row and
     (edge, 'w') for a folded row; folded: {edge: folded column}; chords:
     the (edge, second column) scalar factors; blocks: {(edge, column):
-    [(vertex, sign)]}; cells: per reduced row, the (position, column) of
-    its nonzero entries.
+    [(vertex, sign)]} for the columns that are not trivalent coordinates;
+    cells: per reduced row, the (position, column) of those columns'
+    nonzero entries; ends: per reduced row, its edge's trivalent ends as
+    (the positions of the vertex's three columns, ordered by axis; the
+    end's sign).
     """
 
     def __init__(self, od: OrientedDiagram, edges):
@@ -174,15 +183,19 @@ class KernelGeometry:
                 raise DiagramError("component without univalent anchor")
         return order
 
-    def set_entries(self, moves):
-        """Jacobian entries for moves = [(column, vertices moved by it)],
-        the tail of an edge entering with sign -1, and their fold plan."""
+    def set_entries(self, columns):
+        """Jacobian entries of the columns, each ('u', v) or ('t', v, axis)
+        as in self.columns or ('s', k), which moves every univalent vertex;
+        the tail of an edge enters with sign -1.  Then their fold plan."""
+        self.jacobian_columns = columns
         self.entries = [(ci, v, ei, -1 if v == p else 1)
-                        for ci, vertices in moves for v in vertices
+                        for ci, col in enumerate(columns)
+                        for v in (self.univ if col[0] == "s" else (col[1],))
                         for ei, (p, q) in enumerate(self.edges) if v in (p, q)]
         self.blocks = {}
         for ci, v, ei, s in self.entries:
-            self.blocks.setdefault((ei, ci), []).append((v, s))
+            if columns[ci][0] != "t":
+                self.blocks.setdefault((ei, ci), []).append((v, s))
         on_edges = {}
         for ei, ci in self.blocks:
             on_edges.setdefault(ci, []).append(ei)
@@ -191,10 +204,10 @@ class KernelGeometry:
         self.folded = {}
         self.chords = []
         self.fold_sign = 1
-        for ci in range(self.dim):
-            if len(on_edges[ci]) != 1:
+        for ci, on in on_edges.items():
+            if len(on) != 1:
                 continue
-            ei = on_edges[ci][0]
+            ei, = on
             at = [i for i, row in enumerate(rows) if row[0] == ei]
             self.fold_sign *= (-1) ** (at[0] + kept.index(ci))
             kept.remove(ci)
@@ -207,21 +220,10 @@ class KernelGeometry:
         self.rows = rows
         self.cells = [[(j, ci) for j, ci in enumerate(kept)
                        if (ei, ci) in self.blocks] for ei, _ in rows]
-
-
-def column_tangents(columns, count, univ_tangent, offset=0):
-    """{(column, vertex): velocity} for half-edge columns numbered from
-    offset: univ_tangent(v) for a univalent coordinate, the coordinate axis
-    for a trivalent one."""
-    out = {}
-    for ci, col in enumerate(columns, offset):
-        if col[0] == "u":
-            tangent = univ_tangent(col[1])
-        else:
-            tangent = np.zeros((count, 3))
-            tangent[:, col[2]] = 1.0
-        out[ci, col[1]] = tangent
-    return out
+        self.ends = [[([kept.index(columns.index(("t", v, k)))
+                        for k in range(3)], s)
+                       for v, s in zip(self.edges[ei], (-1, 1))
+                       if v in self.d.trivalent] for ei, _ in rows]
 
 
 def propose_trivalent(geo: KernelGeometry, rng, pos, density, scale):
@@ -261,7 +263,8 @@ def jacobian_values(geo: KernelGeometry, pos, tangents, tol):
     plan of geo: the chord factors times the reduced determinant.
 
     pos: {vertex: (count, 3)}; tangents: {(column, vertex): (count, 3)},
-    the velocity of the vertex along the column's coordinate.  Returns
+    the velocity of the vertex along the column's coordinate, for every
+    column but the trivalent coordinates (see ends).  Returns
     (values, rejected_mask); configurations with an edge shorter than tol
     are flagged and valued 0.
     """
@@ -313,6 +316,8 @@ def jacobian_values(geo: KernelGeometry, pos, tangents, tol):
                 vector, s = velocity[ei, ci]
                 M[j, i] = (np.einsum("ij,ij->i", row, vector)
                            / (sign * s * scale))
+            for axes, s in geo.ends[i]:
+                M[axes, i] = row.T / (sign * s * scale)
         values *= np.linalg.det(M.T)
     return np.where(rejected, 0.0, values), rejected
 
@@ -344,8 +349,7 @@ class DiagramGeometry(KernelGeometry):
         self.univ_index = {v: i for i, v in enumerate(self.univ)}
         self.sign = (-1) ** len(edges)
         self.diameter = curve.diameter()
-        self.set_entries(
-            [(ci, (col[1],)) for ci, col in enumerate(self.columns)])
+        self.set_entries(self.columns)
 
 
 def univalent_jets(geo: DiagramGeometry, t_univ):
@@ -415,21 +419,9 @@ def integrand_batch(geo: DiagramGeometry, x_univ, v_univ, x_triv):
     pos = dict(zip(geo.univ, x_univ))
     for v in geo.triv:
         pos[v] = x_triv[:, geo.triv_index[v], :]
-    vel = dict(zip(geo.univ, v_univ))
-    tangents = column_tangents(geo.columns, len(x_triv), vel.__getitem__)
+    tangents = {(geo.columns.index(("u", v)), v): dv
+                for v, dv in zip(geo.univ, v_univ)}
     return jacobian_values(geo, pos, tangents, COLLISION_TOL * geo.diameter)
-
-
-def sample_configuration(od: OrientedDiagram, curve: LinkCurve, rng):
-    """One configuration and its proposal density.
-
-    Returns ({vertex: parameter}, {vertex: point}, density)."""
-    geo = DiagramGeometry(od, curve)
-    sampler = ConfigurationSampler(geo)
-    t_univ, _, _, x_triv, density = sampler.sample(rng, 1)
-    univ = {v: float(t_univ[0, geo.univ_index[v]]) for v in geo.univ}
-    triv = {v: tuple(x_triv[0, geo.triv_index[v]]) for v in geo.triv}
-    return univ, triv, float(density[0])
 
 
 def integrand_at(od: OrientedDiagram, curve: LinkCurve, univ_params,

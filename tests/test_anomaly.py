@@ -100,6 +100,7 @@ class TestDisc:
         d = disc_integral(catalog("unknot-round"))
         assert d.value == pytest.approx(0.5, abs=1e-9)
         assert d.error < 1e-9
+        assert d.samples == anomaly.DISC_SAMPLES == 20000
 
     def test_base_point_changes_by_integer(self):
         c = catalog("unknot-round")

@@ -166,10 +166,21 @@ class TestBadCounts:
         ("--samples", "0"), ("--samples=-5",), ("--samples", "1e400"),
         ("--samples", "nan"), ("--shards", "0"), ("--shards", "1"),
         ("--shards=-3",), ("--workers", "0"), ("--workers=-3",),
-        ("--samples", "15"), ("--samples", "3", "--shards", "4")])
+        ("--samples", "15"), ("--samples", "3", "--shards", "4"),
+        ("--samples", "1000.5"), ("--shards", "2.5"), ("--workers", "2.5"),
+        ("--shards", "1e8"), ("--shards", "inf"), ("--workers", "nan"),
+        ("--workers", "x")])
     def test_input_error(self, flags):
         one_line_input_error(run_cli("anomaly", "f", "--gamma", "theta",
                                      *flags))
+
+    def test_scientific_counts(self):
+        r = run_cli("anomaly", "f", "--gamma", "theta", "--samples", "1e3",
+                    "--shards", "1e1", "--workers", "2e0")
+        assert r.returncode == 0
+        config = report(r)["config"]
+        assert (config["samples"], config["shards"], config["workers"]) \
+            == (1000, 10, 2)
 
 
 class TestBadComponent:

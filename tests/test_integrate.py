@@ -3,18 +3,17 @@ from math import factorial
 import numpy as np
 import pytest
 
-from cslinks import integrate
-from cslinks.anomaly import WGeometry, WSampler, line_diagram_catalog
+from cslinks import anomaly, integrate
+from cslinks.anomaly import WGeometry, WSampler, f_gamma, line_diagram_catalog
 from cslinks.curves import LinkCurve, catalog
 from cslinks.diagrams import (THETA, Diagram, enumerate_diagrams,
                               is_subprincipal, std_oriented, tripod,
                               tripod_positive)
-from cslinks.integrate import (COLLISION_TOL, ConfigurationSampler,
-                               DiagramGeometry, column_tangents, gauss_kernel,
-                               has_trivalent_triangle, integrand_at,
-                               integrand_batch, integrate_diagram,
-                               jacobian_values, sample_configuration,
-                               sphere_frames, univalent_jets, z_n)
+from cslinks.integrate import (ConfigurationSampler, DiagramGeometry,
+                               gauss_kernel, has_trivalent_triangle,
+                               integrand_at, integrand_batch,
+                               integrate_diagram, sphere_frames,
+                               univalent_jets, z_n)
 from cslinks.mc import MCEstimate
 from cslinks.support import circles
 
@@ -56,23 +55,19 @@ def parallel_chord():
 def reference_integrand(geo, t_univ, x_triv):
     """The integrand assembled from separate curve evaluations: eval for
     the univalent points, deriv for their velocities."""
-    pos = {}
-    vel = {}
+    x_univ, v_univ = [], []
     for v in geo.univ:
         m = geo.d.component_of(v)
         tv = t_univ[:, geo.univ_index[v]]
-        pos[v] = geo.curve.eval(m, tv)
-        vel[v] = geo.curve.deriv(m, tv) * geo.univ_sign[v]
-    for v in geo.triv:
-        pos[v] = x_triv[:, geo.triv_index[v], :]
-    tangents = column_tangents(geo.columns, t_univ.shape[0], vel.__getitem__)
-    return jacobian_values(geo, pos, tangents, COLLISION_TOL * geo.diameter)
+        x_univ.append(geo.curve.eval(m, tv))
+        v_univ.append(geo.curve.deriv(m, tv) * geo.univ_sign[v])
+    return integrand_batch(geo, x_univ, v_univ, x_triv)
 
 
 def full_jacobian_values(geo, pos, tangents, tol):
     """The integrand from the full 2E x 2E determinant, two frame rows per
     edge and one column per coordinate, with nothing folded: the oracle of
-    jacobian_values."""
+    jacobian_values.  A trivalent coordinate's velocity is its unit axis."""
     count = len(pos[geo.univ[0]])
     E = len(geo.edges)
     lengths = np.empty((count, E))
@@ -87,7 +82,12 @@ def full_jacobian_values(geo, pos, tangents, tol):
     rejected = np.any(lengths < tol, axis=1)
     M = np.zeros((count, geo.dim, geo.dim))
     for ci, v, ei, sign in geo.entries:
-        tangent = tangents[ci, v]
+        col = geo.jacobian_columns[ci]
+        if col[0] == "t":
+            tangent = np.zeros((count, 3))
+            tangent[:, col[2]] = 1.0
+        else:
+            tangent = tangents[ci, v]
         dvec, f1, f2, safe = edge[ei]
         proj = tangent - dvec * np.sum(dvec * tangent, axis=1)[:, None]
         entry = sign * proj / safe
@@ -318,10 +318,11 @@ class TestFold:
 class TestSampler:
     def test_single_configuration(self):
         rng = np.random.default_rng(0)
-        univ, triv, density = sample_configuration(
-            std_oriented(tripod()), catalog("unknot-round"), rng)
-        assert set(univ) == {0, 1, 2} and set(triv) == {3}
-        assert density > 0
+        geo = DiagramGeometry(std_oriented(tripod()), catalog("unknot-round"))
+        t_univ, _, _, x_triv, density = ConfigurationSampler(geo).sample(rng, 1)
+        assert geo.univ == [0, 1, 2] and geo.triv == [3]
+        assert t_univ.shape == (1, 3) and x_triv.shape == (1, 1, 3)
+        assert density[0] > 0
 
     def test_chord_proposal_density_constant(self):
         geo = DiagramGeometry(std_oriented(THETA), catalog("unknot-round"))
@@ -421,3 +422,33 @@ class TestZn:
                               samples=2 * 10 ** 5, seed=4)
         coeff = float(vec.terms.get(crossed_chord_key(), 0.0))
         assert abs(coeff + 1.0 / 24.0) < 0.01
+
+
+class TestTracePatchPoints:
+    # the benchmark's tracer wraps these functions by replacing them on the
+    # modules that hold them, so the integrals must look each one up there
+    # at call time
+    @pytest.mark.parametrize("module, integrand, integral", [
+        (integrate, "integrand_batch",
+         lambda: integrate_diagram(std_oriented(THETA),
+                                   catalog("unknot-round"), samples=64,
+                                   shards=2)),
+        (anomaly, "w_integrand_batch",
+         lambda: f_gamma("theta", samples=64, shards=2))],
+        ids=["integrate_diagram", "f_gamma"])
+    def test_looked_up_through_own_module(self, monkeypatch, module,
+                                          integrand, integral):
+        calls = {}
+
+        def spy(name):
+            original = getattr(module, name)
+
+            def counted(*args, **kwargs):
+                calls[name] = calls.get(name, 0) + 1
+                return original(*args, **kwargs)
+            return counted
+
+        for name in (integrand, "run_sharded"):
+            monkeypatch.setattr(module, name, spy(name))
+        integral()
+        assert calls == {"run_sharded": 1, integrand: 2}
