@@ -347,20 +347,20 @@ def disc_integral(curve: LinkCurve, m=0, base_point=None) -> DiscIntegral:
                         samples=DISC_SAMPLES)
 
 
-def framing_report(curve: LinkCurve, samples=10 ** 6, seed=0, shards=None,
-                   workers=None):
-    """Per component: the Gauss self-integral, the disc integral, their
-    framing combination and its distance to the nearest integer."""
+def framing_report(curve: LinkCurve):
+    """Per component: the Gauss self-integral (with its error estimate and
+    grid), the disc integral, their framing combination and its distance
+    to the nearest integer."""
     rows = []
     for m in range(curve.n_components):
-        est = self_linking(curve, m, samples=samples, seed=seed + m,
-                           shards=shards, workers=workers)
+        est = self_linking(curve, m)
         disc = disc_integral(curve, m)
         total = est.value + 2 * disc.value
         rows.append({
             "component": m,
             "gauss_self_integral": est.value,
             "gauss_stderr": est.stderr,
+            "gauss_grid": est.grid,
             "disc_integral": disc.value,
             "disc_error": disc.error,
             "framing": total,

@@ -2,12 +2,15 @@
 
 Each command returns its report and exit code; main adds the wall time and
 prints the report as JSON (or as a plain-text table with --table).  Every
-Monte Carlo report embeds its fully resolved configuration (samples, seed,
-shards, workers) as "config", so a run can be replayed exactly; identical
-commands with the same seed produce byte-identical reports apart from the
-wall-time field.
+report of a command that takes the Monte Carlo flags embeds their fully
+resolved values (samples, seed, shards, workers) as "config", so a run can
+be replayed exactly; identical commands with the same seed produce
+byte-identical reports apart from the wall-time field.  The one-chord
+commands (invariant linking and selflink, anomaly framing) compute by
+quadrature: they check and echo the flags but do not use them.
 
-Exit codes: 0 success, 2 input error, 3 convergence failure.
+Exit codes: 0 success, 2 input error (one line, argparse's too), 3
+convergence failure.
 """
 
 import argparse
@@ -24,7 +27,7 @@ from .diagrams import degree as diagram_degree
 from .diagrams import enumerate_diagrams, is_principal, is_subprincipal, std_oriented
 from .errors import ConvergenceError, DiagramError, EmbeddingError
 from .integrate import integrate_diagram
-from .mc import SHARDS, default_workers
+from .mc import SHARDS, check_counts, default_workers
 from .strata import enumerate_faces
 from .support import S1, circles
 
@@ -40,12 +43,13 @@ def _count(flag, text):
 
 
 def _mc_settings(args):
-    """The resolved Monte Carlo settings: both the keyword arguments of the
-    library call and the report's replay config (run_sharded refuses bad
-    counts)."""
-    return {"samples": _count("--samples", args.samples), "seed": args.seed,
-            "shards": _count("--shards", args.shards),
-            "workers": _count("--workers", args.workers)}
+    """The resolved and checked Monte Carlo settings: both the keyword
+    arguments of the library call and the report's replay config."""
+    config = {"samples": _count("--samples", args.samples),
+              "seed": args.seed, "shards": _count("--shards", args.shards),
+              "workers": _count("--workers", args.workers)}
+    check_counts(config["samples"], config["shards"], config["workers"])
+    return config
 
 
 def _load_curve(spec):
@@ -100,8 +104,9 @@ def _coerce(obj):
     return str(obj)
 
 
-def _vector_terms(vec):
-    return {str(key): float(c) for key, c in sorted(vec.terms.items(),
+def _keyed(terms):
+    """{basis key: number} as JSON: string keys in string order."""
+    return {str(key): float(c) for key, c in sorted(terms.items(),
                                                     key=lambda kv: str(kv[0]))}
 
 
@@ -191,7 +196,7 @@ def cmd_invariant(args):
     curve, _ = _load_curve(args.curve)
     config = _mc_settings(args)
     if args.which == "linking":
-        res = invariants.linking_number(curve, args.m1, args.m2, **config)
+        res = invariants.linking_number(curve, args.m1, args.m2)
         report = {"command": "invariant linking", "curve": args.curve,
                   "components": [args.m1, args.m2],
                   "estimate": res["estimate"].as_dict(),
@@ -200,7 +205,7 @@ def cmd_invariant(args):
                   "warning": res["warning"]}
         code = 3 if res["warning"] else 0
     elif args.which == "selflink":
-        est = invariants.self_linking(curve, args.m1, **config)
+        est = invariants.self_linking(curve, args.m1)
         report = {"command": "invariant selflink", "curve": args.curve,
                   "component": args.m1, "estimate": est.as_dict()}
         code = 0
@@ -209,14 +214,16 @@ def cmd_invariant(args):
         report = {"command": "invariant v2", "curve": args.curve,
                   "value": res["value"], "stderr": res["stderr"],
                   "integer": res["integer"], "residual": res["residual"],
-                  "z2": _vector_terms(res["z2"]), "warning": res["warning"]}
+                  "z2": _keyed(res["z2"].terms), "warning": res["warning"]}
         code = 3 if res["warning"] else 0
     elif args.which == "z0":
         series, info = invariants.z0_series(curve, args.degree, **config)
         report = {"command": "invariant z0", "curve": args.curve,
                   "degree": args.degree,
-                  "coefficients": {str(n): _vector_terms(v)
+                  "coefficients": {str(n): _keyed(v.terms)
                                    for n, v in sorted(series.items())},
+                  "errors": {str(n): _keyed(errs) for n, errs
+                             in sorted(info["z_errors"].items())},
                   "framings": [e.as_dict() for e in info["framings"]]}
         code = 0
     elif args.which == "lattice":
@@ -243,7 +250,7 @@ def cmd_anomaly_f(args):
 def cmd_anomaly_framing(args):
     curve, _ = _load_curve(args.curve)
     config = _mc_settings(args)
-    rows = anomaly.framing_report(curve, **config)
+    rows = anomaly.framing_report(curve)
     report = {"command": "anomaly framing", "curve": args.curve,
               "components": rows, "config": config}
     return report, 0
@@ -256,8 +263,15 @@ def cmd_curve_validate(args):
     return report, 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse with the one-line input errors of every other bad input."""
+
+    def error(self, message):
+        self.exit(2, f"input error: {message}\n")
+
+
 def build_parser():
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="cslinks",
         description="Configuration space integrals for links in R^3")
     sub = p.add_subparsers(dest="group", required=True)

@@ -1,5 +1,6 @@
-"""Monte Carlo evaluation of the configuration space integrals I_L(Γ), and
-the configuration-space kernel that the anomaly integrals share.
+"""Evaluation of the configuration space integrals I_L(Γ), by Monte Carlo
+and, for a single chord, by quadrature; and the configuration-space kernel
+that the anomaly integrals share.
 
 The integrand is the density of the pulled-back product of unit-area sphere
 forms against the coordinate volume of the configuration space: a square
@@ -16,6 +17,10 @@ degree-3 classes with two trivalent vertices a 6x6 one, and a chord
 diagram none.  A trivalent vertex moves freely in R^3, so its three
 columns take the components of each of its edge rows as they stand.
 
+chord_quadrature sums the same integrand over a grid on the torus of the
+chord's two circle parameters; integrate_diagram samples it and stays the
+oracle for every diagram, a chord included.
+
 The kernel has three parts, used by both the closed-link integrals here and
 the anomaly integrals over W(γ): KernelGeometry (columns, placement order,
 Jacobian entries and their fold plan), propose_trivalent (the radial
@@ -28,6 +33,7 @@ determinant carries a factor (-1)^{#edges}, which makes the single-chord
 density equal the classical Gauss linking integrand exactly.
 """
 
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import factorial
@@ -39,11 +45,14 @@ from .curves import LinkCurve
 from .diagrams import OrientedDiagram, automorphism_count, \
     canonical_oriented, enumerate_diagrams, is_subprincipal, std_oriented
 from .errors import DiagramError, SamplingError
-from .mc import MCEstimate, run_sharded
+from .mc import BATCH, MCEstimate, run_sharded
 from .support import circles
 
 COLLISION_TOL = 1e-6     # edges shorter than this times the curve diameter
                          # are rejected (collision singularity ball)
+QUADRATURE_GRID = 256    # chord_quadrature's first grid (points per circle),
+QUADRATURE_MAX_GRID = 4096   # its finest grid,
+QUADRATURE_TOL = 1e-6    # and the change of its estimate that ends refinement
 
 
 def gauss_kernel(curve: LinkCurve, a, b):
@@ -459,6 +468,87 @@ def integrate_diagram(od: OrientedDiagram, curve: LinkCurve, samples=10 ** 6,
     return run_sharded(batch, samples, seed, shards, workers)
 
 
+@dataclass
+class QuadratureEstimate:
+    """A deterministic estimate: value, its error estimate stderr and the
+    grid (points per circle) it was computed on."""
+    value: float
+    stderr: float
+    grid: int
+
+    def as_dict(self):
+        return {"method": "quadrature", "value": self.value,
+                "stderr": self.stderr, "grid": self.grid}
+
+
+def _refined_pairs(n, first, symmetric):
+    """The index pairs (i, j) of the n-point grid that the n/2-point grid
+    lacks (all of them on the first grid), only i < j when the integrand is
+    symmetric, in blocks of at most BATCH pairs."""
+    rows = max(1, BATCH // n)
+    for start in range(0, n, rows):
+        i, j = np.divmod(np.arange(start * n, min(start + rows, n) * n), n)
+        keep = np.full(len(i), True) if first else ((i | j) & 1) == 1
+        if symmetric:
+            keep &= j > i
+        yield i[keep], j[keep]
+
+
+def chord_quadrature(od: OrientedDiagram,
+                     curve: LinkCurve) -> QuadratureEstimate:
+    """The integral of a one-chord diagram by the trapezoid rule on the
+    torus of its two circle parameters, through integrand_batch.
+
+    On the grid t_i = 2 pi i / N of each circle, the sampler's density
+    1/(4 pi^2) makes the weight of a pair (2 pi / N)^2; the diagonal, which
+    the kernel rejects, weighs 0.  Between two components the integrand is
+    smooth and the rule T(N) converges spectrally.  On one component the
+    integrand is symmetric with an |s - t| kink on the diagonal, so T(N)
+    is O(h^2) and the estimate is R(N) = (4 T(N) - T(N/2)) / 3, O(h^4).
+    N doubles from QUADRATURE_GRID while the estimate moves by more than
+    QUADRATURE_TOL, up to QUADRATURE_MAX_GRID; stderr is the last move,
+    or the rounding error of the sum where that is larger.  The grids are
+    nested, so each doubling evaluates only the new pairs.
+    """
+    if len(od.diagram.edges) != 1:
+        raise DiagramError("chord_quadrature takes a diagram of one chord")
+    geo = DiagramGeometry(od, curve)
+    grid = np.arange(QUADRATURE_MAX_GRID) * (2 * np.pi / QUADRATURE_MAX_GRID)
+    comps = [geo.d.component_of(v) for v in geo.univ]
+    jets = {m: curve.jet(m, grid) for m in set(comps)}
+    points = [jets[m][0] for m in comps]
+    velocities = [jets[m][1] * geo.univ_sign[v]
+                  for m, v in zip(comps, geo.univ)]
+    symmetric = comps[0] == comps[1]
+    total = magnitude = 0.0
+    rules, estimates = [], []
+    # the first comparison, R(N) - R(N/2) at N = QUADRATURE_GRID, needs T(N/4)
+    n = QUADRATURE_GRID // 4
+    while True:
+        stride = QUADRATURE_MAX_GRID // n
+        for i, j in _refined_pairs(n, not rules, symmetric):
+            i, j = i * stride, j * stride
+            values, _ = integrand_batch(
+                geo, [points[0][i], points[1][j]],
+                [velocities[0][i], velocities[1][j]],
+                np.empty((len(i), 0, 3)))
+            total += float(np.sum(values))
+            magnitude += float(np.sum(np.abs(values)))
+        weight = (2 if symmetric else 1) * (2 * np.pi / n) ** 2
+        rules.append(total * weight)
+        if len(rules) > 1:
+            estimates.append((4 * rules[-1] - rules[-2]) / 3 if symmetric
+                             else rules[-1])
+        if n >= QUADRATURE_GRID:
+            change = abs(estimates[-1] - estimates[-2])
+            if change <= QUADRATURE_TOL or n == QUADRATURE_MAX_GRID:
+                rounding = np.finfo(float).eps * magnitude * weight
+                return QuadratureEstimate(value=float(estimates[-1]),
+                                          stderr=float(max(change, rounding)),
+                                          grid=n)
+        n *= 2
+
+
 def has_trivalent_triangle(d) -> bool:
     """Whether three trivalent vertices are pairwise joined.  The integrand
     of such a diagram vanishes at every point: the directions of the three
@@ -475,7 +565,8 @@ def z_n(curve: LinkCurve, n: int, k=None, samples=10 ** 6, seed=0,
     Returns (vector, errors, estimates): the reduced class vector with
     float coefficients, a dict basis-key -> standard error propagated
     through the reduction, and the per-diagram-class estimates.  Classes
-    with a trivalent triangle are 0 exactly and are not sampled.
+    with a trivalent triangle are 0 exactly and are not sampled; one-chord
+    classes are computed by chord_quadrature.
     """
     support = circles(curve.n_components)
     if n == 0:
@@ -493,9 +584,12 @@ def z_n(curve: LinkCurve, n: int, k=None, samples=10 ** 6, seed=0,
         key, sign = canonical_oriented(od)
         if sign == 0:
             continue
-        est = integrate_diagram(od, curve, samples=samples,
-                                seed=seed + 7919 * idx,
-                                shards=shards, workers=workers)
+        if len(d.edges) == 1:
+            est = chord_quadrature(od, curve)
+        else:
+            est = integrate_diagram(od, curve, samples=samples,
+                                    seed=seed + 7919 * idx,
+                                    shards=shards, workers=workers)
         estimates[key] = est
         auts[key] = aut = automorphism_count(d)
         vec_terms[key] = vec_terms.get(key, 0.0) + sign * est.value / aut

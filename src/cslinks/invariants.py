@@ -10,8 +10,10 @@ from .curves import LinkCurve, check_component
 from .diagrams import (THETA, Diagram, canonical_oriented, check_degree,
                        std_oriented)
 from .errors import ConvergenceError, DiagramError
-from .integrate import integrate_diagram, z_n
-from .mc import MCEstimate
+# integrate_diagram is imported for the tests that replace it here to check
+# that no integral runs before a bad input is refused
+from .integrate import (QuadratureEstimate, chord_quadrature,  # noqa: F401
+                        integrate_diagram, z_n)
 from .projection import linking_oracle
 from .support import R1, circles
 
@@ -27,10 +29,9 @@ def alpha_exact() -> ClassVector:
     return _theta_line_vector().scale(Fraction(1, 2))
 
 
-def linking_number(curve: LinkCurve, m1, m2, samples=10 ** 6, seed=0,
-                   shards=None, workers=None):
-    """Gauss double integral between two components, its rounding, and the
-    projection crossing-sign oracle."""
+def linking_number(curve: LinkCurve, m1, m2):
+    """Gauss double integral between two components (by chord_quadrature),
+    its rounding, and the projection crossing-sign oracle."""
     check_component(curve, m1)
     check_component(curve, m2)
     if m1 == m2:
@@ -40,8 +41,7 @@ def linking_number(curve: LinkCurve, m1, m2, samples=10 ** 6, seed=0,
                        for i in range(curve.n_components))
     chord = Diagram(support, placements, frozenset(),
                     frozenset({frozenset((0, 1))}))
-    est = integrate_diagram(std_oriented(chord), curve, samples=samples,
-                            seed=seed, shards=shards, workers=workers)
+    est = chord_quadrature(std_oriented(chord), curve)
     nearest = round(est.value)
     residual = abs(est.value - nearest)
     oracle = linking_oracle(curve, m1, m2)
@@ -52,13 +52,12 @@ def linking_number(curve: LinkCurve, m1, m2, samples=10 ** 6, seed=0,
     return out
 
 
-def self_linking(curve: LinkCurve, m=0, samples=10 ** 6, seed=0,
-                 shards=None, workers=None) -> MCEstimate:
-    """The Gauss self-integral of one component (framing / writhe)."""
+def self_linking(curve: LinkCurve, m=0) -> QuadratureEstimate:
+    """The Gauss self-integral of one component (framing / writhe), by
+    chord_quadrature."""
     check_component(curve, m)
     sub = LinkCurve([curve.components[m]])
-    return integrate_diagram(std_oriented(THETA), sub, samples=samples,
-                             seed=seed, shards=shards, workers=workers)
+    return chord_quadrature(std_oriented(THETA), sub)
 
 
 def z_series(curve: LinkCurve, max_degree, samples=10 ** 6, seed=0,
@@ -83,8 +82,8 @@ def z0_series(curve: LinkCurve, max_degree=2, samples=10 ** 6, seed=0,
     """The framing-corrected invariant Z0 = Z * prod_m exp(-I(θ_m) α^(m)).
 
     Through degree 2 the exact anomaly [θ]/2 suffices (its degree-2 part
-    vanishes).  Errors propagate from the Z parts and the self-linking
-    factors.
+    vanishes).  Errors propagate from the Z parts; the self-linking
+    factors are quadratures, good to QUADRATURE_TOL.
     """
     series, errors, estimates = z_series(curve, max_degree, samples=samples,
                                          seed=seed, shards=shards,
@@ -93,8 +92,7 @@ def z0_series(curve: LinkCurve, max_degree=2, samples=10 ** 6, seed=0,
     framings = []
     corrected = series
     for m in range(curve.n_components):
-        est = self_linking(curve, m, samples=samples, seed=seed + 1009 + m,
-                           shards=shards, workers=workers)
+        est = self_linking(curve, m)
         framings.append(est)
         corrected = exp_action(alpha, -est.value, corrected, m, max_degree)
     reduced = Series(corrected.support)
@@ -195,8 +193,7 @@ def lattice_check(curve: LinkCurve, n, k, samples=10 ** 6, seed=0,
         raise DiagramError("k must be at most 2n")
     framings = []
     for m in range(curve.n_components):
-        est = self_linking(curve, m, samples=samples, seed=seed + 503 + m,
-                           shards=shards, workers=workers)
+        est = self_linking(curve, m)
         framings.append(est)
         if abs(est.value - round(est.value)) > 0.05:
             raise ConvergenceError(

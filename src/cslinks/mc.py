@@ -43,9 +43,10 @@ class MCEstimate:
             raise ValueError("negative standard error")
 
     def as_dict(self):
-        return {"value": self.value, "stderr": self.stderr,
-                "samples": self.samples, "seed": self.seed,
-                "shards": self.shards, "rejected": self.rejected,
+        return {"method": "monte-carlo", "value": self.value,
+                "stderr": self.stderr, "samples": self.samples,
+                "seed": self.seed, "shards": self.shards,
+                "rejected": self.rejected,
                 "rejection_rate": self.rejected / self.samples if self.samples else 0.0}
 
 
@@ -63,18 +64,10 @@ class _Kahan:
         self.total = t
 
 
-def run_sharded(batch_fn, samples, seed, shards=None,
-                workers=None) -> MCEstimate:
-    """Estimate the mean of the weights produced by batch_fn.
-
-    batch_fn(rng, count) returns (weights, rejected_count) with weights an
-    array of length count (rejected samples contribute weight 0 but stay in
-    the denominator: their limit contribution vanishes).  The error comes
-    from the spread of the shard means, so at least two shards are needed,
-    and each shard takes at least one sample.
-    """
-    shards = SHARDS if shards is None else shards
-    workers = default_workers() if workers is None else workers
+def check_counts(samples, shards, workers):
+    """Raise ValueError unless the counts make a run: at least one sample,
+    two shards (the error comes from the spread of the shard means) and
+    one worker, and no more shards than samples (each shard takes one)."""
     if samples < 1:
         raise ValueError(f"sample count must be at least 1, got {samples}")
     if shards < 2:
@@ -84,6 +77,20 @@ def run_sharded(batch_fn, samples, seed, shards=None,
     if shards > samples:
         raise ValueError(f"shard count {shards} exceeds the sample count "
                          f"{int(samples)}")
+
+
+def run_sharded(batch_fn, samples, seed, shards=None,
+                workers=None) -> MCEstimate:
+    """Estimate the mean of the weights produced by batch_fn.
+
+    batch_fn(rng, count) returns (weights, rejected_count) with weights an
+    array of length count (rejected samples contribute weight 0 but stay in
+    the denominator: their limit contribution vanishes).  The error comes
+    from the spread of the shard means; see check_counts.
+    """
+    shards = SHARDS if shards is None else shards
+    workers = default_workers() if workers is None else workers
+    check_counts(samples, shards, workers)
     per_shard = -(-int(samples) // shards)   # ceil; actual count reported
 
     def run_shard(idx):

@@ -11,7 +11,7 @@ from cslinks.anomaly import (LINE_CATALOG, WGeometry, WSampler,
                              square_substitution_invariant,
                              symmetry_check_central, symmetry_check_s1_even,
                              w_integrand_batch)
-from cslinks.curves import catalog
+from cslinks.curves import CATALOG_NAMES, catalog
 from cslinks.errors import EmbeddingError
 
 
@@ -114,9 +114,14 @@ class TestDisc:
             disc_integral(catalog("unknot-round"), base_point=(1, 0, 0))
 
     def test_framing_integers(self):
-        rows = framing_report(catalog("hopf-link"), samples=10 ** 4, seed=1)
+        rows = framing_report(catalog("hopf-link"))
         for row in rows:
             assert row["residual"] < 1e-6  # planar circles are exact
+
+    @pytest.mark.parametrize("name", CATALOG_NAMES)
+    def test_framing_integers_to_quadrature_accuracy(self, name):
+        for row in framing_report(catalog(name)):
+            assert row["residual"] <= 1e-5
 
 
 class TestRegionPredicates:

@@ -116,6 +116,16 @@ class TestMonteCarloCommands:
         rep = report(r)
         assert rep["components"][0]["residual"] < 1e-6
 
+    def test_z0_reports_errors(self):
+        r = run_cli("invariant", "z0", "--curve", "trefoil", "--degree", "1",
+                    "--samples", "1e3")
+        rep = report(r)
+        assert rep["errors"]["0"] == {}
+        # the error of the theta coefficient of Z, by quadrature
+        errors = list(rep["errors"]["1"].values())
+        assert len(errors) == 1 and 0 < errors[0] <= 1e-6
+        assert rep["framings"][0]["method"] == "quadrature"
+
     def test_unknown_curve_is_input_error(self):
         r = run_cli("invariant", "selflink", "--curve", "missing.json",
                     "--samples", "1e3")
@@ -161,18 +171,35 @@ def one_line_input_error(r, *words):
         assert word in lines[0]
 
 
+BAD_COUNTS = [
+    ("--samples", "0"), ("--samples=-5",), ("--samples", "1e400"),
+    ("--samples", "nan"), ("--shards", "0"), ("--shards", "1"),
+    ("--shards=-3",), ("--workers", "0"), ("--workers=-3",),
+    ("--samples", "15"), ("--samples", "3", "--shards", "4"),
+    ("--samples", "1000.5"), ("--shards", "2.5"), ("--workers", "2.5"),
+    ("--shards", "1e8"), ("--shards", "inf"), ("--workers", "nan"),
+    ("--workers", "x")]
+
+
 class TestBadCounts:
-    @pytest.mark.parametrize("flags", [
-        ("--samples", "0"), ("--samples=-5",), ("--samples", "1e400"),
-        ("--samples", "nan"), ("--shards", "0"), ("--shards", "1"),
-        ("--shards=-3",), ("--workers", "0"), ("--workers=-3",),
-        ("--samples", "15"), ("--samples", "3", "--shards", "4"),
-        ("--samples", "1000.5"), ("--shards", "2.5"), ("--workers", "2.5"),
-        ("--shards", "1e8"), ("--shards", "inf"), ("--workers", "nan"),
-        ("--workers", "x")])
+    @pytest.mark.parametrize("flags", BAD_COUNTS)
     def test_input_error(self, flags):
         one_line_input_error(run_cli("anomaly", "f", "--gamma", "theta",
                                      *flags))
+
+    @pytest.mark.parametrize("flags", BAD_COUNTS)
+    @pytest.mark.parametrize("command", [
+        ("invariant", "linking", "--curve", "hopf-link"),
+        ("invariant", "selflink", "--curve", "trefoil"),
+        ("anomaly", "framing", "--curve", "trefoil")],
+        ids=["linking", "selflink", "framing"])
+    def test_quadrature_commands_check_counts(self, command, flags, capsys):
+        # these commands sample nothing, yet refuse the counts that a
+        # Monte Carlo command refuses
+        assert cli.main([*command, *flags]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("input error:")
 
     def test_scientific_counts(self):
         r = run_cli("anomaly", "f", "--gamma", "theta", "--samples", "1e3",
@@ -181,6 +208,17 @@ class TestBadCounts:
         config = report(r)["config"]
         assert (config["samples"], config["shards"], config["workers"]) \
             == (1000, 10, 2)
+
+
+class TestArgparseErrors:
+    @pytest.mark.parametrize("args", [
+        ("anomaly", "f", "--gamma", "theta", "--seed", "1e3"),
+        ("invariant", "z0", "--curve", "trefoil", "--degree", "x"),
+        ("invariant", "lattice", "--curve", "trefoil-framed", "--k", "1.5"),
+        ("invariant", "linking", "--curve", "hopf-link", "--m1", "a")],
+        ids=["seed", "degree", "k", "m1"])
+    def test_one_line(self, args):
+        one_line_input_error(run_cli(*args), "invalid int value")
 
 
 class TestBadComponent:

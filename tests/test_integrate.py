@@ -9,12 +9,13 @@ from cslinks.curves import LinkCurve, catalog
 from cslinks.diagrams import (THETA, Diagram, enumerate_diagrams,
                               is_subprincipal, std_oriented, tripod,
                               tripod_positive)
+from cslinks.errors import DiagramError
 from cslinks.integrate import (ConfigurationSampler, DiagramGeometry,
-                               gauss_kernel, has_trivalent_triangle,
-                               integrand_at, integrand_batch,
-                               integrate_diagram, sphere_frames,
-                               univalent_jets, z_n)
-from cslinks.mc import MCEstimate
+                               chord_quadrature, gauss_kernel,
+                               has_trivalent_triangle, integrand_at,
+                               integrand_batch, integrate_diagram,
+                               sphere_frames, univalent_jets, z_n)
+from cslinks.mc import BATCH, MCEstimate
 from cslinks.support import circles
 
 
@@ -422,6 +423,97 @@ class TestZn:
                               samples=2 * 10 ** 5, seed=4)
         coeff = float(vec.terms.get(crossed_chord_key(), 0.0))
         assert abs(coeff + 1.0 / 24.0) < 0.01
+
+
+def reversed_hopf():
+    c = catalog("hopf-link")
+    const, cos, sin = c.components[1]
+    return LinkCurve([c.components[0], (const, cos, -np.asarray(sin))])
+
+
+CHORD_CASES = [(std_oriented(THETA), catalog(name), name)
+               for name in ("trefoil", "trefoil-alt", "figure8",
+                            "unknot-planar-perturbed", "trefoil-framed")] + [
+    (hopf_chord(), catalog("hopf-link"), "hopf-link"),
+    (hopf_chord(), reversed_hopf(), "reversed-hopf"),
+    (hopf_chord(), catalog("unlink-2"), "unlink-2")]
+
+
+class TestChordQuadrature:
+    @pytest.mark.parametrize("od, curve, name", CHORD_CASES,
+                             ids=[c[2] for c in CHORD_CASES])
+    def test_matches_monte_carlo(self, od, curve, name):
+        est = chord_quadrature(od, curve)
+        mc = integrate_diagram(od, curve, samples=10 ** 6, seed=1)
+        assert abs(est.value - mc.value) <= 3 * mc.stderr
+
+    @pytest.mark.parametrize("od, curve, name", CHORD_CASES,
+                             ids=[c[2] for c in CHORD_CASES])
+    def test_error_estimate_covers_finest_grid(self, od, curve, name,
+                                               monkeypatch):
+        est = chord_quadrature(od, curve)
+        assert est.grid >= integrate.QUADRATURE_GRID
+        assert est.stderr <= integrate.QUADRATURE_TOL
+        monkeypatch.setattr(integrate, "QUADRATURE_TOL", 0.0)
+        finest = chord_quadrature(od, curve)
+        assert est.stderr >= abs(est.value - finest.value)
+
+    @pytest.mark.parametrize("od, name", [(std_oriented(THETA), "trefoil"),
+                                          (hopf_chord(), "hopf-link")])
+    def test_grid_values_are_gauss_kernel(self, od, name):
+        # pins the chord sign: on grid pairs, the kernel is the classical
+        # Gauss linking density
+        curve = catalog(name)
+        geo = DiagramGeometry(od, curve)
+        t = np.arange(64) * (2 * np.pi / 64)
+        s_idx, t_idx = np.nonzero(~np.eye(64, dtype=bool))
+        pairs = np.stack([t[s_idx], t[t_idx]], axis=1)
+        values, rejected = integrand_batch(
+            geo, *univalent_jets(geo, pairs), np.empty((len(pairs), 0, 3)))
+        a, b = (geo.d.component_of(v) for v in geo.univ)
+        gauss = gauss_kernel(curve, (a, pairs[:, 0]), (b, pairs[:, 1]))
+        assert not np.any(rejected)
+        assert np.max(np.abs(values - gauss)) <= 1e-12 * np.max(np.abs(gauss))
+
+    @pytest.mark.parametrize("od, name, pairs", [
+        (std_oriented(THETA), "trefoil-framed", lambda n: n * (n - 1) // 2),
+        (hopf_chord(), "hopf-link", lambda n: n * n)])
+    def test_nested_grids_evaluate_each_pair_once(self, monkeypatch, od,
+                                                  name, pairs):
+        # one jet per grid point, and each pair of the final grid (i < j
+        # for the symmetric one-component integrand) is evaluated once,
+        # in blocks of at most one Monte Carlo batch
+        blocks = []
+        kernel = integrate.integrand_batch
+
+        def spy(geo, x_univ, v_univ, x_triv):
+            blocks.append(len(x_univ[0]))
+            return kernel(geo, x_univ, v_univ, x_triv)
+
+        monkeypatch.setattr(integrate, "integrand_batch", spy)
+        curve = CountingCurve(catalog(name).components)
+        curve.diameter()
+        diameter_points = curve.points
+        curve.points = 0
+        est = chord_quadrature(od, curve)
+        comps = len({od.diagram.component_of(v) for v in od.diagram.univalent})
+        assert curve.points == diameter_points \
+            + comps * integrate.QUADRATURE_MAX_GRID
+        assert sum(blocks) == pairs(est.grid)
+        assert max(blocks) <= BATCH
+
+    def test_one_chord_only(self):
+        with pytest.raises(DiagramError):
+            chord_quadrature(crossed_chord(), catalog("trefoil"))
+
+    def test_report_fields(self):
+        d = chord_quadrature(hopf_chord(), catalog("hopf-link")).as_dict()
+        assert d["method"] == "quadrature"
+        assert d["value"] == pytest.approx(1.0, abs=1e-12)
+        assert d["grid"] == integrate.QUADRATURE_GRID
+        mc = integrate_diagram(hopf_chord(), catalog("hopf-link"),
+                               samples=64, shards=2)
+        assert mc.as_dict()["method"] == "monte-carlo"
 
 
 class TestTracePatchPoints:

@@ -13,21 +13,19 @@ from cslinks.support import circles
 
 class TestLinking:
     def test_hopf(self):
-        res = linking_number(catalog("hopf-link"), 0, 1, samples=2 * 10 ** 5,
-                             seed=0)
+        res = linking_number(catalog("hopf-link"), 0, 1)
         assert res["integer"] == 1 and res["oracle"] == 1
         assert res["residual"] < 0.05
 
     def test_unlink(self):
-        res = linking_number(catalog("unlink-2"), 0, 1, samples=10 ** 5,
-                             seed=1)
+        res = linking_number(catalog("unlink-2"), 0, 1)
         assert res["integer"] == 0 and res["oracle"] == 0
 
     def test_reversed_hopf(self):
         c = catalog("hopf-link")
         const, cos, sin = c.components[1]
         rev = LinkCurve([c.components[0], (const, cos, -np.asarray(sin))])
-        res = linking_number(rev, 0, 1, samples=2 * 10 ** 5, seed=2)
+        res = linking_number(rev, 0, 1)
         assert res["integer"] == -1 and res["oracle"] == -1
 
     def test_same_component_rejected(self):
@@ -37,12 +35,12 @@ class TestLinking:
 
 class TestSelfLinking:
     def test_planar_zero_exact(self):
-        est = self_linking(catalog("unknot-round"), samples=10 ** 4, seed=0)
+        est = self_linking(catalog("unknot-round"))
         assert est.value == 0.0
 
     def test_kinked_unknot_matches_writhe(self):
         c = catalog("unknot-planar-perturbed")
-        est = self_linking(c, samples=4 * 10 ** 5, seed=1)
+        est = self_linking(c)
         assert abs(est.value - writhe_oracle(c)) < 0.1
 
     def test_continuity_under_perturbation(self):
@@ -51,8 +49,8 @@ class TestSelfLinking:
         sin2 = np.array(sin, dtype=float)
         sin2[1, 2] *= 1.02
         nearby = LinkCurve([(const, cos, sin2)])
-        a = self_linking(base, samples=2 * 10 ** 5, seed=2)
-        b = self_linking(nearby, samples=2 * 10 ** 5, seed=2)
+        a = self_linking(base)
+        b = self_linking(nearby)
         assert abs(a.value - b.value) < 0.05
 
 
