@@ -24,6 +24,6 @@ from .anomaly import (anomaly_alpha, degree3_region_predicates, disc_integral,
                       symmetry_check_s1_even)
 from .invariants import (lattice_check, linking_number, self_linking, v2,
                          z0_series, z_series)
-from .mc import MCEstimate
+from .mc import Estimate
 
 __version__ = "0.1.0"

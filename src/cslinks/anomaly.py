@@ -11,7 +11,6 @@ integral (the framing correction), and the spherical region predicates
 behind the degree-3 vanishing argument.
 """
 
-from dataclasses import dataclass
 from math import factorial
 
 import numpy as np
@@ -21,10 +20,10 @@ from .curves import LinkCurve
 from .diagrams import (Diagram, OrientedDiagram, automorphism_count,
                        canonical_oriented, degree, is_connected, std_oriented)
 from .errors import DiagramError, EmbeddingError
-from .integrate import (KernelGeometry, jacobian_values, propose_trivalent,
-                        sphere_frames)
+from .integrate import (KernelGeometry, has_trivalent_triangle,
+                        jacobian_values, propose_trivalent, sphere_frames)
 from .invariants import self_linking
-from .mc import MCEstimate, run_sharded
+from .mc import Estimate, run_sharded
 from .support import R1
 
 # pinned so that f_theta = +1 (the W-fibration over S² has degree one for
@@ -168,7 +167,7 @@ class WSampler:
 
 
 def f_gamma(gamma, samples=10 ** 6, seed=0, shards=None,
-            workers=None) -> MCEstimate:
+            workers=None) -> Estimate:
     """The anomaly integral of a connected line diagram (by name or as an
     oriented diagram)."""
     od = line_diagram_catalog(gamma) if isinstance(gamma, str) else gamma
@@ -192,7 +191,9 @@ def anomaly_alpha(max_degree, samples=10 ** 6, seed=0, shards=None,
     Returns (series, estimates): float-coefficient class vectors per degree
     and the f estimates per catalog name.  Degree two is included (its two
     Monte Carlo members vanish by the central symmetry); degree three runs
-    over a1, a2, a3 and the wheel.
+    over a1, a2 and a3.  The wheel w3, like every diagram with a trivalent
+    triangle, has an integrand that vanishes pointwise, so it is 0 exactly
+    and is not sampled.
     """
     if max_degree > 3:
         raise DiagramError("anomaly supports degree <= 3")
@@ -204,6 +205,8 @@ def anomaly_alpha(max_degree, samples=10 ** 6, seed=0, shards=None,
         vec = ClassVector.zero(R1, n)
         for offset, name in enumerate(by_degree[n]):
             od = line_diagram_catalog(name)
+            if has_trivalent_triangle(od.diagram):
+                continue
             est = f_gamma(od, samples=samples, seed=seed + 101 * n + offset,
                           shards=shards, workers=workers)
             estimates[name] = est
@@ -288,14 +291,6 @@ def symmetry_check_central(gamma, points=100, seed=0):
 # ---------------------------------------------------------------------------
 # Disc extension of the tangent indicatrix and the framing integer
 
-@dataclass
-class DiscIntegral:
-    value: float
-    error: float
-    base_point: tuple
-    samples: int
-
-
 def _default_base_point(curve: LinkCurve, m):
     ts = np.linspace(0, 2 * np.pi, BASE_POINT_SAMPLES, endpoint=False)
     tang = curve.tangent(m, ts)
@@ -309,14 +304,16 @@ def _default_base_point(curve: LinkCurve, m):
     return cand / np.linalg.norm(cand)
 
 
-def disc_integral(curve: LinkCurve, m=0, base_point=None) -> DiscIntegral:
+def disc_integral(curve: LinkCurve, m=0, base_point=None) -> Estimate:
     """Signed area (mass-1 normalisation) of the geodesic cone from the base
     point to the tangent indicatrix, with the disc oriented opposite to the
     usual plane orientation: the boundary basis (tangent, outward normal)
     is direct.
 
     The extension is valid only when the indicatrix keeps an angular margin
-    of 0.05 radians from the antipode of the base point.
+    of 0.05 radians from the antipode of the base point.  A quadrature on
+    DISC_SAMPLES tangent points (the record's grid); stderr is its change
+    from the half grid.
     """
     q = _default_base_point(curve, m) if base_point is None else \
         np.asarray(base_point, dtype=float)
@@ -341,10 +338,9 @@ def disc_integral(curve: LinkCurve, m=0, base_point=None) -> DiscIntegral:
     # the disc orientation (boundary tangent followed by outward normal
     # direct) resolves to this sign; it is pinned by the framing-integer
     # checks: every catalog knot lands on an odd integer
-    value = area / (4 * np.pi)
-    error = abs(area - area_half) / (4 * np.pi)
-    return DiscIntegral(value=value, error=error, base_point=tuple(q),
-                        samples=DISC_SAMPLES)
+    return Estimate(area / (4 * np.pi), abs(area - area_half) / (4 * np.pi),
+                    "quadrature",
+                    {"grid": DISC_SAMPLES, "base_point": tuple(q.tolist())})
 
 
 def framing_report(curve: LinkCurve):
@@ -360,9 +356,9 @@ def framing_report(curve: LinkCurve):
             "component": m,
             "gauss_self_integral": est.value,
             "gauss_stderr": est.stderr,
-            "gauss_grid": est.grid,
+            "gauss_grid": est.diagnostics["grid"],
             "disc_integral": disc.value,
-            "disc_error": disc.error,
+            "disc_error": disc.stderr,
             "framing": total,
             "nearest_integer": round(total),
             "residual": abs(total - round(total)),

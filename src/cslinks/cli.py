@@ -95,8 +95,6 @@ def _fmt(v):
 
 
 def _coerce(obj):
-    if hasattr(obj, "as_dict"):
-        return obj.as_dict()
     if isinstance(obj, (np.floating, np.integer)):
         return obj.item()
     if isinstance(obj, frozenset):

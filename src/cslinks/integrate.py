@@ -33,7 +33,6 @@ determinant carries a factor (-1)^{#edges}, which makes the single-chord
 density equal the classical Gauss linking integrand exactly.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import factorial
@@ -45,7 +44,7 @@ from .curves import LinkCurve
 from .diagrams import OrientedDiagram, automorphism_count, \
     canonical_oriented, enumerate_diagrams, is_subprincipal, std_oriented
 from .errors import DiagramError, SamplingError
-from .mc import BATCH, MCEstimate, run_sharded
+from .mc import BATCH, Estimate, run_sharded
 from .support import circles
 
 COLLISION_TOL = 1e-6     # edges shorter than this times the curve diameter
@@ -452,7 +451,7 @@ def integrand_at(od: OrientedDiagram, curve: LinkCurve, univ_params,
 
 
 def integrate_diagram(od: OrientedDiagram, curve: LinkCurve, samples=10 ** 6,
-                      seed=0, shards=None, workers=None) -> MCEstimate:
+                      seed=0, shards=None, workers=None) -> Estimate:
     """Importance-sampled estimate of the configuration space integral."""
     d = od.diagram
     if not d.vertices:
@@ -468,19 +467,6 @@ def integrate_diagram(od: OrientedDiagram, curve: LinkCurve, samples=10 ** 6,
     return run_sharded(batch, samples, seed, shards, workers)
 
 
-@dataclass
-class QuadratureEstimate:
-    """A deterministic estimate: value, its error estimate stderr and the
-    grid (points per circle) it was computed on."""
-    value: float
-    stderr: float
-    grid: int
-
-    def as_dict(self):
-        return {"method": "quadrature", "value": self.value,
-                "stderr": self.stderr, "grid": self.grid}
-
-
 def _refined_pairs(n, first, symmetric):
     """The index pairs (i, j) of the n-point grid that the n/2-point grid
     lacks (all of them on the first grid), only i < j when the integrand is
@@ -494,8 +480,7 @@ def _refined_pairs(n, first, symmetric):
         yield i[keep], j[keep]
 
 
-def chord_quadrature(od: OrientedDiagram,
-                     curve: LinkCurve) -> QuadratureEstimate:
+def chord_quadrature(od: OrientedDiagram, curve: LinkCurve) -> Estimate:
     """The integral of a one-chord diagram by the trapezoid rule on the
     torus of its two circle parameters, through integrand_batch.
 
@@ -507,8 +492,9 @@ def chord_quadrature(od: OrientedDiagram,
     is O(h^2) and the estimate is R(N) = (4 T(N) - T(N/2)) / 3, O(h^4).
     N doubles from QUADRATURE_GRID while the estimate moves by more than
     QUADRATURE_TOL, up to QUADRATURE_MAX_GRID; stderr is the last move,
-    or the rounding error of the sum where that is larger.  The grids are
-    nested, so each doubling evaluates only the new pairs.
+    or the rounding error of the sum where that is larger; the record's
+    grid is the final N.  The grids are nested, so each doubling evaluates
+    only the new pairs.
     """
     if len(od.diagram.edges) != 1:
         raise DiagramError("chord_quadrature takes a diagram of one chord")
@@ -543,9 +529,9 @@ def chord_quadrature(od: OrientedDiagram,
             change = abs(estimates[-1] - estimates[-2])
             if change <= QUADRATURE_TOL or n == QUADRATURE_MAX_GRID:
                 rounding = np.finfo(float).eps * magnitude * weight
-                return QuadratureEstimate(value=float(estimates[-1]),
-                                          stderr=float(max(change, rounding)),
-                                          grid=n)
+                return Estimate(float(estimates[-1]),
+                                float(max(change, rounding)), "quadrature",
+                                {"grid": n})
         n *= 2
 
 

@@ -10,10 +10,7 @@ from .curves import LinkCurve, check_component
 from .diagrams import (THETA, Diagram, canonical_oriented, check_degree,
                        std_oriented)
 from .errors import ConvergenceError, DiagramError
-# integrate_diagram is imported for the tests that replace it here to check
-# that no integral runs before a bad input is refused
-from .integrate import (QuadratureEstimate, chord_quadrature,  # noqa: F401
-                        integrate_diagram, z_n)
+from .integrate import chord_quadrature, z_n
 from .projection import linking_oracle
 from .support import R1, circles
 
@@ -52,9 +49,9 @@ def linking_number(curve: LinkCurve, m1, m2):
     return out
 
 
-def self_linking(curve: LinkCurve, m=0) -> QuadratureEstimate:
-    """The Gauss self-integral of one component (framing / writhe), by
-    chord_quadrature."""
+def self_linking(curve: LinkCurve, m=0):
+    """The Gauss self-integral of one component (framing / writhe): the
+    Estimate of chord_quadrature."""
     check_component(curve, m)
     sub = LinkCurve([curve.components[m]])
     return chord_quadrature(std_oriented(THETA), sub)

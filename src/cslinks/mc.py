@@ -1,4 +1,5 @@
-"""Deterministic sharded Monte Carlo driver.
+"""Deterministic sharded Monte Carlo driver, and Estimate, the record of
+every integral (Monte Carlo or quadrature).
 
 Each shard owns a counter-based random stream keyed by (seed, shard), so the
 full estimate is reproducible bit-for-bit for fixed (seed, samples, shards)
@@ -27,27 +28,26 @@ def default_workers():
 
 
 @dataclass
-class MCEstimate:
+class Estimate:
+    """An integral's estimate, whatever computed it: its value, the error
+    estimate stderr, the method ("monte-carlo" or "quadrature") and that
+    method's diagnostics, in report order.  A Monte Carlo estimate also
+    keeps its shard means (bit for bit, for the determinism checks)."""
     value: float
     stderr: float
-    samples: int
-    seed: int
-    shards: int
-    rejected: int = 0
+    method: str
+    diagnostics: dict
     shard_means: tuple = field(default=(), repr=False)
 
     def __post_init__(self):
         if not np.isfinite(self.value):
-            raise ValueError("Monte Carlo produced a non-finite value")
+            raise ValueError(f"{self.method} produced a non-finite value")
         if self.stderr < 0:
             raise ValueError("negative standard error")
 
     def as_dict(self):
-        return {"method": "monte-carlo", "value": self.value,
-                "stderr": self.stderr, "samples": self.samples,
-                "seed": self.seed, "shards": self.shards,
-                "rejected": self.rejected,
-                "rejection_rate": self.rejected / self.samples if self.samples else 0.0}
+        return {"method": self.method, "value": self.value,
+                "stderr": self.stderr, **self.diagnostics}
 
 
 class _Kahan:
@@ -80,7 +80,7 @@ def check_counts(samples, shards, workers):
 
 
 def run_sharded(batch_fn, samples, seed, shards=None,
-                workers=None) -> MCEstimate:
+                workers=None) -> Estimate:
     """Estimate the mean of the weights produced by batch_fn.
 
     batch_fn(rng, count) returns (weights, rejected_count) with weights an
@@ -119,9 +119,12 @@ def run_sharded(batch_fn, samples, seed, shards=None,
     value = float(np.mean(means))
     stderr = float(np.sqrt(np.sum((means - value) ** 2)
                            / (shards * (shards - 1))))
-    return MCEstimate(value=value, stderr=stderr, samples=per_shard * shards,
-                      seed=seed, shards=shards, rejected=rejected,
-                      shard_means=tuple(means.tolist()))
+    samples = per_shard * shards
+    return Estimate(value, stderr, "monte-carlo",
+                    {"samples": samples, "seed": seed, "shards": shards,
+                     "rejected": rejected,
+                     "rejection_rate": rejected / samples},
+                    shard_means=tuple(means.tolist()))
 
 
 def combined_stderr(*estimates):

@@ -120,7 +120,8 @@ def test_05_round_unknot_tripod():
                             samples=2 * 10 ** 6, seed=5)
     ok = abs(est.value - 0.125) < 0.01
     report(5, ok, f"I_O(tripod) = {est.value:.5f} ± {est.stderr:.5f} "
-                  f"(target 0.125 ± 0.01 at {est.samples} samples)")
+                  f"(target 0.125 ± 0.01 at "
+                  f"{est.diagnostics['samples']} samples)")
 
 
 def test_06_v2_values():

@@ -3,6 +3,7 @@ import pytest
 from test_integrate import assert_fold_matches, folded_and_full
 
 from cslinks import anomaly
+from cslinks.algebra import ClassVector, reduction
 from cslinks.anomaly import (LINE_CATALOG, WGeometry, WSampler,
                              anomaly_alpha, degree3_region_predicates,
                              disc_integral, f_gamma, framing_report,
@@ -12,7 +13,10 @@ from cslinks.anomaly import (LINE_CATALOG, WGeometry, WSampler,
                              symmetry_check_central, symmetry_check_s1_even,
                              w_integrand_batch)
 from cslinks.curves import CATALOG_NAMES, catalog
+from cslinks.diagrams import automorphism_count, canonical_oriented
 from cslinks.errors import EmbeddingError
+from cslinks.integrate import has_trivalent_triangle
+from cslinks.support import R1
 
 
 class TestGauge:
@@ -94,13 +98,39 @@ class TestAlpha:
         err = np.hypot(ests["a1"].stderr, ests["a3"].stderr)
         assert all(abs(c) <= 3 * err for c in series[3].terms.values())
 
+    def test_triangle_classes_not_sampled(self, monkeypatch):
+        integrated = []
+        oracle = anomaly.f_gamma
+
+        def spy(od, **kwargs):
+            integrated.append(od.diagram)
+            return oracle(od, **kwargs)
+
+        monkeypatch.setattr(anomaly, "f_gamma", spy)
+        samples, seed = 2 * 10 ** 4, 0
+        series, ests = anomaly_alpha(3, samples=samples, seed=seed)
+        assert integrated
+        assert not any(has_trivalent_triangle(d) for d in integrated)
+        # α₃ with the wheel sampled as before (its seed offset is 3)
+        wheel = line_diagram_catalog("w3")
+        f_w3 = oracle(wheel, samples=samples, seed=seed + 101 * 3 + 3)
+        key, sign = canonical_oriented(wheel)
+        term = ClassVector(R1, 3, {key: sign * f_w3.value
+                                   / (2 * automorphism_count(wheel.diagram))})
+        sampled = series[3] + reduction(R1, 3).reduce(term)
+        err = np.sqrt(sum(ests[g].stderr ** 2 for g in ("a1", "a2", "a3"))
+                      + f_w3.stderr ** 2)
+        for k in set(series[3].terms) | set(sampled.terms):
+            assert abs(series[3].terms.get(k, 0.0)
+                       - sampled.terms.get(k, 0.0)) <= 3 * err
+
 
 class TestDisc:
     def test_round_circle_half(self):
         d = disc_integral(catalog("unknot-round"))
         assert d.value == pytest.approx(0.5, abs=1e-9)
-        assert d.error < 1e-9
-        assert d.samples == anomaly.DISC_SAMPLES == 20000
+        assert d.stderr < 1e-9
+        assert d.diagnostics["grid"] == anomaly.DISC_SAMPLES == 20000
 
     def test_base_point_changes_by_integer(self):
         c = catalog("unknot-round")

@@ -292,7 +292,12 @@ class TestBadDegree:
         def refused(*args, **kwargs):
             raise AssertionError("an integral ran for a negative degree")
 
-        monkeypatch.setattr(invariants, "integrate_diagram", refused)
+        # every integral z0_series and lattice_check run is reached through
+        # one of these names
+        for module, name in ((integrate, "integrate_diagram"),
+                             (integrate, "chord_quadrature"),
+                             (invariants, "chord_quadrature")):
+            monkeypatch.setattr(module, name, refused)
         assert cli.main(["invariant", which, "--curve", "unknot-round",
                          "--degree", "-1", "--samples", "1e3"]) == 2
         out, err = capsys.readouterr()

@@ -15,7 +15,7 @@ from cslinks.integrate import (ConfigurationSampler, DiagramGeometry,
                                has_trivalent_triangle, integrand_at,
                                integrand_batch, integrate_diagram,
                                sphere_frames, univalent_jets, z_n)
-from cslinks.mc import BATCH, MCEstimate
+from cslinks.mc import BATCH, Estimate
 from cslinks.support import circles
 
 
@@ -276,7 +276,7 @@ class TestFold:
 
         def fake(od, curve, samples, seed, shards, workers):
             integrated.append(od.diagram)
-            return MCEstimate(0.0, 0.0, samples, seed, 2)
+            return Estimate(0.0, 0.0, "monte-carlo", {})
 
         monkeypatch.setattr(integrate, "integrate_diagram", fake)
         z_n(catalog("trefoil"), 3, samples=100)
@@ -452,7 +452,7 @@ class TestChordQuadrature:
     def test_error_estimate_covers_finest_grid(self, od, curve, name,
                                                monkeypatch):
         est = chord_quadrature(od, curve)
-        assert est.grid >= integrate.QUADRATURE_GRID
+        assert est.diagnostics["grid"] >= integrate.QUADRATURE_GRID
         assert est.stderr <= integrate.QUADRATURE_TOL
         monkeypatch.setattr(integrate, "QUADRATURE_TOL", 0.0)
         finest = chord_quadrature(od, curve)
@@ -499,7 +499,7 @@ class TestChordQuadrature:
         comps = len({od.diagram.component_of(v) for v in od.diagram.univalent})
         assert curve.points == diameter_points \
             + comps * integrate.QUADRATURE_MAX_GRID
-        assert sum(blocks) == pairs(est.grid)
+        assert sum(blocks) == pairs(est.diagnostics["grid"])
         assert max(blocks) <= BATCH
 
     def test_one_chord_only(self):
@@ -508,12 +508,14 @@ class TestChordQuadrature:
 
     def test_report_fields(self):
         d = chord_quadrature(hopf_chord(), catalog("hopf-link")).as_dict()
+        assert list(d) == ["method", "value", "stderr", "grid"]
         assert d["method"] == "quadrature"
         assert d["value"] == pytest.approx(1.0, abs=1e-12)
         assert d["grid"] == integrate.QUADRATURE_GRID
         mc = integrate_diagram(hopf_chord(), catalog("hopf-link"),
                                samples=64, shards=2)
         assert mc.as_dict()["method"] == "monte-carlo"
+        assert list(mc.as_dict())[:3] == ["method", "value", "stderr"]
 
 
 class TestTracePatchPoints:

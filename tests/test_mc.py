@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
 
-from cslinks.mc import (MCEstimate, combined_stderr, default_workers,
+from cslinks.anomaly import disc_integral, f_gamma
+from cslinks.curves import catalog
+from cslinks.diagrams import THETA, std_oriented
+from cslinks.integrate import chord_quadrature, integrate_diagram
+from cslinks.invariants import self_linking
+from cslinks.mc import (Estimate, combined_stderr, default_workers,
                         run_sharded, shard_stream)
 
 
@@ -42,16 +47,17 @@ class TestEstimates:
 
     def test_sample_accounting(self):
         est = run_sharded(weight_batch, 1000, seed=0, shards=16)
-        assert est.samples == 16 * 63  # ceil(1000/16) = 63 per shard
+        # ceil(1000/16) = 63 per shard
+        assert est.diagnostics["samples"] == 16 * 63
 
     def test_nonfinite_rejected(self):
         with pytest.raises(ValueError):
-            MCEstimate(value=float("nan"), stderr=0.0, samples=1, seed=0,
-                       shards=1)
+            Estimate(value=float("nan"), stderr=0.0, method="monte-carlo",
+                     diagnostics={"samples": 1, "seed": 0, "shards": 1})
 
     def test_combined(self):
-        a = MCEstimate(1.0, 0.3, 1, 0, 1)
-        b = MCEstimate(1.0, 0.4, 1, 0, 1)
+        a = Estimate(1.0, 0.3, "monte-carlo", {})
+        b = Estimate(1.0, 0.4, "quadrature", {})
         assert abs(combined_stderr(a, b) - 0.5) < 1e-12
 
     def test_rejection_counting(self):
@@ -60,7 +66,48 @@ class TestEstimates:
             return np.where(w < 0.5, 0.0, w), int(np.sum(w < 0.5))
 
         est = run_sharded(rej_batch, 10 ** 4, seed=1, shards=4)
-        assert 0.4 < est.rejected / est.samples < 0.6
+        diag = est.diagnostics
+        assert 0.4 < diag["rejected"] / diag["samples"] < 0.6
+
+
+MC_FIELDS = ["samples", "seed", "shards", "rejected", "rejection_rate"]
+
+# every integral entry point, the method it reports and its diagnostics
+ENTRY_POINTS = {
+    "run_sharded": (lambda: run_sharded(weight_batch, 64, seed=0, shards=2),
+                    "monte-carlo", MC_FIELDS),
+    "integrate_diagram": (
+        lambda: integrate_diagram(std_oriented(THETA), catalog("trefoil"),
+                                  samples=64, shards=2),
+        "monte-carlo", MC_FIELDS),
+    "f_gamma": (lambda: f_gamma("theta", samples=64, shards=2),
+                "monte-carlo", MC_FIELDS),
+    "chord_quadrature": (
+        lambda: chord_quadrature(std_oriented(THETA), catalog("trefoil")),
+        "quadrature", ["grid"]),
+    "self_linking": (lambda: self_linking(catalog("hopf-link"), 1),
+                     "quadrature", ["grid"]),
+    "disc_integral": (lambda: disc_integral(catalog("trefoil")),
+                      "quadrature", ["grid", "base_point"]),
+}
+
+
+class TestOneRecord:
+    @pytest.mark.parametrize("name", ENTRY_POINTS)
+    def test_entry_points_return_estimate(self, name):
+        call, method, fields = ENTRY_POINTS[name]
+        est = call()
+        assert type(est) is Estimate
+        d = est.as_dict()
+        assert list(d) == ["method", "value", "stderr"] + fields
+        assert d["method"] == est.method == method
+        assert (d["value"], d["stderr"]) == (est.value, est.stderr)
+
+    @pytest.mark.parametrize("value, stderr", [
+        (float("nan"), 0.0), (float("inf"), 0.0), (1.0, -1e-9)])
+    def test_quadrature_record_checked(self, value, stderr):
+        with pytest.raises(ValueError):
+            Estimate(value, stderr, "quadrature", {})
 
 
 class TestDefaults:
@@ -69,7 +116,7 @@ class TestDefaults:
         monkeypatch.setenv("CSLINKS_SHARDS", "4")
         monkeypatch.setenv("CSLINKS_WORKERS", "3")
         est = run_sharded(weight_batch, 1600, seed=0, shards=None)
-        assert est.shards == 16 and len(est.shard_means) == 16
+        assert est.diagnostics["shards"] == 16 and len(est.shard_means) == 16
         assert default_workers() == 1
 
 
