@@ -1,10 +1,10 @@
 """Configuration space integrals for links in R^3.
 
 Combinatorics and exact algebra of Jacobi diagrams, Monte Carlo evaluation
-of the Gauss-type configuration space integrals (quadrature for a single
-chord), the anomaly and framing corrections, and the assembled invariants
-(linking number, self-linking, the degree-2 invariant, the corrected
-series Z0).
+of the Gauss-type configuration space integrals (quadrature for one chord
+and for two chords on one circle), the anomaly and framing corrections,
+and the assembled invariants (linking number, self-linking, the degree-2
+invariant, the corrected series Z0).
 """
 
 from .curves import LinkCurve, catalog, validate_embedding
@@ -18,7 +18,7 @@ from .algebra import (ClassVector, LabelledDiagram, Series, beta,
                       insert, lattice_generators, product, quotient_A_n_k,
                       reduce_to_basis)
 from .integrate import (chord_quadrature, gauss_kernel, integrate_diagram,
-                        integrand_at, z_n)
+                        integrand_at, two_chord_quadrature, z_n)
 from .anomaly import (anomaly_alpha, degree3_region_predicates, disc_integral,
                       f_gamma, framing_report, symmetry_check_central,
                       symmetry_check_s1_even)

@@ -19,8 +19,6 @@ import sys
 import time
 from pathlib import Path
 
-import numpy as np
-
 from . import algebra, anomaly, diagram_io, invariants
 from .curves import CATALOG_NAMES, LinkCurve, catalog, validate_embedding
 from .diagrams import degree as diagram_degree
@@ -92,14 +90,6 @@ def _fmt(v):
     if isinstance(v, float):
         return f"{v:.6g}"
     return str(v)
-
-
-def _coerce(obj):
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, frozenset):
-        return sorted(obj)
-    return str(obj)
 
 
 def _keyed(terms):
@@ -351,11 +341,13 @@ def main(argv=None):
     try:
         report, code = args.func(args)
         report["wall_time_s"] = round(time.time() - started, 3)
+        # serialised before anything is written, so that a value JSON
+        # cannot hold fails the command instead of printing half a report
+        text = json.dumps(report, indent=1)
         if getattr(args, "table", False):
             _print_table(report)
         else:
-            json.dump(report, sys.stdout, indent=1, default=_coerce)
-            sys.stdout.write("\n")
+            sys.stdout.write(text + "\n")
         return code
     except (DiagramError, EmbeddingError, KeyError, OSError,
             ValueError) as exc:

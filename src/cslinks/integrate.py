@@ -1,6 +1,6 @@
 """Evaluation of the configuration space integrals I_L(Γ), by Monte Carlo
-and, for a single chord, by quadrature; and the configuration-space kernel
-that the anomaly integrals share.
+and, for one chord or two chords on one circle, by quadrature; and the
+configuration-space kernel that the anomaly integrals share.
 
 The integrand is the density of the pulled-back product of unit-area sphere
 forms against the coordinate volume of the configuration space: a square
@@ -18,8 +18,11 @@ diagram none.  A trivalent vertex moves freely in R^3, so its three
 columns take the components of each of its edge rows as they stand.
 
 chord_quadrature sums the same integrand over a grid on the torus of the
-chord's two circle parameters; integrate_diagram samples it and stays the
-oracle for every diagram, a chord included.
+chord's two circle parameters.  Two chords on one circle factor into two
+Gauss kernels (chord_sign), so two_chord_quadrature sums their products
+over the ordered grid quadruples from one kernel matrix.  integrate_diagram
+samples the integrand and stays the oracle for every diagram, the chord
+diagrams included.
 
 The kernel has three parts, used by both the closed-link integrals here and
 the anomaly integrals over W(γ): KernelGeometry (columns, placement order,
@@ -52,6 +55,7 @@ COLLISION_TOL = 1e-6     # edges shorter than this times the curve diameter
 QUADRATURE_GRID = 256    # chord_quadrature's first grid (points per circle),
 QUADRATURE_MAX_GRID = 4096   # its finest grid,
 QUADRATURE_TOL = 1e-6    # and the change of its estimate that ends refinement
+TWO_CHORD_GRID = 512     # two_chord_quadrature's grid (points per circle)
 
 
 def gauss_kernel(curve: LinkCurve, a, b):
@@ -62,13 +66,16 @@ def gauss_kernel(curve: LinkCurve, a, b):
     """
     m1, s = a
     m2, t = b
-    x, dx = curve.jet(m1, s)
-    y, dy = curve.jet(m2, t)
+    return _gauss(*curve.jet(m1, s), *curve.jet(m2, t))
+
+
+def _gauss(x, dx, y, dy):
+    """gauss_kernel from the points and velocities of the two ends."""
     diff = y - x
     r = np.linalg.norm(diff, axis=-1)
     if np.any(r < 1e-12):
         raise SamplingError("coincident curve points in gauss_kernel")
-    num = np.sum(np.cross(dx, dy) * diff, axis=-1)
+    num = np.sum(_cross(dx, dy) * diff, axis=-1)
     return num / (4 * np.pi * r ** 3)
 
 
@@ -330,6 +337,24 @@ def jacobian_values(geo: KernelGeometry, pos, tangents, tol):
     return np.where(rejected, 0.0, values), rejected
 
 
+def chord_sign(geo: KernelGeometry):
+    """For a diagram of chords only, the sign c with integrand = c * the
+    product over its chords (p, q) of gauss_kernel(p, q).
+
+    A chord's factor in jacobian_values is d . (a x b) over its two ends'
+    signed velocities a (the folded end) and b; the ends enter with
+    opposite signs, so it is -e_p e_q 4 pi gauss_kernel(p, q), e the
+    vertex orientations, when p is the folded end and +e_p e_q 4 pi
+    gauss_kernel(p, q) when q is."""
+    sign = geo.sign * geo.fold_sign
+    for ei, _ in geo.chords:
+        p, q = geo.edges[ei]
+        folded_end = geo.jacobian_columns[geo.folded[ei]][1]
+        sign *= geo.univ_sign[p] * geo.univ_sign[q] * (
+            -1 if folded_end == p else 1)
+    return sign
+
+
 class DiagramGeometry(KernelGeometry):
     """Kernel geometry of a closed-link diagram on a curve.
 
@@ -535,6 +560,96 @@ def chord_quadrature(od: OrientedDiagram, curve: LinkCurve) -> Estimate:
         n *= 2
 
 
+def two_chords_on_one_circle(d) -> bool:
+    """Whether the diagram is two chords with all four ends on one circle:
+    the crossed and parallel classes of a knot, or the self-chord classes
+    of one link component."""
+    return (not d.trivalent and len(d.edges) == 2
+            and any(len(comp) == 4 for comp in d.placements))
+
+
+def _kernel_triangle(curve: LinkCurve, m, n):
+    """The Gauss kernel of component m on the n-point grid t_i = 2 pi i / n:
+    the n x n matrix of gauss_kernel((m, t_i), (m, t_j)) for i < j, zero on
+    and below the diagonal, filled a row at a time."""
+    x, dx = curve.jet(m, np.arange(n) * (2 * np.pi / n))
+    upper = np.zeros((n, n))
+    for i in range(n - 1):
+        upper[i, i + 1:] = _gauss(x[i], dx[i], x[i + 1:], dx[i + 1:])
+    return upper
+
+
+def _ordered_pair_sums(upper):
+    """The sums over grid quadruples a < b < c < d of G[a, x] G[y, z] for
+    the three ways to pair the slots, keyed by slot 0's partner: 1
+    (adjacent, G[a, b] G[c, d]), 2 (interleaved, G[a, c] G[b, d]) and 3
+    (nested, G[a, d] G[b, c]).  G = upper + upper.T is symmetric with a
+    zero diagonal.
+
+    Each is one O(n^2) contraction against the summed-area table Q of G,
+    Q[i, j] = the sum of G[:i + 1, :j + 1], which is symmetric: the inner
+    sum, once the first chord is fixed, is a rectangle of G (interleaved:
+    b in (a, c), d > c) or, halved, a square (nested: b, c in (a, d);
+    adjacent: c, d > b), each a corner combination of Q.  The corners that
+    depend on one end of the first chord only contract against the row
+    and column sums of the upper triangle."""
+    q = upper + upper.T
+    np.cumsum(q, axis=0, out=q)
+    np.cumsum(q, axis=1, out=q)
+    rows, cols = upper.sum(axis=1), upper.sum(axis=0)
+    diag, last = np.diagonal(q), q[-1]
+    # Q[n-1, c-1] - Q[c, c-1] - Q[n-1, a] + Q[a, c]
+    interleaved = (np.einsum("ij,ij->", upper, q) - rows @ last
+                   + cols[1:] @ (last[:-1] - np.diagonal(q, -1)))
+    # (Q[d-1, d-1] + Q[a, a]) / 2 - Q[a, d-1]
+    nested = (0.5 * (cols[1:] @ diag[:-1] + rows @ diag)
+              - np.einsum("ij,ij->", upper[:, 1:], q[:, :-1]))
+    # (Q[n-1, n-1] + Q[b, b]) / 2 - Q[b, n-1]
+    adjacent = cols @ (0.5 * (last[-1] + diag) - last)
+    return {1: adjacent, 2: interleaved, 3: nested}
+
+
+def two_chord_quadrature(od: OrientedDiagram, curve: LinkCurve) -> Estimate:
+    """The integral of a diagram of two chords on one circle by quadrature
+    on the grid t_i = 2 pi i / N, N = TWO_CHORD_GRID.
+
+    The integrand is chord_sign times a product of two Gauss kernels, so
+    one kernel matrix G of the circle serves every configuration.  The
+    sampler's cyclic class is the union of its four rotations over the
+    simplex a < b < c < d (density (k-1)!/(2 pi)^k, k = 4): rotation r puts
+    the placement's j-th vertex in slot (r + j) mod 4, and the chords then
+    pair the slots in one of three patterns (_ordered_pair_sums).  The
+    strict sum S(N) h^4, h = 2 pi / N, leaves out the ties, so it is O(h);
+    on the nested grids N/8, N/4, N/2, N (every 8th, 4th, 2nd point of the
+    same G), R1(N) = 2 S(N) - S(N/2) is O(h^2) and the estimate
+    R2(N) = (4 R1(N) - R1(N/2)) / 3 is O(h^3).  stderr is its last move,
+    |R2(N) - R2(N/2)|, or the sum's rounding error where that is larger;
+    the record's grid is N.
+    """
+    d = od.diagram
+    if not two_chords_on_one_circle(d):
+        raise DiagramError(
+            "two_chord_quadrature takes two chords on one circle")
+    sign = chord_sign(DiagramGeometry(od, curve))
+    comp, = (c for c in d.placements if c)
+    partner = {v: w for e in d.edges for v, w in (tuple(e), tuple(e)[::-1])}
+    # the placement vertex in slot 0 under rotation r is comp[-r % 4]
+    patterns = [(r + comp.index(partner[comp[-r % 4]])) % 4 for r in range(4)]
+    upper = _kernel_triangle(curve, d.component_of(comp[0]), TWO_CHORD_GRID)
+    h = 2 * np.pi / TWO_CHORD_GRID
+    rules = []
+    for step in (8, 4, 2, 1):
+        sums = _ordered_pair_sums(upper[::step, ::step])
+        rules.append((step * h) ** 4 * sum(sums[p] for p in patterns))
+    first = [2 * b - a for a, b in zip(rules, rules[1:])]
+    second = [(4 * b - a) / 3 for a, b in zip(first, first[1:])]
+    # the four rotations' sums of |G G| are at most 4 (sum of |G|, i < j)^2
+    rounding = np.finfo(float).eps * 4 * (h ** 2 * np.sum(np.abs(upper))) ** 2
+    return Estimate(float(sign * second[-1]),
+                    float(max(abs(second[-1] - second[-2]), rounding)),
+                    "quadrature", {"grid": TWO_CHORD_GRID})
+
+
 def has_trivalent_triangle(d) -> bool:
     """Whether three trivalent vertices are pairwise joined.  The integrand
     of such a diagram vanishes at every point: the directions of the three
@@ -552,7 +667,9 @@ def z_n(curve: LinkCurve, n: int, k=None, samples=10 ** 6, seed=0,
     float coefficients, a dict basis-key -> standard error propagated
     through the reduction, and the per-diagram-class estimates.  Classes
     with a trivalent triangle are 0 exactly and are not sampled; one-chord
-    classes are computed by chord_quadrature.
+    classes are computed by chord_quadrature and classes of two chords on
+    one circle by two_chord_quadrature.  Every other class, the two-chord
+    classes that span two components included, is sampled.
     """
     support = circles(curve.n_components)
     if n == 0:
@@ -572,6 +689,8 @@ def z_n(curve: LinkCurve, n: int, k=None, samples=10 ** 6, seed=0,
             continue
         if len(d.edges) == 1:
             est = chord_quadrature(od, curve)
+        elif two_chords_on_one_circle(d):
+            est = two_chord_quadrature(od, curve)
         else:
             est = integrate_diagram(od, curve, samples=samples,
                                     seed=seed + 7919 * idx,

@@ -8,7 +8,7 @@ from cslinks.anomaly import (LINE_CATALOG, WGeometry, WSampler,
                              anomaly_alpha, degree3_region_predicates,
                              disc_integral, f_gamma, framing_report,
                              is_square, line_diagram_catalog, psi_image_a1,
-                             psi_image_a3, region_of,
+                             psi_image_a3,
                              square_substitution_invariant,
                              symmetry_check_central, symmetry_check_s1_even,
                              w_integrand_batch)

@@ -2,12 +2,14 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from cslinks import cli, integrate, invariants
 from cslinks.curves import catalog, validate_embedding
 from cslinks.diagram_io import serialize_diagram
 from cslinks.diagrams import std_oriented, tripod_positive
+from cslinks.mc import Estimate
 
 
 def run_cli(*args):
@@ -161,6 +163,24 @@ class TestMonteCarloCommands:
         assert fields["shards"] == "16" and fields["workers"] == "1"
         assert float(fields["wall_time_s"]) >= 0
 
+    @pytest.mark.parametrize("table", [[], ["--table"]], ids=["json", "table"])
+    @pytest.mark.parametrize("value", [
+        Estimate(1.0, 0.0, "quadrature", {}), np.arange(3), {1, 2}],
+        ids=["record", "array", "set"])
+    def test_unserialisable_report_raises(self, value, table, monkeypatch,
+                                          capsys):
+        # a value JSON cannot hold is a bug: it fails before any output,
+        # rather than reaching the report as a string
+        def linking(curve, m1, m2):
+            return {"estimate": Estimate(1.0, 0.0, "quadrature", {}),
+                    "integer": value, "residual": 0.0, "oracle": 1,
+                    "warning": None}
+
+        monkeypatch.setattr(invariants, "linking_number", linking)
+        with pytest.raises(TypeError):
+            cli.main(["invariant", "linking", "--curve", "hopf-link"] + table)
+        assert capsys.readouterr().out == ""
+
 
 def one_line_input_error(r, *words):
     assert r.returncode == 2
@@ -296,6 +316,7 @@ class TestBadDegree:
         # one of these names
         for module, name in ((integrate, "integrate_diagram"),
                              (integrate, "chord_quadrature"),
+                             (integrate, "two_chord_quadrature"),
                              (invariants, "chord_quadrature")):
             monkeypatch.setattr(module, name, refused)
         assert cli.main(["invariant", which, "--curve", "unknot-round",

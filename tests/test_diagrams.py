@@ -7,7 +7,7 @@ from cslinks.diagrams import (THETA, Diagram, _compositions,
                               _rotated_umaps, is_connected,
                               canonical_diagram, canonical_form,
                               canonical_maps, degree, enumerate_diagrams,
-                              automorphism_count, edge_counts,
+                              automorphism_count,
                               half_edge_count_check, is_principal,
                               is_subprincipal, quotient_diagram, std_oriented,
                               canonical_oriented, tripod)

@@ -1,3 +1,4 @@
+from itertools import combinations
 from math import factorial
 
 import numpy as np
@@ -6,15 +7,16 @@ import pytest
 from cslinks import anomaly, integrate
 from cslinks.anomaly import WGeometry, WSampler, f_gamma, line_diagram_catalog
 from cslinks.curves import LinkCurve, catalog
-from cslinks.diagrams import (THETA, Diagram, enumerate_diagrams,
-                              is_subprincipal, std_oriented, tripod,
-                              tripod_positive)
+from cslinks.diagrams import (THETA, Diagram, canonical_oriented,
+                              enumerate_diagrams, is_subprincipal,
+                              std_oriented, tripod, tripod_positive)
 from cslinks.errors import DiagramError
 from cslinks.integrate import (ConfigurationSampler, DiagramGeometry,
-                               chord_quadrature, gauss_kernel,
+                               chord_quadrature, chord_sign, gauss_kernel,
                                has_trivalent_triangle, integrand_at,
                                integrand_batch, integrate_diagram,
-                               sphere_frames, univalent_jets, z_n)
+                               sphere_frames, two_chord_quadrature,
+                               univalent_jets, z_n)
 from cslinks.mc import BATCH, Estimate
 from cslinks.support import circles
 
@@ -516,6 +518,105 @@ class TestChordQuadrature:
                                samples=64, shards=2)
         assert mc.as_dict()["method"] == "monte-carlo"
         assert list(mc.as_dict())[:3] == ["method", "value", "stderr"]
+
+
+TWO_CHORD_CASES = [
+    pytest.param(chords(), name, id=f"{chords.__name__[:-6]}-{name}")
+    for name in ("trefoil", "trefoil-alt", "figure8",
+                 "unknot-planar-perturbed", "trefoil-framed")
+    for chords in (crossed_chord, parallel_chord)]
+
+
+class TestTwoChordQuadrature:
+    @pytest.mark.parametrize("od, sign", [
+        (crossed_chord(), 1), (parallel_chord(), 1),
+        (crossed_chord().flip_vertex(0), -1),
+        (parallel_chord().flip_vertex(3), -1)],
+        ids=["crossed", "parallel", "crossed-flipped", "parallel-flipped"])
+    def test_integrand_is_product_of_grid_kernels(self, od, sign):
+        # on grid quadruples, the integrand is chord_sign times the two
+        # chords' entries of the kernel matrix the quadrature sums
+        curve = catalog("trefoil")
+        n = 64
+        upper = integrate._kernel_triangle(curve, 0, n)
+        kernel = upper + upper.T
+        geo = DiagramGeometry(od, curve)
+        rng = np.random.default_rng(5)
+        idx = np.array([rng.choice(n, 4, replace=False) for _ in range(2000)])
+        values, rejected = integrand_batch(
+            geo, *univalent_jets(geo, idx * (2 * np.pi / n)),
+            np.empty((len(idx), 0, 3)))
+        product = sign * np.prod(
+            [kernel[idx[:, geo.univ.index(p)], idx[:, geo.univ.index(q)]]
+             for p, q in geo.edges], axis=0)
+        assert not np.any(rejected)
+        assert chord_sign(geo) == sign
+        assert np.max(np.abs(values - product)) \
+            <= 1e-12 * np.max(np.abs(product))
+
+    def test_pair_sums_match_direct_sums(self):
+        rng = np.random.default_rng(6)
+        n = 13
+        upper = np.triu(rng.normal(size=(n, n)), 1)
+        g = upper + upper.T
+        direct = {1: 0.0, 2: 0.0, 3: 0.0}
+        for a, b, c, d in combinations(range(n), 4):
+            direct[1] += g[a, b] * g[c, d]
+            direct[2] += g[a, c] * g[b, d]
+            direct[3] += g[a, d] * g[b, c]
+        sums = integrate._ordered_pair_sums(upper)
+        assert sums == pytest.approx(direct, rel=1e-12, abs=1e-12)
+
+    @pytest.mark.parametrize("od, name", TWO_CHORD_CASES)
+    def test_matches_monte_carlo(self, od, name):
+        curve = catalog(name)
+        est = two_chord_quadrature(od, curve)
+        mc = integrate_diagram(od, curve, samples=10 ** 6, seed=1)
+        assert abs(est.value - mc.value) <= 3 * mc.stderr
+
+    @pytest.mark.parametrize("od, name", TWO_CHORD_CASES)
+    def test_error_estimate_covers_finer_grid(self, od, name, monkeypatch):
+        curve = catalog(name)
+        est = two_chord_quadrature(od, curve)
+        monkeypatch.setattr(integrate, "TWO_CHORD_GRID", 2048)
+        finer = two_chord_quadrature(od, curve)
+        assert (est.diagnostics["grid"], finer.diagnostics["grid"]) \
+            == (512, 2048)
+        assert est.stderr >= abs(est.value - finer.value)
+
+    def test_planar_circle_exactly_zero(self):
+        for od in (crossed_chord(), parallel_chord()):
+            est = two_chord_quadrature(od, catalog("unknot-round"))
+            assert est.value == 0.0 and est.stderr == 0.0
+
+    @pytest.mark.parametrize("od, name", [
+        (std_oriented(tripod()), "trefoil"),
+        (std_oriented(THETA), "trefoil"),
+        (std_oriented(Diagram(circles(2), ((0, 1), (2, 3)), frozenset(),
+                              fs((0, 2), (1, 3)))), "hopf-link")],
+        ids=["tripod", "one-chord", "two-components"])
+    def test_two_chords_on_one_circle_only(self, od, name):
+        with pytest.raises(DiagramError):
+            two_chord_quadrature(od, catalog(name))
+
+    @pytest.mark.parametrize("name, kinds", [
+        ("trefoil", {(True, True), (False, False)}),
+        ("hopf-link", {(True, True), (True, False), (False, False)})])
+    def test_z_n_methods(self, name, kinds):
+        # kind: (only chords, all ends on one circle); one-circle two-chord
+        # classes by quadrature, the tripod and the two-chord classes that
+        # span two components by Monte Carlo
+        curve = catalog(name)
+        _, _, ests = z_n(curve, 2, samples=2000)
+        seen = set()
+        for d in enumerate_diagrams(circles(curve.n_components), 2):
+            key, _ = canonical_oriented(std_oriented(d))
+            if key in ests:
+                kind = (not d.trivalent, max(map(len, d.placements)) == 4)
+                assert ests[key].method == ("quadrature" if all(kind)
+                                            else "monte-carlo")
+                seen.add(kind)
+        assert seen == kinds
 
 
 class TestTracePatchPoints:

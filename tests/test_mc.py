@@ -3,11 +3,13 @@ import pytest
 
 from cslinks.anomaly import disc_integral, f_gamma
 from cslinks.curves import catalog
-from cslinks.diagrams import THETA, std_oriented
-from cslinks.integrate import chord_quadrature, integrate_diagram
+from cslinks.diagrams import THETA, Diagram, std_oriented
+from cslinks.integrate import (chord_quadrature, integrate_diagram,
+                               two_chord_quadrature)
 from cslinks.invariants import self_linking
 from cslinks.mc import (Estimate, combined_stderr, default_workers,
                         run_sharded, shard_stream)
+from cslinks.support import circles
 
 
 def weight_batch(rng, count):
@@ -85,6 +87,13 @@ ENTRY_POINTS = {
     "chord_quadrature": (
         lambda: chord_quadrature(std_oriented(THETA), catalog("trefoil")),
         "quadrature", ["grid"]),
+    "two_chord_quadrature": (
+        lambda: two_chord_quadrature(
+            std_oriented(Diagram(circles(1), ((0, 1, 2, 3),), frozenset(),
+                                 frozenset({frozenset((0, 2)),
+                                            frozenset((1, 3))}))),
+            catalog("trefoil")),
+        "quadrature", ["grid"]),
     "self_linking": (lambda: self_linking(catalog("hopf-link"), 1),
                      "quadrature", ["grid"]),
     "disc_integral": (lambda: disc_integral(catalog("trefoil")),
@@ -102,6 +111,8 @@ class TestOneRecord:
         assert list(d) == ["method", "value", "stderr"] + fields
         assert d["method"] == est.method == method
         assert (d["value"], d["stderr"]) == (est.value, est.stderr)
+        # plain floats, which the report's json.dumps takes as they are
+        assert type(d["value"]) is float and type(d["stderr"]) is float
 
     @pytest.mark.parametrize("value, stderr", [
         (float("nan"), 0.0), (float("inf"), 0.0), (1.0, -1e-9)])
