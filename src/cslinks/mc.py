@@ -5,6 +5,10 @@ Each shard owns a counter-based random stream keyed by (seed, shard), so the
 full estimate is reproducible bit-for-bit for fixed (seed, samples, shards)
 and independent of how many worker threads execute the shards.  Batch sums
 are Kahan-compensated within a shard; shard results merge in index order.
+Each shard also keeps the second moment of its weights about their mean,
+merged batch by batch (Chan, Golub and LeVeque's pairwise update of
+Welford's), so the error bar sees the spread of the weights themselves and
+not only that of the 16 shard means.
 """
 
 from concurrent.futures import ThreadPoolExecutor
@@ -85,8 +89,14 @@ def run_sharded(batch_fn, samples, seed, shards=None,
 
     batch_fn(rng, count) returns (weights, rejected_count) with weights an
     array of length count (rejected samples contribute weight 0 but stay in
-    the denominator: their limit contribution vanishes).  The error comes
-    from the spread of the shard means; see check_counts.
+    the denominator: their limit contribution vanishes).
+
+    The error is estimated twice: stderr_shards from the spread of the shard
+    means (see check_counts), and stderr_samples from the sample variance of
+    all the weights.  Both are reported, and stderr is the larger.  Heavy-
+    tailed weights (the tripod's) make either one read low on some runs:
+    the shard spread has only shards - 1 degrees of freedom, and the sample
+    variance misses the tail a run did not draw.
     """
     shards = SHARDS if shards is None else shards
     workers = default_workers() if workers is None else workers
@@ -98,15 +108,21 @@ def run_sharded(batch_fn, samples, seed, shards=None,
         acc = _Kahan()
         rejected = 0
         done = 0
+        mean = m2 = 0.0     # running mean and sum of squared deviations
         while done < per_shard:
             b = min(BATCH, per_shard - done)
             w, rej = batch_fn(rng, b)
             if len(w) != b:
                 raise ValueError("batch_fn returned a wrong-sized batch")
-            acc.add(float(np.sum(w)))
+            total = float(np.sum(w))
+            acc.add(total)
+            delta = total / b - mean
+            m2 += (float(np.sum((w - total / b) ** 2))
+                   + delta * delta * done * b / (done + b))
+            mean += delta * b / (done + b)
             rejected += int(rej)
             done += b
-        return acc.total / per_shard, rejected
+        return acc.total / per_shard, m2, rejected
 
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -115,15 +131,21 @@ def run_sharded(batch_fn, samples, seed, shards=None,
         results = [run_shard(i) for i in range(shards)]
 
     means = np.array([r[0] for r in results])
-    rejected = sum(r[1] for r in results)
+    rejected = sum(r[2] for r in results)
     value = float(np.mean(means))
-    stderr = float(np.sqrt(np.sum((means - value) ** 2)
-                           / (shards * (shards - 1))))
+    spread = float(np.sum((means - value) ** 2))
     samples = per_shard * shards
-    return Estimate(value, stderr, "monte-carlo",
+    # the weights' squared deviations about value: within each shard about
+    # its mean, plus each shard mean's offset from value
+    m2 = sum(r[1] for r in results) + per_shard * spread
+    stderr_shards = float(np.sqrt(spread / (shards * (shards - 1))))
+    stderr_samples = float(np.sqrt(m2 / (samples * (samples - 1))))
+    return Estimate(value, max(stderr_shards, stderr_samples), "monte-carlo",
                     {"samples": samples, "seed": seed, "shards": shards,
                      "rejected": rejected,
-                     "rejection_rate": rejected / samples},
+                     "rejection_rate": rejected / samples,
+                     "stderr_shards": stderr_shards,
+                     "stderr_samples": stderr_samples},
                     shard_means=tuple(means.tolist()))
 
 

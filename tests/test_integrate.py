@@ -527,6 +527,35 @@ TWO_CHORD_CASES = [
     for chords in (crossed_chord, parallel_chord)]
 
 
+def circle_and_trefoil():
+    """A two-component link: the round unknot and, far from it, the
+    trefoil, so the two circles' self-chord integrals differ (0 and the
+    trefoil's)."""
+    const, cos, sin = catalog("trefoil").components[0]
+    return LinkCurve([catalog("unknot-round").components[0],
+                      (const + [10.0, 0.0, 0.0], cos, sin)])
+
+
+def second_component_chords(pairs):
+    """Two chords with all four ends on component 1, the vertices placed
+    out of label order, so both the component and the slot patterns come
+    from the placement."""
+    return std_oriented(Diagram(circles(2), ((), (3, 1, 0, 2)), frozenset(),
+                                fs(*pairs)))
+
+
+def curve_named(name):
+    return circle_and_trefoil() if name == "circle+trefoil" else catalog(name)
+
+
+LINK_TWO_CHORD_CASES = [
+    pytest.param(second_component_chords(pairs), name,
+                 id=f"{kind}-{name}-component-1")
+    for kind, pairs in (("crossed", ((3, 0), (1, 2))),
+                        ("parallel", ((3, 1), (0, 2))))
+    for name in ("circle+trefoil", "hopf-link")]
+
+
 class TestTwoChordQuadrature:
     @pytest.mark.parametrize("od, sign", [
         (crossed_chord(), 1), (parallel_chord(), 1),
@@ -567,9 +596,10 @@ class TestTwoChordQuadrature:
         sums = integrate._ordered_pair_sums(upper)
         assert sums == pytest.approx(direct, rel=1e-12, abs=1e-12)
 
-    @pytest.mark.parametrize("od, name", TWO_CHORD_CASES)
+    @pytest.mark.parametrize("od, name",
+                             TWO_CHORD_CASES + LINK_TWO_CHORD_CASES)
     def test_matches_monte_carlo(self, od, name):
-        curve = catalog(name)
+        curve = curve_named(name)
         est = two_chord_quadrature(od, curve)
         mc = integrate_diagram(od, curve, samples=10 ** 6, seed=1)
         assert abs(est.value - mc.value) <= 3 * mc.stderr

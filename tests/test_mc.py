@@ -7,7 +7,7 @@ from cslinks.diagrams import THETA, Diagram, std_oriented
 from cslinks.integrate import (chord_quadrature, integrate_diagram,
                                two_chord_quadrature)
 from cslinks.invariants import self_linking
-from cslinks.mc import (Estimate, combined_stderr, default_workers,
+from cslinks.mc import (BATCH, Estimate, combined_stderr, default_workers,
                         run_sharded, shard_stream)
 from cslinks.support import circles
 
@@ -47,6 +47,34 @@ class TestEstimates:
         assert abs(est.value - 1.0) < 5 * est.stderr
         assert 0 < est.stderr < 0.01
 
+    def test_both_error_estimates(self):
+        # two batches per shard, so the moments merge across batches too
+        samples, shards = 2 * (BATCH + 1000), 2
+        est = run_sharded(weight_batch, samples, seed=4, shards=shards)
+        weights = np.concatenate([
+            weight_batch(rng, b)[0]
+            for rng in (shard_stream(4, k) for k in range(shards))
+            for b in (BATCH, 1000)])
+        diag = est.diagnostics
+        assert diag["stderr_samples"] == pytest.approx(
+            np.std(weights, ddof=1) / np.sqrt(samples), rel=1e-12)
+        assert diag["stderr_shards"] == pytest.approx(
+            np.std(est.shard_means, ddof=1) / np.sqrt(shards), rel=1e-12)
+        assert est.stderr == max(diag["stderr_shards"],
+                                 diag["stderr_samples"])
+
+    def test_error_sees_a_tail_the_shards_miss(self):
+        # one huge weight per shard: the shard means agree, but the weights
+        # do not, and the error bar must say so
+        def spike_batch(rng, count):
+            w = np.zeros(count)
+            w[0] = 1e6
+            return w, 0
+
+        est = run_sharded(spike_batch, 1600, seed=0, shards=16)
+        assert est.diagnostics["stderr_shards"] == 0.0
+        assert est.stderr == est.diagnostics["stderr_samples"] > 1e3
+
     def test_sample_accounting(self):
         est = run_sharded(weight_batch, 1000, seed=0, shards=16)
         # ceil(1000/16) = 63 per shard
@@ -72,7 +100,8 @@ class TestEstimates:
         assert 0.4 < diag["rejected"] / diag["samples"] < 0.6
 
 
-MC_FIELDS = ["samples", "seed", "shards", "rejected", "rejection_rate"]
+MC_FIELDS = ["samples", "seed", "shards", "rejected", "rejection_rate",
+             "stderr_shards", "stderr_samples"]
 
 # every integral entry point, the method it reports and its diagnostics
 ENTRY_POINTS = {
