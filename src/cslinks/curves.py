@@ -28,6 +28,7 @@ class LinkCurve:
 
     def __init__(self, components):
         self.components = []
+        self._jet_coefs = []
         for const, cos, sin in components:
             const = np.asarray(const, dtype=float).reshape(3)
             cos = np.asarray(cos, dtype=float).reshape(-1, 3)
@@ -36,42 +37,39 @@ class LinkCurve:
             cos = np.vstack([cos, np.zeros((h - len(cos), 3))])
             sin = np.vstack([sin, np.zeros((h - len(sin), 3))])
             self.components.append((const, cos, sin))
+            # rows (cos h t, sin h t) interleaved, as a complex array of the
+            # powers e^{iht} views them; columns: the point, the velocity
+            h = np.arange(1, h + 1, dtype=float)[:, None]
+            coef = np.empty((2 * len(cos), 6))
+            coef[0::2, :3], coef[0::2, 3:] = cos, h * sin
+            coef[1::2, :3], coef[1::2, 3:] = sin, -h * cos
+            self._jet_coefs.append(coef)
 
     @property
     def n_components(self):
         return len(self.components)
 
-    def _harmonics(self, m, t):
-        """(h, cos(h t), sin(h t)) over the harmonics h = 1..H of component
-        m, with a trailing axis of length H after the shape of t."""
-        h = np.arange(1, len(self.components[m][1]) + 1, dtype=float)
-        ht = np.multiply.outer(np.asarray(t, dtype=float), h)
-        return h, np.cos(ht), np.sin(ht)
-
-    def _point(self, m, c, s):
-        const, cos, sin = self.components[m]
-        return const + np.tensordot(c, cos, axes=(-1, 0)) \
-            + np.tensordot(s, sin, axes=(-1, 0))
-
-    def _velocity(self, m, h, c, s):
-        _, cos, sin = self.components[m]
-        return np.tensordot(-s * h, cos, axes=(-1, 0)) \
-            + np.tensordot(c * h, sin, axes=(-1, 0))
-
     def eval(self, m, t):
         """Point L_m(t); t may be an array (... , ) giving (... , 3)."""
-        _, c, s = self._harmonics(m, t)
-        return self._point(m, c, s)
+        return self.jet(m, t)[0]
 
     def deriv(self, m, t):
         """Velocity L'_m(t)."""
-        return self._velocity(m, *self._harmonics(m, t))
+        return self.jet(m, t)[1]
 
     def jet(self, m, t):
-        """(L_m(t), L'_m(t)) from one table of harmonics; the same values,
-        bit for bit, as eval and deriv."""
-        h, c, s = self._harmonics(m, t)
-        return self._point(m, c, s), self._velocity(m, h, c, s)
+        """(L_m(t), L'_m(t)): the powers z^h of z = e^{it}, h = 1..H, give
+        cos(ht) and sin(ht) as their real and imaginary parts, and one
+        matmul against the component's coefficients gives both."""
+        coef = self._jet_coefs[m]
+        z = np.exp(1j * np.asarray(t, dtype=float))
+        powers = np.empty(np.shape(z) + (len(coef) // 2,), dtype=complex)
+        if powers.shape[-1]:
+            powers[..., 0] = z
+            for h in range(1, powers.shape[-1]):
+                np.multiply(powers[..., h - 1], z, out=powers[..., h])
+        out = powers.view(float) @ coef
+        return self.components[m][0] + out[..., :3], out[..., 3:]
 
     def tangent(self, m, t):
         """Unit tangent; raises if the immersion degenerates, with the

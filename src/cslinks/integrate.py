@@ -88,6 +88,22 @@ def _cross(a, b):
                      a0 * b1 - a1 * b0], axis=-1)
 
 
+def _norms(x):
+    """The Euclidean norms of the rows of a (count, 3) array."""
+    return np.sqrt(np.einsum("ij,ij->i", x, x))
+
+
+def _det(a):
+    """np.linalg.det over a (count, n, n) stack.  For n = 3 it is the
+    scalar triple product of each matrix's columns, which are contiguous
+    when the stack is a transposed (n, n, count) array."""
+    if a.shape[1:] != (3, 3):
+        return np.linalg.det(a)
+    (x0, y0, z0), (x1, y1, z1), (x2, y2, z2) = a.T
+    return (x0 * (y1 * z2 - z1 * y2) + y0 * (z1 * x2 - x1 * z2)
+            + z0 * (x1 * y2 - y1 * x2))
+
+
 def sphere_frames(directions):
     """Deterministic oriented frames: f1 x f2 = direction (outward).
 
@@ -255,16 +271,15 @@ def propose_trivalent(geo: KernelGeometry, rng, pos, density, scale):
     for v, anchors in geo.placement_order:
         anchor_pos = np.stack([pos[a] for a in anchors], axis=1)
         choice = rng.integers(0, len(anchors), size=count)
-        centers = np.take_along_axis(
-            anchor_pos, choice[:, None, None], axis=1)[:, 0, :]
+        centers = anchor_pos[np.arange(count), choice]
         u = rng.uniform(0.0, 1.0, size=count)
         r = scale * np.tan(0.5 * np.pi * u)
         direc = rng.normal(size=(count, 3))
-        direc /= np.linalg.norm(direc, axis=1, keepdims=True)
+        direc /= _norms(direc)[:, None]
         x = centers + r[:, None] * direc
         q = np.zeros(count)
         for a in anchors:
-            ra = np.maximum(np.linalg.norm(x - pos[a], axis=1), 1e-300)
+            ra = np.maximum(_norms(x - pos[a]), 1e-300)
             q += scale / (2 * np.pi ** 2 * ra ** 2 * (scale ** 2 + ra ** 2))
         q /= len(anchors)
         density *= q
@@ -289,7 +304,7 @@ def jacobian_values(geo: KernelGeometry, pos, tangents, tol):
     diffs, safe = [], []
     for ei, (p, q) in enumerate(geo.edges):
         diff = pos[q] - pos[p]
-        r = np.linalg.norm(diff, axis=1)
+        r = _norms(diff)
         lengths[:, ei] = r
         diffs.append(diff)
         safe.append(np.maximum(r, 1e-300))
@@ -333,7 +348,7 @@ def jacobian_values(geo: KernelGeometry, pos, tangents, tol):
                            / (sign * s * scale))
             for axes, s in geo.ends[i]:
                 M[axes, i] = row.T / (sign * s * scale)
-        values *= np.linalg.det(M.T)
+        values *= _det(M.T)
     return np.where(rejected, 0.0, values), rejected
 
 
@@ -424,6 +439,7 @@ class ConfigurationSampler:
         the proposal density."""
         geo = self.geo
         t_univ = np.empty((count, len(geo.univ)))
+        rows = np.arange(count)
         for ci, comp in enumerate(geo.d.placements):
             k = len(comp)
             if not k:
@@ -431,9 +447,7 @@ class ConfigurationSampler:
             u = np.sort(rng.uniform(0.0, 2 * np.pi, size=(count, k)), axis=1)
             rot = rng.integers(0, k, size=count)
             for j, v in enumerate(comp):
-                idx = (rot + j) % k
-                t_univ[:, geo.univ_index[v]] = np.take_along_axis(
-                    u, idx[:, None], axis=1)[:, 0]
+                t_univ[:, geo.univ_index[v]] = u[rows, (rot + j) % k]
         density = np.full(count, self.univ_density)
         x_univ, v_univ = univalent_jets(geo, t_univ)
         pos = dict(zip(geo.univ, x_univ))
@@ -609,7 +623,8 @@ def _ordered_pair_sums(upper):
     return {1: adjacent, 2: interleaved, 3: nested}
 
 
-def two_chord_quadrature(od: OrientedDiagram, curve: LinkCurve) -> Estimate:
+def two_chord_quadrature(od: OrientedDiagram, curve: LinkCurve,
+                         kernels=None) -> Estimate:
     """The integral of a diagram of two chords on one circle by quadrature
     on the grid t_i = 2 pi i / N, N = TWO_CHORD_GRID.
 
@@ -625,6 +640,9 @@ def two_chord_quadrature(od: OrientedDiagram, curve: LinkCurve) -> Estimate:
     R2(N) = (4 R1(N) - R1(N/2)) / 3 is O(h^3).  stderr is its last move,
     |R2(N) - R2(N/2)|, or the sum's rounding error where that is larger;
     the record's grid is N.
+
+    kernels, when given, is a dict {component: kernel triangle} of the
+    curve that calls share, so that each circle's G is built once.
     """
     d = od.diagram
     if not two_chords_on_one_circle(d):
@@ -635,7 +653,11 @@ def two_chord_quadrature(od: OrientedDiagram, curve: LinkCurve) -> Estimate:
     partner = {v: w for e in d.edges for v, w in (tuple(e), tuple(e)[::-1])}
     # the placement vertex in slot 0 under rotation r is comp[-r % 4]
     patterns = [(r + comp.index(partner[comp[-r % 4]])) % 4 for r in range(4)]
-    upper = _kernel_triangle(curve, d.component_of(comp[0]), TWO_CHORD_GRID)
+    kernels = {} if kernels is None else kernels
+    m = d.component_of(comp[0])
+    if m not in kernels:
+        kernels[m] = _kernel_triangle(curve, m, TWO_CHORD_GRID)
+    upper = kernels[m]
     h = 2 * np.pi / TWO_CHORD_GRID
     rules = []
     for step in (8, 4, 2, 1):
@@ -680,6 +702,7 @@ def z_n(curve: LinkCurve, n: int, k=None, samples=10 ** 6, seed=0,
     estimates = {}
     auts = {}
     vec_terms = {}
+    kernels = {}
     for idx, d in enumerate(enumerate_diagrams(support, n)):
         if not is_subprincipal(d) or has_trivalent_triangle(d):
             continue
@@ -690,7 +713,7 @@ def z_n(curve: LinkCurve, n: int, k=None, samples=10 ** 6, seed=0,
         if len(d.edges) == 1:
             est = chord_quadrature(od, curve)
         elif two_chords_on_one_circle(d):
-            est = two_chord_quadrature(od, curve)
+            est = two_chord_quadrature(od, curve, kernels)
         else:
             est = integrate_diagram(od, curve, samples=samples,
                                     seed=seed + 7919 * idx,

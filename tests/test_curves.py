@@ -29,7 +29,7 @@ class TestEvaluation:
 
     @pytest.mark.parametrize("name", CATALOG_NAMES)
     def test_jet_is_eval_and_deriv(self, name):
-        # one harmonic table gives the same bits as the two evaluations
+        # one jet gives the same bits as the two evaluations
         c = catalog(name)
         rng = np.random.default_rng(4)
         for t in (1.3, rng.uniform(0, 2 * np.pi, 50),
@@ -39,6 +39,38 @@ class TestEvaluation:
                 assert np.array_equal(x, c.eval(m, t))
                 assert np.array_equal(v, c.deriv(m, t))
                 assert x.shape == v.shape == np.shape(t) + (3,)
+
+    @pytest.mark.parametrize("name", CATALOG_NAMES)
+    def test_jet_matches_direct_table(self, name):
+        # the powers of e^{it} against cos(ht), sin(ht) evaluated directly,
+        # to 1e-13 of the coefficient scale, which bounds every coordinate
+        # of the point and of the velocity
+        c = catalog(name)
+        rng = np.random.default_rng(5)
+        for t in (1.3, -99.7, rng.uniform(-7, 7, 50),
+                  rng.uniform(-7, 7, (20, 3)), rng.uniform(-100, 100, 50),
+                  rng.uniform(-100, 100, (20, 3))):
+            for m in range(c.n_components):
+                const, cos, sin = c.components[m]
+                h = np.arange(1, len(cos) + 1)
+                ht = np.multiply.outer(t, h)
+                x = const + np.cos(ht) @ cos + np.sin(ht) @ sin
+                v = (h * np.cos(ht)) @ sin - (h * np.sin(ht)) @ cos
+                scale = np.max(np.abs(const) + h @ (np.abs(cos) + np.abs(sin)))
+                jx, jv = c.jet(m, t)
+                assert jx.shape == jv.shape == np.shape(t) + (3,)
+                assert np.max(np.abs(jx - x)) <= 1e-13 * scale
+                assert np.max(np.abs(jv - v)) <= 1e-13 * scale
+
+    def test_jet_of_constant_component(self):
+        # no harmonics (H = 0): the point is the constant, the velocity 0
+        c = LinkCurve([([1.0, -2.0, 0.5], [], [])])
+        for t in (0.7, np.linspace(-3, 3, 20).reshape(4, 5)):
+            x, v = c.jet(0, t)
+            assert x.shape == v.shape == np.shape(t) + (3,)
+            assert np.array_equal(x, np.broadcast_to([1.0, -2.0, 0.5],
+                                                     x.shape))
+            assert np.array_equal(v, np.zeros(np.shape(t) + (3,)))
 
     def test_tangent_witness_is_first_zero_velocity(self):
         # (cos t, 0, 0) stops at t = 0 and t = pi

@@ -133,14 +133,6 @@ class CountingCurve(LinkCurve):
 
     points = 0
 
-    def eval(self, m, t):
-        self.points += np.size(t)
-        return super().eval(m, t)
-
-    def deriv(self, m, t):
-        self.points += np.size(t)
-        return super().deriv(m, t)
-
     def jet(self, m, t):
         self.points += np.size(t)
         return super().jet(m, t)
@@ -292,7 +284,7 @@ class TestFold:
         def refuse(matrix):
             raise AssertionError("a chord diagram called det")
 
-        monkeypatch.setattr(np.linalg, "det", refuse)
+        monkeypatch.setattr(integrate, "_det", refuse)
         geo = DiagramGeometry(od, catalog(name))
         rng = np.random.default_rng(4)
         _, x_univ, v_univ, x, _ = ConfigurationSampler(geo).sample(rng, 256)
@@ -304,18 +296,42 @@ class TestFold:
         d = next(d for d in enumerate_diagrams(circles(1), trivalent + 1)
                  if is_subprincipal(d) and len(d.trivalent) == trivalent)
         shapes = []
-        det = np.linalg.det
+        det = integrate._det
 
         def record(matrix):
             shapes.append(matrix.shape)
             return det(matrix)
 
-        monkeypatch.setattr(np.linalg, "det", record)
+        monkeypatch.setattr(integrate, "_det", record)
         geo = DiagramGeometry(std_oriented(d), catalog("trefoil"))
         rng = np.random.default_rng(5)
         _, x_univ, v_univ, x, _ = ConfigurationSampler(geo).sample(rng, 64)
         integrand_batch(geo, x_univ, v_univ, x)
         assert shapes == [(64, *shape)]
+
+
+class TestDeterminant:
+    @pytest.mark.parametrize("near_singular", [False, True])
+    def test_closed_form_matches_lapack(self, near_singular):
+        # random 3x3 batches over six decades of scale, on both layouts:
+        # a (count, 3, 3) stack and the transposed (3, 3, count) array that
+        # jacobian_values fills; near singular: one row a combination of
+        # the other two
+        rng = np.random.default_rng(8)
+        a = rng.normal(size=(4096, 3, 3)) \
+            * 10.0 ** rng.uniform(-3, 3, (4096, 1, 1))
+        if near_singular:
+            w = rng.normal(size=(4096, 2, 1))
+            a[:, 2] = w[:, 0] * a[:, 0] + w[:, 1] * a[:, 1]
+        bound = 1e-12 * np.prod(np.linalg.norm(a, axis=2), axis=1)
+        for stack in (a, np.ascontiguousarray(a.T).T):
+            assert np.all(np.abs(integrate._det(stack) - np.linalg.det(a))
+                          <= bound)
+
+    @pytest.mark.parametrize("n", [2, 5, 6, 8, 11])
+    def test_other_sizes_use_lapack(self, n):
+        a = np.random.default_rng(n).normal(size=(64, n, n))
+        assert np.array_equal(integrate._det(a), np.linalg.det(a))
 
 
 class TestSampler:
@@ -647,6 +663,33 @@ class TestTwoChordQuadrature:
                                             else "monte-carlo")
                 seen.add(kind)
         assert seen == kinds
+
+    @pytest.mark.parametrize("name, components", [
+        ("trefoil", [0]), ("hopf-link", [0, 1])])
+    def test_z_n_builds_one_kernel_per_circle(self, monkeypatch, name,
+                                              components):
+        # the crossed and parallel classes of a circle share its matrix,
+        # and their values are those of separate calls, bit for bit
+        curve = catalog(name)
+        built = []
+        triangle = integrate._kernel_triangle
+
+        def record(curve, m, n):
+            built.append(m)
+            return triangle(curve, m, n)
+
+        monkeypatch.setattr(integrate, "_kernel_triangle", record)
+        _, _, ests = z_n(curve, 2, samples=2000)
+        assert sorted(built) == components
+        shared = 0
+        for d in enumerate_diagrams(circles(curve.n_components), 2):
+            if integrate.two_chords_on_one_circle(d):
+                key, _ = canonical_oriented(std_oriented(d))
+                alone = two_chord_quadrature(std_oriented(d), curve)
+                assert ests[key].value == alone.value
+                assert ests[key].stderr == alone.stderr
+                shared += 1
+        assert shared == 2 * len(components)
 
 
 class TestTracePatchPoints:
