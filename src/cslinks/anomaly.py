@@ -21,7 +21,8 @@ from .diagrams import (Diagram, OrientedDiagram, automorphism_count,
                        canonical_oriented, degree, is_connected, std_oriented)
 from .errors import DiagramError, EmbeddingError
 from .integrate import (KernelGeometry, has_trivalent_triangle,
-                        jacobian_values, propose_trivalent, sphere_frames)
+                        jacobian_values, permutation_sign, propose_trivalent,
+                        sphere_frames)
 from .invariants import self_linking
 from .mc import Estimate, run_sharded
 from .support import R1
@@ -87,29 +88,13 @@ class WGeometry(KernelGeometry):
         # parity of the shuffle moving the two gauge coordinates to the end,
         # (first, last) in that order; the translation/dilation block then
         # contributes determinant +1
-        self.gauge_sign = _permutation_sign(
+        self.gauge_sign = permutation_sign(
             [i for i, c in enumerate(self.columns) if c not in gauge]
             + [self.columns.index(c) for c in gauge])
         self.sign = W_GAUGE_SIGN * (-1) ** len(self.edges) * self.gauge_sign
-        # s-variation columns move every leg; slice columns one vertex each
-        self.set_entries([("s", 0), ("s", 1)] + self.kept)
-
-
-def _permutation_sign(seq):
-    sign = 1
-    seen = [False] * len(seq)
-    for i in range(len(seq)):
-        if seen[i]:
-            continue
-        j = i
-        length = 0
-        while not seen[j]:
-            seen[j] = True
-            j = seq[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
+        # s-variation columns move every leg but the first, which the gauge
+        # pins at the origin; slice columns one vertex each
+        self.set_entries([("s", 0), ("s", 1)] + self.kept, self.univ[1:])
 
 
 def _sample_sphere(rng, count):
@@ -132,9 +117,10 @@ def w_integrand_batch(geo: WGeometry, s, t_params, x_triv):
     """Density of the pulled-back sphere forms on the slice chart of W(γ);
     rows as in the closed-link integrand."""
     tangents = {}
-    # s-variation columns: univalent positions move by t_v * delta
+    # s-variation columns: univalent positions move by t_v * delta, except
+    # the first leg at t = 0
     for ci, delta in enumerate(sphere_frames(s)):
-        for j, v in enumerate(geo.univ):
+        for j, v in enumerate(geo.univ[1:], 1):
             tangents[ci, v] = t_params[:, j, None] * delta
     for v in geo.univ[1:-1]:    # the interior legs' slice columns
         tangents[2 + geo.kept.index(("u", v)), v] = s * geo.univ_sign[v]
@@ -189,11 +175,12 @@ def anomaly_alpha(max_degree, samples=10 ** 6, seed=0, shards=None,
     """The anomaly series up to max_degree: sum of f_γ/(2|γ|) [γ].
 
     Returns (series, estimates): float-coefficient class vectors per degree
-    and the f estimates per catalog name.  Degree two is included (its two
-    Monte Carlo members vanish by the central symmetry); degree three runs
-    over a1, a2 and a3.  The wheel w3, like every diagram with a trivalent
-    triangle, has an integrand that vanishes pointwise, so it is 0 exactly
-    and is not sampled.
+    and the f estimates per catalog name.  Degree two is included: its one
+    Monte Carlo member d2 vanishes pointwise, because its three edge
+    directions lie on one great circle, so the map to the spheres has rank
+    at most 5.  Degree three runs over a1, a2 and a3.  The wheel w3, like
+    every diagram with a trivalent triangle, has an integrand that vanishes
+    pointwise, so it is 0 exactly and is not sampled.
     """
     if max_degree > 3:
         raise DiagramError("anomaly supports degree <= 3")

@@ -37,7 +37,7 @@ density equal the classical Gauss linking integrand exactly.
 """
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, islice, permutations
 from math import factorial
 
 import numpy as np
@@ -89,19 +89,13 @@ def _cross(a, b):
 
 
 def _norms(x):
-    """The Euclidean norms of the rows of a (count, 3) array."""
-    return np.sqrt(np.einsum("ij,ij->i", x, x))
+    """The Euclidean norms of the rows of an (..., 3) array."""
+    return np.sqrt(np.einsum("...i,...i->...", x, x))
 
 
-def _det(a):
-    """np.linalg.det over a (count, n, n) stack.  For n = 3 it is the
-    scalar triple product of each matrix's columns, which are contiguous
-    when the stack is a transposed (n, n, count) array."""
-    if a.shape[1:] != (3, 3):
-        return np.linalg.det(a)
-    (x0, y0, z0), (x1, y1, z1), (x2, y2, z2) = a.T
-    return (x0 * (y1 * z2 - z1 * y2) + y0 * (z1 * x2 - x1 * z2)
-            + z0 * (x1 * y2 - y1 * x2))
+def permutation_sign(seq):
+    """The sign of a sequence of distinct numbers, by its inversions."""
+    return (-1) ** sum(a > b for a, b in combinations(seq, 2))
 
 
 def sphere_frames(directions):
@@ -118,10 +112,124 @@ def sphere_frames(directions):
     near_pole = np.abs(d[..., 2]) > 0.99
     a = np.where(near_pole[..., None], x, z)
     f1 = _cross(a, d)
-    n = np.linalg.norm(f1, axis=-1, keepdims=True)
-    f1 = f1 / n
+    f1 = f1 / _norms(f1)[..., None]
     f2 = _cross(d, f1)
     return f1, f2
+
+
+class LaplacePlan:
+    """The determinant of every matrix with one pattern of structural
+    nonzeros, by Laplace expansion column by column, planned once.
+
+    The expansion is a dynamic programme over the set S of rows already
+    used: after k columns, the state S holds the signed sum, over the ways
+    to place the first k columns on the rows S, of the products of their
+    entries.  A transition places the next column on a row r outside S and
+    carries the sign (-1)^(the rows of S above r), the inversions that r
+    adds.  Only the states that lie on a complete expansion are kept: those
+    reachable from the empty set and, backwards, from the full one, so no
+    state whose remaining columns cannot be matched to its remaining rows
+    is evaluated.  Columns come in blocks that stay together (the s pair,
+    each trivalent vertex's three axes); of the block orders, at most
+    MAX_ORDERS of them, the one with the fewest transitions is kept, and
+    the sign of its column permutation enters the result.
+
+    Each state is stored times a sign fixed here, so every transition is
+    one product and one in-place add or subtract of a (count,) vector.
+
+    pattern: per column, the rows of its structural nonzeros; blocks: a
+    partition of the columns into lists.  first: the first column and the
+    rows it is placed on; steps: per later column, (column, the number of
+    states after it, [(source, row, target, op)]) with op 0 for the first
+    transition into a state (which sets it) and +1 or -1 for the others;
+    transitions: their number, the first column's included.
+    """
+
+    MAX_ORDERS = 24     # every block order of the degree-3 diagrams
+
+    def __init__(self, pattern, blocks):
+        self.pattern = [tuple(sorted(rows)) for rows in pattern]
+        n = len(pattern)
+        # keyed by the bit set of the columns placed: the row sets they can
+        # be placed on, the complements of those that the other columns can
+        # be placed on, and the number of transitions that add one more
+        placed, rest, counts = {0: {0}}, {(1 << n) - 1: {(1 << n) - 1}}, {}
+        best = None
+        for order in islice(permutations(blocks), self.MAX_ORDERS):
+            columns = [c for block in order for c in block]
+            done = [0]
+            for c in columns:
+                done.append(done[-1] | 1 << c)
+            for k, c in enumerate(columns):
+                if done[k + 1] not in placed:
+                    placed[done[k + 1]] = {
+                        state | 1 << r for state in placed[done[k]]
+                        for r in self.pattern[c] if not state >> r & 1}
+            for k in range(n - 1, -1, -1):
+                if done[k] not in rest:
+                    rest[done[k]] = {
+                        state & ~(1 << r) for state in rest[done[k + 1]]
+                        for r in self.pattern[columns[k]] if state >> r & 1}
+            layers = [placed[m] & rest[m] for m in done]
+            for k, c in enumerate(columns):
+                if (done[k], c) not in counts:
+                    counts[done[k], c] = sum(
+                        state & ~(1 << r) in layers[k]
+                        for state in layers[k + 1] for r in self.pattern[c]
+                        if state >> r & 1)
+            count = sum(counts[done[k], c] for k, c in enumerate(columns))
+            if best is None or count < best[0]:
+                best = count, columns, layers
+        self.transitions, columns, layers = best
+        self._compile(columns, layers)
+
+    def _compile(self, columns, layers):
+        first = columns[0]
+        rows = [r for r in self.pattern[first] if 1 << r in layers[1]]
+        self.first = first, rows
+        index = {1 << r: i for i, r in enumerate(rows)}
+        signs = [1] * len(rows)
+        self.steps = []
+        for k, c in enumerate(columns[1:], 1):
+            target, target_signs, transitions = {}, [], []
+            for state, i in index.items():
+                for r in self.pattern[c]:
+                    new = state | 1 << r
+                    if state >> r & 1 or new not in layers[k + 1]:
+                        continue
+                    sign = signs[i] * (-1) ** bin(state >> r + 1).count("1")
+                    if new in target:
+                        t = target[new]
+                        transitions.append((i, r, t, sign * target_signs[t]))
+                    else:
+                        target[new] = len(target)
+                        target_signs.append(sign)
+                        transitions.append((i, r, target[new], 0))
+            self.steps.append((c, len(target), transitions))
+            index, signs = target, target_signs
+        self.sign = signs[0] * permutation_sign(columns)
+
+    def det(self, a):
+        """The determinants of a (count, n, n) stack, reading only the
+        entries of the pattern."""
+        m = a.T     # m[column, row] is one (count,) vector
+        first, rows = self.first
+        values = [m[first, r] for r in rows]
+        term = np.empty(len(a))
+        for c, size, transitions in self.steps:
+            column = m[c]
+            new = [None] * size
+            for i, r, t, op in transitions:
+                if op == 0:
+                    new[t] = values[i] * column[r]
+                    continue
+                np.multiply(values[i], column[r], out=term)
+                if op > 0:
+                    new[t] += term
+                else:
+                    new[t] -= term
+            values = new
+        return values[0] if self.sign > 0 else -values[0]
 
 
 class KernelGeometry:
@@ -159,7 +267,9 @@ class KernelGeometry:
     cells: per reduced row, the (position, column) of those columns'
     nonzero entries; ends: per reduced row, its edge's trivalent ends as
     (the positions of the vertex's three columns, ordered by axis; the
-    end's sign).
+    end's sign); plan: the LaplacePlan of the reduced matrix, its columns
+    in blocks of the s pair and each trivalent vertex's axes (None when
+    every column folds).
     """
 
     def __init__(self, od: OrientedDiagram, edges):
@@ -214,14 +324,15 @@ class KernelGeometry:
                 raise DiagramError("component without univalent anchor")
         return order
 
-    def set_entries(self, columns):
+    def set_entries(self, columns, s_legs=()):
         """Jacobian entries of the columns, each ('u', v) or ('t', v, axis)
-        as in self.columns or ('s', k), which moves every univalent vertex;
-        the tail of an edge enters with sign -1.  Then their fold plan."""
+        as in self.columns or ('s', k), which moves the univalent vertices
+        s_legs; the tail of an edge enters with sign -1.  Then their fold
+        plan and the Laplace plan of the reduced determinant."""
         self.jacobian_columns = columns
         self.entries = [(ci, v, ei, -1 if v == p else 1)
                         for ci, col in enumerate(columns)
-                        for v in (self.univ if col[0] == "s" else (col[1],))
+                        for v in (s_legs if col[0] == "s" else (col[1],))
                         for ei, (p, q) in enumerate(self.edges) if v in (p, q)]
         self.blocks = {}
         for ci, v, ei, s in self.entries:
@@ -255,6 +366,19 @@ class KernelGeometry:
                         for k in range(3)], s)
                        for v, s in zip(self.edges[ei], (-1, 1))
                        if v in self.d.trivalent] for ei, _ in rows]
+        self.plan = None
+        if rows:
+            pattern = [[] for _ in kept]
+            for i, (cells, ends) in enumerate(zip(self.cells, self.ends)):
+                for j in [j for j, _ in cells] + [
+                        j for axes, _ in ends for j in axes]:
+                    pattern[j].append(i)
+            blocks = {}
+            for j, ci in enumerate(kept):
+                col = columns[ci]
+                blocks.setdefault(col[0] if col[0] == "s" else col[:2],
+                                  []).append(j)
+            self.plan = LaplacePlan(pattern, list(blocks.values()))
 
 
 def propose_trivalent(geo: KernelGeometry, rng, pos, density, scale):
@@ -333,8 +457,9 @@ def jacobian_values(geo: KernelGeometry, pos, tangents, tol):
         vector, s = velocity[ei, ci]
         values *= np.einsum("ij,ij->i", row, vector) / (sign * s * scale)
     if geo.rows:
-        # filled transposed, so that each entry is one contiguous write
-        M = np.zeros((len(geo.rows), len(geo.rows), count))
+        # filled transposed, so that each entry is one contiguous write;
+        # the plan reads the structural nonzeros only
+        M = np.empty((len(geo.rows), len(geo.rows), count))
         for i, (ei, kind) in enumerate(geo.rows):
             if kind == "w":
                 row, sign, scale = folded[ei]
@@ -348,7 +473,7 @@ def jacobian_values(geo: KernelGeometry, pos, tangents, tol):
                            / (sign * s * scale))
             for axes, s in geo.ends[i]:
                 M[axes, i] = row.T / (sign * s * scale)
-        values *= _det(M.T)
+        values *= geo.plan.det(M.T)
     return np.where(rejected, 0.0, values), rejected
 
 

@@ -281,10 +281,10 @@ class TestFold:
         (std_oriented(THETA), "trefoil"), (crossed_chord(), "trefoil"),
         (parallel_chord(), "trefoil"), (hopf_chord(), "hopf-link")])
     def test_chord_diagrams_take_no_determinant(self, monkeypatch, od, name):
-        def refuse(matrix):
+        def refuse(plan, matrix):
             raise AssertionError("a chord diagram called det")
 
-        monkeypatch.setattr(integrate, "_det", refuse)
+        monkeypatch.setattr(integrate.LaplacePlan, "det", refuse)
         geo = DiagramGeometry(od, catalog(name))
         rng = np.random.default_rng(4)
         _, x_univ, v_univ, x, _ = ConfigurationSampler(geo).sample(rng, 256)
@@ -296,13 +296,13 @@ class TestFold:
         d = next(d for d in enumerate_diagrams(circles(1), trivalent + 1)
                  if is_subprincipal(d) and len(d.trivalent) == trivalent)
         shapes = []
-        det = integrate._det
+        det = integrate.LaplacePlan.det
 
-        def record(matrix):
+        def record(plan, matrix):
             shapes.append(matrix.shape)
-            return det(matrix)
+            return det(plan, matrix)
 
-        monkeypatch.setattr(integrate, "_det", record)
+        monkeypatch.setattr(integrate.LaplacePlan, "det", record)
         geo = DiagramGeometry(std_oriented(d), catalog("trefoil"))
         rng = np.random.default_rng(5)
         _, x_univ, v_univ, x, _ = ConfigurationSampler(geo).sample(rng, 64)
@@ -310,13 +310,31 @@ class TestFold:
         assert shapes == [(64, *shape)]
 
 
+def plan_geometries(source):
+    """The kernel geometries with a reduced determinant: the W catalog, or
+    every subprincipal class without a trivalent triangle through degree 3
+    on a catalog curve."""
+    if source == "W":
+        geos = [WGeometry(line_diagram_catalog(name))
+                for name in anomaly.LINE_CATALOG]
+    else:
+        curve = catalog(source)
+        geos = [DiagramGeometry(std_oriented(d), curve) for n in (1, 2, 3)
+                for d in enumerate_diagrams(circles(curve.n_components), n)
+                if is_subprincipal(d) and not has_trivalent_triangle(d)]
+    return [geo for geo in geos if geo.plan is not None]
+
+
 class TestDeterminant:
     @pytest.mark.parametrize("near_singular", [False, True])
     def test_closed_form_matches_lapack(self, near_singular):
-        # random 3x3 batches over six decades of scale, on both layouts:
-        # a (count, 3, 3) stack and the transposed (3, 3, count) array that
+        # the tripod's plan, whose 3x3 pattern is dense, on random 3x3
+        # batches over six decades of scale, on both layouts: a
+        # (count, 3, 3) stack and the transposed (3, 3, count) array that
         # jacobian_values fills; near singular: one row a combination of
         # the other two
+        plan = DiagramGeometry(std_oriented(tripod()), catalog("trefoil")).plan
+        assert plan.pattern == [(0, 1, 2)] * 3
         rng = np.random.default_rng(8)
         a = rng.normal(size=(4096, 3, 3)) \
             * 10.0 ** rng.uniform(-3, 3, (4096, 1, 1))
@@ -325,13 +343,50 @@ class TestDeterminant:
             a[:, 2] = w[:, 0] * a[:, 0] + w[:, 1] * a[:, 1]
         bound = 1e-12 * np.prod(np.linalg.norm(a, axis=2), axis=1)
         for stack in (a, np.ascontiguousarray(a.T).T):
-            assert np.all(np.abs(integrate._det(stack) - np.linalg.det(a))
+            assert np.all(np.abs(plan.det(stack) - np.linalg.det(a))
                           <= bound)
 
-    @pytest.mark.parametrize("n", [2, 5, 6, 8, 11])
-    def test_other_sizes_use_lapack(self, n):
-        a = np.random.default_rng(n).normal(size=(64, n, n))
-        assert np.array_equal(integrate._det(a), np.linalg.det(a))
+    @pytest.mark.parametrize("near_singular", [False, True])
+    @pytest.mark.parametrize("source", ["W", "trefoil", "hopf-link"])
+    def test_plan_matches_lapack(self, source, near_singular):
+        # random matrices with each plan's pattern, each scaled by up to
+        # three decades either way, on both layouts: a (count, n, n) stack
+        # and the transposed (n, n, count) array that jacobian_values
+        # fills; off the pattern the plan sees NaN, which it must not read.
+        # Near singular: one entry on a complete expansion is set to the
+        # root of the determinant, which is affine in it.
+        sizes = set()
+        for k, geo in enumerate(plan_geometries(source)):
+            plan = geo.plan
+            n = len(plan.pattern)
+            sizes.add(n)
+            mask = np.zeros((n, n), dtype=bool)
+            for j, rows in enumerate(plan.pattern):
+                mask[list(rows), j] = True
+            rng = np.random.default_rng(k)
+            a = rng.normal(size=(4096, n, n)) * mask \
+                * 10.0 ** rng.uniform(-3, 3, (4096, 1, 1))
+            if near_singular:
+                j, (i, *_) = plan.first
+                a[:, i, j] = 0.0
+                at_zero = np.linalg.det(a)
+                a[:, i, j] = 1.0
+                slope = np.linalg.det(a) - at_zero
+                a[:, i, j] = -at_zero / slope
+            expected = np.linalg.det(a)
+            bound = 1e-12 * np.prod(np.linalg.norm(a, axis=2), axis=1)
+            a[:, ~mask] = np.nan
+            for stack in (a, np.ascontiguousarray(a.T).T):
+                assert np.all(np.abs(plan.det(stack) - expected) <= bound)
+        assert sizes == ({5, 8, 11} if source == "W" else {3, 6})
+
+    def test_plan_sizes(self):
+        # transitions per geometry; the first leg's s-velocity is 0 and
+        # lists no entries
+        transitions = {name: WGeometry(line_diagram_catalog(name)).plan
+                       .transitions for name in ("d2", "a1", "a3", "w3")}
+        assert transitions == {"d2": 37, "a1": 109, "a3": 84, "w3": 232}
+        assert WGeometry(line_diagram_catalog("theta")).plan is None
 
 
 class TestSampler:
