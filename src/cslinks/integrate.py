@@ -17,12 +17,12 @@ degree-3 classes with two trivalent vertices a 6x6 one, and a chord
 diagram none.  A trivalent vertex moves freely in R^3, so its three
 columns take the components of each of its edge rows as they stand.
 
-chord_quadrature sums the same integrand over a grid on the torus of the
-chord's two circle parameters.  Two chords on one circle factor into two
-Gauss kernels (chord_sign), so two_chord_quadrature sums their products
-over the ordered grid quadruples from one kernel matrix.  integrate_diagram
-samples the integrand and stays the oracle for every diagram, the chord
-diagrams included.
+A diagram of chords has the integrand chord_sign times the product of its
+chords' Gauss kernels, so its quadrature reads the kernel matrix of the
+grid, evaluated in blocks of rows (_kernel_rows): chord_quadrature sums it
+over the torus of one chord's circle parameters, two_chord_quadrature over
+the ordered grid quadruples of one circle.  integrate_diagram samples the
+integrand and stays the oracle for every diagram, chord diagrams included.
 
 The kernel has three parts, used by both the closed-link integrals here and
 the anomaly integrals over W(γ): KernelGeometry (columns, placement order,
@@ -69,14 +69,37 @@ def gauss_kernel(curve: LinkCurve, a, b):
     return _gauss(*curve.jet(m1, s), *curve.jet(m2, t))
 
 
-def _gauss(x, dx, y, dy):
-    """gauss_kernel from the points and velocities of the two ends."""
-    diff = y - x
-    r = np.linalg.norm(diff, axis=-1)
+def _gauss(x, dx, y, dy, diagonal=None):
+    """gauss_kernel from the points and velocities of the two ends, which
+    broadcast against each other.  diagonal: for a block of rows of one
+    circle's kernel matrix, the column of its first row's diagonal entry;
+    r = inf there, so the diagonal reads 0."""
+    d0, d1, d2 = (y[..., k] - x[..., k] for k in range(3))
+    a0, a1, a2 = dx[..., 0], dx[..., 1], dx[..., 2]
+    b0, b1, b2 = dy[..., 0], dy[..., 1], dy[..., 2]
+    r = np.sqrt(d0 * d0 + d1 * d1 + d2 * d2)
+    if diagonal is not None:
+        np.fill_diagonal(r[:, diagonal:], np.inf)
     if np.any(r < 1e-12):
         raise SamplingError("coincident curve points in gauss_kernel")
-    num = np.sum(_cross(dx, dy) * diff, axis=-1)
+    num = ((a1 * b2 - a2 * b1) * d0 + (a2 * b0 - a0 * b2) * d1
+           + (a0 * b1 - a1 * b0) * d2)
     return num / (4 * np.pi * r ** 3)
+
+
+def _kernel_rows(curve: LinkCurve, m1, m2, n):
+    """The Gauss kernel matrix G[i, j] = gauss_kernel((m1, t_i), (m2, t_j))
+    on the n-point grid t_i = 2 pi i / n, in blocks of whole rows of at
+    most BATCH entries: yields (first row, block).  On one circle
+    (m1 == m2) the diagonal reads 0."""
+    t = np.arange(n) * (2 * np.pi / n)
+    x, dx = curve.jet(m1, t)
+    y, dy = (x, dx) if m1 == m2 else curve.jet(m2, t)
+    rows = max(1, BATCH // n)
+    for start in range(0, n, rows):
+        stop = min(start + rows, n)
+        yield start, _gauss(x[start:stop, None], dx[start:stop, None], y, dy,
+                            start if m1 == m2 else None)
 
 
 def _cross(a, b):
@@ -631,71 +654,44 @@ def integrate_diagram(od: OrientedDiagram, curve: LinkCurve, samples=10 ** 6,
     return run_sharded(batch, samples, seed, shards, workers)
 
 
-def _refined_pairs(n, first, symmetric):
-    """The index pairs (i, j) of the n-point grid that the n/2-point grid
-    lacks (all of them on the first grid), only i < j when the integrand is
-    symmetric, in blocks of at most BATCH pairs."""
-    rows = max(1, BATCH // n)
-    for start in range(0, n, rows):
-        i, j = np.divmod(np.arange(start * n, min(start + rows, n) * n), n)
-        keep = np.full(len(i), True) if first else ((i | j) & 1) == 1
-        if symmetric:
-            keep &= j > i
-        yield i[keep], j[keep]
-
-
 def chord_quadrature(od: OrientedDiagram, curve: LinkCurve) -> Estimate:
     """The integral of a one-chord diagram by the trapezoid rule on the
-    torus of its two circle parameters, through integrand_batch.
+    torus of its two circle parameters: chord_sign times the sum of the
+    Gauss kernel matrix of _kernel_rows over the ordered grid pairs.
 
     On the grid t_i = 2 pi i / N of each circle, the sampler's density
-    1/(4 pi^2) makes the weight of a pair (2 pi / N)^2; the diagonal, which
-    the kernel rejects, weighs 0.  Between two components the integrand is
-    smooth and the rule T(N) converges spectrally.  On one component the
-    integrand is symmetric with an |s - t| kink on the diagonal, so T(N)
-    is O(h^2) and the estimate is R(N) = (4 T(N) - T(N/2)) / 3, O(h^4).
-    N doubles from QUADRATURE_GRID while the estimate moves by more than
-    QUADRATURE_TOL, up to QUADRATURE_MAX_GRID; stderr is the last move,
-    or the rounding error of the sum where that is larger; the record's
-    grid is the final N.  The grids are nested, so each doubling evaluates
-    only the new pairs.
+    1/(4 pi^2) makes the weight of a pair h^2, h = 2 pi / N; the diagonal
+    weighs 0.  Between two components the integrand is smooth and the
+    rule T(N) converges spectrally.  On one component the integrand is
+    symmetric with an |s - t| kink on the diagonal, so T(N) is O(h^2) and
+    the estimate is R(N) = (4 T(N) - T(N/2)) / 3, O(h^4).  One pass over
+    the rows of the N-grid gives T(N), and T(N/2) and T(N/4) from its
+    every 2nd and 4th row and column.  N doubles from QUADRATURE_GRID
+    while the estimate moves by more than QUADRATURE_TOL, up to
+    QUADRATURE_MAX_GRID; stderr is the last move, or the rounding error of
+    the sum where that is larger; the record's grid is the final N.
     """
     if len(od.diagram.edges) != 1:
         raise DiagramError("chord_quadrature takes a diagram of one chord")
     geo = DiagramGeometry(od, curve)
-    grid = np.arange(QUADRATURE_MAX_GRID) * (2 * np.pi / QUADRATURE_MAX_GRID)
-    comps = [geo.d.component_of(v) for v in geo.univ]
-    jets = {m: curve.jet(m, grid) for m in set(comps)}
-    points = [jets[m][0] for m in comps]
-    velocities = [jets[m][1] * geo.univ_sign[v]
-                  for m, v in zip(comps, geo.univ)]
-    symmetric = comps[0] == comps[1]
-    total = magnitude = 0.0
-    rules, estimates = [], []
-    # the first comparison, R(N) - R(N/2) at N = QUADRATURE_GRID, needs T(N/4)
-    n = QUADRATURE_GRID // 4
+    m1, m2 = (geo.d.component_of(v) for v in geo.edges[0])
+    strides = np.array([1, 2, 4])
+    n = QUADRATURE_GRID
     while True:
-        stride = QUADRATURE_MAX_GRID // n
-        for i, j in _refined_pairs(n, not rules, symmetric):
-            i, j = i * stride, j * stride
-            values, _ = integrand_batch(
-                geo, [points[0][i], points[1][j]],
-                [velocities[0][i], velocities[1][j]],
-                np.empty((len(i), 0, 3)))
-            total += float(np.sum(values))
-            magnitude += float(np.sum(np.abs(values)))
-        weight = (2 if symmetric else 1) * (2 * np.pi / n) ** 2
-        rules.append(total * weight)
-        if len(rules) > 1:
-            estimates.append((4 * rules[-1] - rules[-2]) / 3 if symmetric
-                             else rules[-1])
-        if n >= QUADRATURE_GRID:
-            change = abs(estimates[-1] - estimates[-2])
-            if change <= QUADRATURE_TOL or n == QUADRATURE_MAX_GRID:
-                rounding = np.finfo(float).eps * magnitude * weight
-                return Estimate(float(estimates[-1]),
-                                float(max(change, rounding)), "quadrature",
-                                {"grid": n})
+        sums, magnitude = np.zeros(3), 0.0
+        for start, block in _kernel_rows(curve, m1, m2, n):
+            magnitude += np.sum(np.abs(block))
+            sums += [np.sum(block[-start % s::s, ::s]) for s in strides]
+        rules = sums * (2 * np.pi * strides / n) ** 2    # T(N), T(N/2), T(N/4)
+        # R(N) and R(N/2) on one circle, T(N) and T(N/2) between two
+        estimate, previous = ((4 * rules[:2] - rules[1:]) / 3 if m1 == m2
+                              else rules[:2])
+        change = abs(estimate - previous)
+        if change <= QUADRATURE_TOL or n == QUADRATURE_MAX_GRID:
+            rounding = np.finfo(float).eps * magnitude * (2 * np.pi / n) ** 2
+            return Estimate(float(chord_sign(geo) * estimate),
+                            float(max(change, rounding)), "quadrature",
+                            {"grid": n})
         n *= 2
 
 
@@ -710,11 +706,13 @@ def two_chords_on_one_circle(d) -> bool:
 def _kernel_triangle(curve: LinkCurve, m, n):
     """The Gauss kernel of component m on the n-point grid t_i = 2 pi i / n:
     the n x n matrix of gauss_kernel((m, t_i), (m, t_j)) for i < j, zero on
-    and below the diagonal, filled a row at a time."""
-    x, dx = curve.jet(m, np.arange(n) * (2 * np.pi / n))
+    and below the diagonal, written from the blocks of _kernel_rows."""
     upper = np.zeros((n, n))
-    for i in range(n - 1):
-        upper[i, i + 1:] = _gauss(x[i], dx[i], x[i + 1:], dx[i + 1:])
+    columns = np.arange(n)
+    for start, block in _kernel_rows(curve, m, m, n):
+        rows = np.arange(start, start + len(block))[:, None]
+        np.copyto(upper[start:start + len(block)], block,
+                  where=columns > rows)
     return upper
 
 

@@ -1,3 +1,4 @@
+import tracemalloc
 from itertools import combinations
 from math import factorial
 
@@ -506,7 +507,8 @@ def reversed_hopf():
 
 CHORD_CASES = [(std_oriented(THETA), catalog(name), name)
                for name in ("trefoil", "trefoil-alt", "figure8",
-                            "unknot-planar-perturbed", "trefoil-framed")] + [
+                            "unknot-planar-perturbed", "trefoil-framed",
+                            "unknot-round")] + [
     (hopf_chord(), catalog("hopf-link"), "hopf-link"),
     (hopf_chord(), reversed_hopf(), "reversed-hopf"),
     (hopf_chord(), catalog("unlink-2"), "unlink-2")]
@@ -548,32 +550,80 @@ class TestChordQuadrature:
         assert not np.any(rejected)
         assert np.max(np.abs(values - gauss)) <= 1e-12 * np.max(np.abs(gauss))
 
-    @pytest.mark.parametrize("od, name, pairs", [
-        (std_oriented(THETA), "trefoil-framed", lambda n: n * (n - 1) // 2),
-        (hopf_chord(), "hopf-link", lambda n: n * n)])
-    def test_nested_grids_evaluate_each_pair_once(self, monkeypatch, od,
-                                                  name, pairs):
-        # one jet per grid point, and each pair of the final grid (i < j
-        # for the symmetric one-component integrand) is evaluated once,
-        # in blocks of at most one Monte Carlo batch
+    @pytest.mark.parametrize("od, name", [
+        (std_oriented(THETA), "trefoil-framed"), (hopf_chord(), "hopf-link")])
+    def test_one_blocked_kernel_pass_per_grid(self, monkeypatch, od, name):
+        # no integrand_batch call; per grid, one jet per component and one
+        # pass over the kernel's rows, in blocks of at most one Monte Carlo
+        # batch
+        def forbidden(*args):
+            raise AssertionError("chord_quadrature called integrand_batch")
+
         blocks = []
-        kernel = integrate.integrand_batch
+        kernel_rows = integrate._kernel_rows
 
-        def spy(geo, x_univ, v_univ, x_triv):
-            blocks.append(len(x_univ[0]))
-            return kernel(geo, x_univ, v_univ, x_triv)
+        def spy(curve, m1, m2, n):
+            for start, block in kernel_rows(curve, m1, m2, n):
+                blocks.append((n, block.size))
+                yield start, block
 
-        monkeypatch.setattr(integrate, "integrand_batch", spy)
+        monkeypatch.setattr(integrate, "integrand_batch", forbidden)
+        monkeypatch.setattr(integrate, "_kernel_rows", spy)
         curve = CountingCurve(catalog(name).components)
         curve.diameter()
         diameter_points = curve.points
         curve.points = 0
         est = chord_quadrature(od, curve)
+        grids = [integrate.QUADRATURE_GRID]
+        while grids[-1] < est.diagnostics["grid"]:
+            grids.append(2 * grids[-1])
         comps = len({od.diagram.component_of(v) for v in od.diagram.univalent})
-        assert curve.points == diameter_points \
-            + comps * integrate.QUADRATURE_MAX_GRID
-        assert sum(blocks) == pairs(est.diagnostics["grid"])
-        assert max(blocks) <= BATCH
+        assert curve.points == diameter_points + comps * sum(grids)
+        assert [sum(size for m, size in blocks if m == n) for n in grids] \
+            == [n * n for n in grids]
+        assert max(size for _, size in blocks) <= BATCH
+
+    def test_finest_grid_holds_no_full_matrix(self, monkeypatch):
+        # a 4096^2 kernel matrix would take 128 MiB
+        monkeypatch.setattr(integrate, "QUADRATURE_TOL", 0.0)
+        tracemalloc.start()
+        try:
+            est = chord_quadrature(std_oriented(THETA), catalog("trefoil"))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert est.diagnostics["grid"] == integrate.QUADRATURE_MAX_GRID
+        assert peak <= 16 * 2 ** 20
+
+    @pytest.mark.parametrize("od, name", [(std_oriented(THETA), "trefoil"),
+                                          (hopf_chord(), "hopf-link")])
+    def test_flipping_an_end_negates(self, od, name):
+        # pins the one-chord orientation sign: chord_sign carries it
+        curve = catalog(name)
+        est = chord_quadrature(od, curve)
+        for v in sorted(od.diagram.univalent):
+            flipped = chord_quadrature(od.flip_vertex(v), curve)
+            assert flipped.value == -est.value
+            assert flipped.stderr == est.stderr
+            assert flipped.diagnostics == est.diagnostics
+
+    def test_strided_sums_are_coarse_grids(self, monkeypatch):
+        # at N = 384 the row blocks (170, 170, 44) start off the coarse
+        # grids, so the N/2 and N/4 rules read rows 2 and 4 apart from an
+        # offset; they equal the sums of the coarse grids' own matrices
+        monkeypatch.setattr(integrate, "QUADRATURE_GRID", 384)
+        monkeypatch.setattr(integrate, "QUADRATURE_TOL", np.inf)
+        od, curve = std_oriented(THETA), catalog("trefoil")
+        est = chord_quadrature(od, curve)
+        rule = {n: (2 * np.pi / n) ** 2 * sum(
+            np.sum(b) for _, b in integrate._kernel_rows(curve, 0, 0, n))
+            for n in (96, 192, 384)}
+        richardson = [(4 * rule[2 * n] - rule[n]) / 3 for n in (192, 96)]
+        sign = chord_sign(DiagramGeometry(od, curve))
+        assert est.diagnostics["grid"] == 384
+        assert est.value == pytest.approx(sign * richardson[0], rel=1e-13)
+        assert est.stderr == pytest.approx(
+            abs(richardson[0] - richardson[1]), rel=1e-6)
 
     def test_one_chord_only(self):
         with pytest.raises(DiagramError):
@@ -589,6 +639,31 @@ class TestChordQuadrature:
                                samples=64, shards=2)
         assert mc.as_dict()["method"] == "monte-carlo"
         assert list(mc.as_dict())[:3] == ["method", "value", "stderr"]
+
+
+class TestKernelRows:
+    @pytest.mark.parametrize("name, m2", [("trefoil", 0), ("hopf-link", 1)])
+    def test_blocks_are_gauss_kernel(self, name, m2):
+        # n = 384 leaves a partial last block; on one circle the diagonal
+        # reads exactly 0
+        curve, n = catalog(name), 384
+        blocks = list(integrate._kernel_rows(curve, 0, m2, n))
+        assert [(start, len(block)) for start, block in blocks] \
+            == [(0, 170), (170, 170), (340, 44)]
+        g = np.concatenate([block for _, block in blocks])
+        t = np.arange(n) * (2 * np.pi / n)
+        off = ~np.eye(n, dtype=bool) if m2 == 0 else np.ones((n, n), bool)
+        i, j = np.nonzero(off)
+        gauss = gauss_kernel(curve, (0, t[i]), (m2, t[j]))
+        assert np.max(np.abs(g[i, j] - gauss)) \
+            <= 1e-12 * np.max(np.abs(gauss))
+        assert np.all(g[~off] == 0.0)
+        for s in (2, 4):
+            strided = sum(np.sum(block[-start % s::s, ::s])
+                          for start, block in blocks)
+            coarse = integrate._kernel_rows(curve, 0, m2, n // s)
+            assert strided == pytest.approx(
+                sum(np.sum(block) for _, block in coarse), rel=1e-12)
 
 
 TWO_CHORD_CASES = [
