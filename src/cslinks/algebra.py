@@ -318,10 +318,6 @@ class Reduction:
                 _eliminate(out, lead, self.pivots[lead])
         return ClassVector(self.support, self.n, out)
 
-    def coordinates(self, vec: ClassVector):
-        red = self.reduce(vec)
-        return [red.terms.get(key, 0) for key in self.basis]
-
     @property
     def dimension(self):
         return len(self.basis)

@@ -3,19 +3,18 @@ and, for one chord or two chords on one circle, by quadrature; and the
 configuration-space kernel that the anomaly integrals share.
 
 The integrand is the density of the pulled-back product of unit-area sphere
-forms against the coordinate volume of the configuration space: a square
-Jacobian determinant whose rows are the two frame components of each edge
-direction differential and whose columns are the half-edge-ordered
-coordinates (one circle parameter per univalent vertex, three space
-coordinates per trivalent vertex, ordered by the vertex orientations).
-
-A column that moves one edge only (a univalent parameter) is expanded out
-exactly: the two frame rows of its edge fold into one frame-free row, the
-Biot-Savart field of the moving end, and a chord folds away entirely into
-a Gauss-kernel factor.  So the tripod needs a 3x3 determinant, the
-degree-3 classes with two trivalent vertices a 6x6 one, and a chord
-diagram none.  A trivalent vertex moves freely in R^3, so its three
-columns take the components of each of its edge rows as they stand.
+forms against the coordinate volume of the configuration space: the wedge
+of the edges' 2-forms phi_e^* omega on the half-edge-ordered coordinates
+(one circle parameter per univalent vertex, three space coordinates per
+trivalent vertex, ordered by the vertex orientations).  Its value is a sum
+over the ways to hand each edge two of the coordinate columns, and edge e
+on the columns j < k gives omega_e(j, k) = D . (B_j x B_k) / (4 pi r^3),
+with D the edge vector, r its length and B_j, B_k the signed velocities of
+its ends along the two coordinates.  That value is one of three things:
++-D_c / r^3 for two axes of trivalent ends, a component of (D / r^3) x V
+for a velocity V and an axis, and a triple product for two velocities.
+Each geometry plans the sum once (WedgePlan), so a chord diagram is a
+single term, the product of its chords' Gauss kernels.
 
 A diagram of chords has the integrand chord_sign times the product of its
 chords' Gauss kernels, so its quadrature reads the kernel matrix of the
@@ -26,19 +25,22 @@ integrand and stays the oracle for every diagram, chord diagrams included.
 
 The kernel has three parts, used by both the closed-link integrals here and
 the anomaly integrals over W(γ): KernelGeometry (columns, placement order,
-Jacobian entries and their fold plan), propose_trivalent (the radial
+Jacobian entries and their wedge plan), propose_trivalent (the radial
 proposal for the trivalent vertices) and jacobian_values (edge lengths,
-chord factors and the reduced determinant).
+the edges' 2-form values and their wedge).
 
 Sign conventions are pinned empirically (Hopf linking +1, round-unknot
-tripod +1/8): frames satisfy f1 x f2 = direction (outward) and the whole
-determinant carries a factor (-1)^{#edges}, which makes the single-chord
-density equal the classical Gauss linking integrand exactly.
+tripod +1/8): the sphere form is outward, omega(a, b) = d . (a x b) at the
+direction d, and the whole wedge carries a factor (-1)^{#edges}, which
+makes the single-chord density equal the classical Gauss linking integrand
+exactly.
 """
 
 from fractions import Fraction
-from itertools import combinations, islice, permutations
-from math import factorial
+from functools import reduce
+from itertools import combinations
+from math import factorial, prod
+from operator import or_
 
 import numpy as np
 
@@ -128,125 +130,117 @@ def sphere_frames(directions):
     the poles; vectorized over the leading axes.
     """
     d = np.asarray(directions, dtype=float)
-    z = np.zeros_like(d)
-    z[..., 2] = 1.0
-    x = np.zeros_like(d)
-    x[..., 0] = 1.0
     near_pole = np.abs(d[..., 2]) > 0.99
-    a = np.where(near_pole[..., None], x, z)
+    a = np.where(near_pole[..., None], (1., 0., 0.), (0., 0., 1.))
     f1 = _cross(a, d)
     f1 = f1 / _norms(f1)[..., None]
     f2 = _cross(d, f1)
     return f1, f2
 
 
-class LaplacePlan:
-    """The determinant of every matrix with one pattern of structural
-    nonzeros, by Laplace expansion column by column, planned once.
+class WedgePlan:
+    """The wedge of E 2-forms on 2E coordinates for every batch of their
+    values, expanded once: the determinant of a 2E x 2E matrix whose rows
+    2e, 2e + 1 belong to edge e, from the 2x2 minors of each edge's rows.
 
-    The expansion is a dynamic programme over the set S of rows already
-    used: after k columns, the state S holds the signed sum, over the ways
-    to place the first k columns on the rows S, of the products of their
-    entries.  A transition places the next column on a row r outside S and
-    carries the sign (-1)^(the rows of S above r), the inversions that r
-    adds.  Only the states that lie on a complete expansion are kept: those
-    reachable from the empty set and, backwards, from the full one, so no
-    state whose remaining columns cannot be matched to its remaining rows
-    is evaluated.  Columns come in blocks that stay together (the s pair,
-    each trivalent vertex's three axes); of the block orders, at most
-    MAX_ORDERS of them, the one with the fewest transitions is kept, and
-    the sign of its column permutation enters the result.
+    The expansion is a dynamic programme over the set S of columns already
+    used: after n edges, the state S holds the signed sum, over the ways to
+    hand those edges disjoint column pairs covering S, of the products of
+    their values.  Handing the next edge the pair j < k outside S carries
+    the sign (-1)^(the columns of S above j + those above k), the
+    inversions that the pair adds.  Only the states that lie on a complete
+    expansion are kept: those reachable from the empty set and, backwards,
+    from the full one.  The edges are placed in one fixed order: next comes
+    the edge that shares the most columns with those placed, ties going to
+    fewer columns, then to the lower index.
 
-    Each state is stored times a sign fixed here, so every transition is
-    one product and one in-place add or subtract of a (count,) vector.
+    Each state is stored times a sign fixed here, so the first edge's
+    values are states as they stand and every later transition is one
+    product and one in-place add or subtract of a (count,) vector.
 
-    pattern: per column, the rows of its structural nonzeros; blocks: a
-    partition of the columns into lists.  first: the first column and the
-    rows it is placed on; steps: per later column, (column, the number of
-    states after it, [(source, row, target, op)]) with op 0 for the first
-    transition into a state (which sets it) and +1 or -1 for the others;
-    transitions: their number, the first column's included.
+    pairs: per edge, the (j, k, sign, key) of its column pairs j < k whose
+    value can be nonzero: sign times the vector handed to wedge for it,
+    which key names for the caller.  The plan keeps, as pairs, only those
+    on a complete expansion.  first: the first edge; steps: per later edge,
+    (edge, the number of states after it, [(source, pair, target, op)])
+    with pair a position in pairs[edge] and op 0 for the first transition
+    into a state (which sets it) and +1 or -1 for the others; transitions:
+    their number, the first edge's included; sign: that of the full state.
     """
 
-    MAX_ORDERS = 24     # every block order of the degree-3 diagrams
+    def __init__(self, pairs):
+        pairs = [[(pair, 1 << pair[0] | 1 << pair[1]) for pair in edge]
+                 for edge in pairs]
+        columns = [reduce(or_, (m for _, m in edge), 0) for edge in pairs]
+        # a column that no other edge has can only go to its own edge
+        seen = shared = 0
+        for c in columns:
+            shared |= seen & c
+            seen |= c
+        pairs = [[(pair, m) for pair, m in edge if not c & ~shared & ~m]
+                 for edge, c in zip(pairs, columns)]
+        # max keeps the first of its ties: fewer columns, then lower index
+        rest = sorted(range(len(pairs)),
+                      key=lambda e: (columns[e].bit_count(), e))
+        order, placed = [], 0
+        while rest:
+            e = max(rest, key=lambda e: (columns[e] & placed).bit_count())
+            rest.remove(e)
+            order.append(e)
+            placed |= columns[e]
+        # per edge placed, the column sets after it that can still complete;
+        # the states built from the empty set are the reachable ones
+        ahead = [{(1 << 2 * len(pairs)) - 1}]
+        for e in reversed(order[1:]):
+            ahead.append({state & ~m for state in ahead[-1]
+                          for _, m in pairs[e] if state & m == m})
+        ahead.reverse()
 
-    def __init__(self, pattern, blocks):
-        self.pattern = [tuple(sorted(rows)) for rows in pattern]
-        n = len(pattern)
-        # keyed by the bit set of the columns placed: the row sets they can
-        # be placed on, the complements of those that the other columns can
-        # be placed on, and the number of transitions that add one more
-        placed, rest, counts = {0: {0}}, {(1 << n) - 1: {(1 << n) - 1}}, {}
-        best = None
-        for order in islice(permutations(blocks), self.MAX_ORDERS):
-            columns = [c for block in order for c in block]
-            done = [0]
-            for c in columns:
-                done.append(done[-1] | 1 << c)
-            for k, c in enumerate(columns):
-                if done[k + 1] not in placed:
-                    placed[done[k + 1]] = {
-                        state | 1 << r for state in placed[done[k]]
-                        for r in self.pattern[c] if not state >> r & 1}
-            for k in range(n - 1, -1, -1):
-                if done[k] not in rest:
-                    rest[done[k]] = {
-                        state & ~(1 << r) for state in rest[done[k + 1]]
-                        for r in self.pattern[columns[k]] if state >> r & 1}
-            layers = [placed[m] & rest[m] for m in done]
-            for k, c in enumerate(columns):
-                if (done[k], c) not in counts:
-                    counts[done[k], c] = sum(
-                        state & ~(1 << r) in layers[k]
-                        for state in layers[k + 1] for r in self.pattern[c]
-                        if state >> r & 1)
-            count = sum(counts[done[k], c] for k, c in enumerate(columns))
-            if best is None or count < best[0]:
-                best = count, columns, layers
-        self.transitions, columns, layers = best
-        self._compile(columns, layers)
-
-    def _compile(self, columns, layers):
-        first = columns[0]
-        rows = [r for r in self.pattern[first] if 1 << r in layers[1]]
-        self.first = first, rows
-        index = {1 << r: i for i, r in enumerate(rows)}
-        signs = [1] * len(rows)
+        self.first = order[0]
+        self.pairs = [[] for _ in pairs]
         self.steps = []
-        for k, c in enumerate(columns[1:], 1):
+        self.transitions = 0
+        index, signs = {0: 0}, [1]
+        for n, e in enumerate(order):
             target, target_signs, transitions = {}, [], []
-            for state, i in index.items():
-                for r in self.pattern[c]:
-                    new = state | 1 << r
-                    if state >> r & 1 or new not in layers[k + 1]:
+            for pair, m in pairs[e]:
+                j, k, sign, _ = pair
+                p, before = len(self.pairs[e]), len(transitions)
+                for state, i in index.items():
+                    new = state | m
+                    if state & m or new not in ahead[n]:
                         continue
-                    sign = signs[i] * (-1) ** bin(state >> r + 1).count("1")
+                    s = sign * signs[i] * (-1) ** (
+                        (state >> j + 1).bit_count()
+                        + (state >> k + 1).bit_count())
                     if new in target:
                         t = target[new]
-                        transitions.append((i, r, t, sign * target_signs[t]))
+                        transitions.append((i, p, t, s * target_signs[t]))
                     else:
                         target[new] = len(target)
-                        target_signs.append(sign)
-                        transitions.append((i, r, target[new], 0))
-            self.steps.append((c, len(target), transitions))
+                        target_signs.append(s)
+                        transitions.append((i, p, target[new], 0))
+                if len(transitions) > before:
+                    self.pairs[e].append(pair)
+            if n:
+                self.steps.append((e, len(target), transitions))
+            self.transitions += len(transitions)
             index, signs = target, target_signs
-        self.sign = signs[0] * permutation_sign(columns)
+        self.sign = signs[0]
 
-    def det(self, a):
-        """The determinants of a (count, n, n) stack, reading only the
-        entries of the pattern."""
-        m = a.T     # m[column, row] is one (count,) vector
-        first, rows = self.first
-        values = [m[first, r] for r in rows]
-        term = np.empty(len(a))
-        for c, size, transitions in self.steps:
-            column = m[c]
+    def wedge(self, minors):
+        """The determinants for a batch; minors[e] lists the (count,)
+        vectors of pairs[e]."""
+        values = minors[self.first]
+        term = np.empty(len(values[0]))
+        for e, size, transitions in self.steps:
+            vectors = minors[e]
             new = [None] * size
-            for i, r, t, op in transitions:
+            for i, p, t, op in transitions:
                 if op == 0:
-                    new[t] = values[i] * column[r]
+                    new[t] = values[i] * vectors[p]
                     continue
-                np.multiply(values[i], column[r], out=term)
+                np.multiply(values[i], vectors[p], out=term)
                 if op > 0:
                     new[t] += term
                 else:
@@ -266,33 +260,19 @@ class KernelGeometry:
     sign) of each of its contributions, set by the subclass through
     set_entries.
 
-    The fold plan.  In the full 2E x 2E matrix, edge e owns two frame rows
-    (f1 . b, f2 . b), where b is a column's entry vector on e (the signed
-    velocity of the edge's moved ends over the edge length).  A column
-    whose entries all lie on one edge e (a univalent parameter; in W the
-    interior leg parameters and, for theta, both s columns) is removed by
-    Laplace expansion.  The two frame rows of e become one frame-free
-    folded row d . (a x b), with d the edge direction and a the folded
-    column's entry vector, by (f1.a)(f2.b) - (f2.a)(f1.b) = (f1 x f2).(a x b).
-    A second such column on a folded edge (a chord) leaves the scalar
-    factor d . (a x a'), the Gauss kernel.  Each step contributes
-    (-1)^(row + column) at its current position; fold_sign is their
-    product.
-
-    A trivalent coordinate moves its vertex along one axis, so its entry on
-    a row is that component of the row over the edge length, signed by the
-    end: rows list their trivalent ends and take no velocity for them.
-
-    rows: the reduced matrix rows, (edge, 0 | 1) for a frame row and
-    (edge, 'w') for a folded row; folded: {edge: folded column}; chords:
-    the (edge, second column) scalar factors; blocks: {(edge, column):
-    [(vertex, sign)]} for the columns that are not trivalent coordinates;
-    cells: per reduced row, the (position, column) of those columns'
-    nonzero entries; ends: per reduced row, its edge's trivalent ends as
-    (the positions of the vertex's three columns, ordered by axis; the
-    end's sign); plan: the LaplacePlan of the reduced matrix, its columns
-    in blocks of the s pair and each trivalent vertex's axes (None when
-    every column folds).
+    The wedge plan.  Edge e's 2-form on the columns j < k is
+    D . (B_j x B_k) / r^3 (times 1/4pi, which jacobian_values applies
+    once), where B is a column's signed velocity of the edge's ends: the
+    sum of sign * tangent over the ends it moves, or sign * e_a for the
+    axis a of a trivalent end.  With the signs kept apart, each pair is
+    sign * one of these over r^3:
+      ('w', c, None)  D_c, for two axes a != b (c the third; the same axis
+                      at both trivalent ends gives 0 and is not listed),
+      ('x', j, a)     (D x V_j)_a, for the velocity column j and axis a,
+      ('v', j, k)     (D x V_j) . V_k, for two velocity columns,
+    with V_j the tangent of the one end that column j moves, or the signed
+    sum when it moves both.  moves: {(edge, velocity column): [(vertex,
+    sign)]}; plan: the WedgePlan of the pairs, each keyed as above.
     """
 
     def __init__(self, od: OrientedDiagram, edges):
@@ -350,58 +330,41 @@ class KernelGeometry:
     def set_entries(self, columns, s_legs=()):
         """Jacobian entries of the columns, each ('u', v) or ('t', v, axis)
         as in self.columns or ('s', k), which moves the univalent vertices
-        s_legs; the tail of an edge enters with sign -1.  Then their fold
-        plan and the Laplace plan of the reduced determinant."""
+        s_legs; the tail of an edge enters with sign -1.  Then the edges'
+        2-form pairs and their wedge plan."""
         self.jacobian_columns = columns
         self.entries = [(ci, v, ei, -1 if v == p else 1)
                         for ci, col in enumerate(columns)
                         for v in (s_legs if col[0] == "s" else (col[1],))
                         for ei, (p, q) in enumerate(self.edges) if v in (p, q)]
-        self.blocks = {}
+        moved = [{} for _ in self.edges]
         for ci, v, ei, s in self.entries:
-            if columns[ci][0] != "t":
-                self.blocks.setdefault((ei, ci), []).append((v, s))
-        on_edges = {}
-        for ei, ci in self.blocks:
-            on_edges.setdefault(ci, []).append(ei)
-        rows = [(ei, f) for ei in range(len(self.edges)) for f in (0, 1)]
-        kept = list(range(self.dim))
-        self.folded = {}
-        self.chords = []
-        self.fold_sign = 1
-        for ci, on in on_edges.items():
-            if len(on) != 1:
-                continue
-            ei, = on
-            at = [i for i, row in enumerate(rows) if row[0] == ei]
-            self.fold_sign *= (-1) ** (at[0] + kept.index(ci))
-            kept.remove(ci)
-            if len(at) == 2:
-                rows[at[0]:at[0] + 2] = [(ei, "w")]
-                self.folded[ei] = ci
-            else:
-                del rows[at[0]]
-                self.chords.append((ei, ci))
-        self.rows = rows
-        self.cells = [[(j, ci) for j, ci in enumerate(kept)
-                       if (ei, ci) in self.blocks] for ei, _ in rows]
-        self.ends = [[([kept.index(columns.index(("t", v, k)))
-                        for k in range(3)], s)
-                       for v, s in zip(self.edges[ei], (-1, 1))
-                       if v in self.d.trivalent] for ei, _ in rows]
-        self.plan = None
-        if rows:
-            pattern = [[] for _ in kept]
-            for i, (cells, ends) in enumerate(zip(self.cells, self.ends)):
-                for j in [j for j, _ in cells] + [
-                        j for axes, _ in ends for j in axes]:
-                    pattern[j].append(i)
-            blocks = {}
-            for j, ci in enumerate(kept):
-                col = columns[ci]
-                blocks.setdefault(col[0] if col[0] == "s" else col[:2],
-                                  []).append(j)
-            self.plan = LaplacePlan(pattern, list(blocks.values()))
+            moved[ei].setdefault(ci, []).append((v, s))
+        self.moves = {(ei, ci): ends for ei, on in enumerate(moved)
+                      for ci, ends in on.items() if columns[ci][0] != "t"}
+        pairs = []
+        for on in moved:
+            # per column: its sign and its axis (None for a velocity)
+            cols = {ci: (ends[0][1] if len(ends) == 1 else 1,
+                         columns[ci][2] if columns[ci][0] == "t" else None)
+                    for ci, ends in on.items()}
+            pairs.append([])
+            for j, k in combinations(sorted(cols), 2):
+                (sj, a), (sk, b) = cols[j], cols[k]
+                if a is None and b is None:
+                    key = "v", j, k
+                elif a is None or b is None:
+                    # D . (V x e_b) = (D x V)_b, and e_a x V is its negative
+                    key = ("x", j, b) if a is None else ("x", k, a)
+                    sj *= 1 if a is None else -1
+                elif a == b:
+                    continue
+                else:
+                    # e_a x e_b = +-e_c, + when (a, b, c) is cyclic
+                    key = "w", 3 - a - b, None
+                    sj *= 1 if (b - a) % 3 == 1 else -1
+                pairs[-1].append((j, k, sj * sk, key))
+        self.plan = WedgePlan(pairs)
 
 
 def propose_trivalent(geo: KernelGeometry, rng, pos, density, scale):
@@ -436,86 +399,67 @@ def propose_trivalent(geo: KernelGeometry, rng, pos, density, scale):
 
 
 def jacobian_values(geo: KernelGeometry, pos, tangents, tol):
-    """Signed densities sign * det(M) / (4pi)^E for a batch, from the fold
-    plan of geo: the chord factors times the reduced determinant.
+    """Signed densities sign * det(M) / (4pi)^E for a batch: the wedge of
+    the edges' 2-forms through the plan of geo.
 
     pos: {vertex: (count, 3)}; tangents: {(column, vertex): (count, 3)},
     the velocity of the vertex along the column's coordinate, for every
-    column but the trivalent coordinates (see ends).  Returns
-    (values, rejected_mask); configurations with an edge shorter than tol
-    are flagged and valued 0.
+    column but the trivalent coordinates (whose velocity is a unit axis).
+    Returns (values, rejected_mask); configurations with an edge shorter
+    than tol are flagged and valued 0.
     """
     count = len(pos[geo.univ[0]])
     E = len(geo.edges)
     lengths = np.empty((count, E))
-    diffs, safe = [], []
+    # one array holds the batch's 2-form values: as separate temporaries
+    # they let the heap shrink and regrow between batches, a page fault per
+    # 4 KiB regrown, in the sampler's allocations as much as in these
+    rows = iter(np.empty((sum(len({key for *_, key in pairs})
+                              for pairs in geo.plan.pairs), count)))
+    minors = []
     for ei, (p, q) in enumerate(geo.edges):
         diff = pos[q] - pos[p]
         r = _norms(diff)
         lengths[:, ei] = r
-        diffs.append(diff)
-        safe.append(np.maximum(r, 1e-300))
-    rejected = np.any(lengths < tol, axis=1)
-
-    # velocity[e, c] = (vector, sign): the tangents of the ends of e that
-    # column c moves, summed with their signs, where the sign of a single
-    # end is kept apart so that no tangent is copied.  The entry vector b
-    # is sign * vector / length, so a frame entry is f . b and a folded
-    # entry d . (a x b) is (diff x vector_a) . vector_b * signs / length^3.
-    velocity = {}
-    for (ei, ci), moved in geo.blocks.items():
-        if len(moved) == 1:
-            (v, s), = moved
-            velocity[ei, ci] = tangents[ci, v], s
-        else:
-            velocity[ei, ci] = sum(s * tangents[ci, v] for v, s in moved), 1
-    folded = {}
-    for ei, ci in geo.folded.items():
-        vector, sign = velocity[ei, ci]
-        folded[ei] = _cross(diffs[ei], vector), sign, safe[ei] ** 3
-
-    values = np.full(count, geo.sign * geo.fold_sign / (4 * np.pi) ** E)
-    for ei, ci in geo.chords:
-        row, sign, scale = folded[ei]
-        vector, s = velocity[ei, ci]
-        values *= np.einsum("ij,ij->i", row, vector) / (sign * s * scale)
-    if geo.rows:
-        # filled transposed, so that each entry is one contiguous write;
-        # the plan reads the structural nonzeros only
-        M = np.empty((len(geo.rows), len(geo.rows), count))
-        for i, (ei, kind) in enumerate(geo.rows):
+        r3 = np.maximum(r, 1e-300) ** 3
+        crossed, minor = {}, {}
+        for *_, key in geo.plan.pairs[ei]:
+            if key in minor:
+                continue
+            kind, a, b = key
             if kind == "w":
-                row, sign, scale = folded[ei]
+                top = diff[:, a]
             else:
-                if kind == 0:
-                    frames = sphere_frames(diffs[ei] / safe[ei][:, None])
-                row, sign, scale = frames[kind], 1, safe[ei]
-            for j, ci in geo.cells[i]:
-                vector, s = velocity[ei, ci]
-                M[j, i] = (np.einsum("ij,ij->i", row, vector)
-                           / (sign * s * scale))
-            for axes, s in geo.ends[i]:
-                M[axes, i] = row.T / (sign * s * scale)
-        values *= geo.plan.det(M.T)
+                if a not in crossed:
+                    crossed[a] = _cross(diff, _velocity(geo, tangents, ei, a))
+                top = (crossed[a][:, b] if kind == "x" else np.einsum(
+                    "ij,ij->i", crossed[a], _velocity(geo, tangents, ei, b)))
+            minor[key] = np.divide(top, r3, out=next(rows))
+        minors.append([minor[key] for *_, key in geo.plan.pairs[ei]])
+    rejected = np.any(lengths < tol, axis=1)
+    values = geo.plan.wedge(minors) * (geo.sign / (4 * np.pi) ** E)
     return np.where(rejected, 0.0, values), rejected
+
+
+def _velocity(geo: KernelGeometry, tangents, ei, ci):
+    """V for column ci on edge ei: the tangent of the one end it moves,
+    as it stands, or the signed sum when it moves both."""
+    ends = geo.moves[ei, ci]
+    if len(ends) == 1:
+        return tangents[ci, ends[0][0]]
+    return sum(s * tangents[ci, v] for v, s in ends)
 
 
 def chord_sign(geo: KernelGeometry):
     """For a diagram of chords only, the sign c with integrand = c * the
     product over its chords (p, q) of gauss_kernel(p, q).
 
-    A chord's factor in jacobian_values is d . (a x b) over its two ends'
-    signed velocities a (the folded end) and b; the ends enter with
-    opposite signs, so it is -e_p e_q 4 pi gauss_kernel(p, q), e the
-    vertex orientations, when p is the folded end and +e_p e_q 4 pi
-    gauss_kernel(p, q) when q is."""
-    sign = geo.sign * geo.fold_sign
-    for ei, _ in geo.chords:
-        p, q = geo.edges[ei]
-        folded_end = geo.jacobian_columns[geo.folded[ei]][1]
-        sign *= geo.univ_sign[p] * geo.univ_sign[q] * (
-            -1 if folded_end == p else 1)
-    return sign
+    The plan is then a single term, of sign plan.sign: each chord (p, q)
+    takes its two columns, the tail p's first as the half-edge order puts
+    it, and their vector (D x V_p) . V_q / r^3 is e_p e_q 4 pi
+    gauss_kernel(p, q), e the vertex orientations that the tangents carry.
+    Every univalent vertex ends one chord."""
+    return geo.sign * geo.plan.sign * prod(geo.univ_sign.values())
 
 
 class DiagramGeometry(KernelGeometry):

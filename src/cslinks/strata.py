@@ -70,9 +70,6 @@ def enumerate_strata(vertices, edges):
                                  sorted(tuple(sorted(s)) for s in f.sets)))
 
 
-FACE_TYPES = ("a", "a'", "b", "c1", "c2", "d", "e")
-
-
 @dataclass(frozen=True)
 class FaceLabel:
     diagram: Diagram

@@ -35,7 +35,7 @@ class TestGauge:
 class TestFold:
     @pytest.mark.parametrize("name", ["theta", "a1", "a2", "a3"])
     def test_matches_full_determinant(self, monkeypatch, name):
-        # the folded kernel against the full assembly on the gauge slice;
+        # the wedge kernel against the full assembly on the gauge slice;
         # d2 and the wheel vanish pointwise (TestVanishingIntegrands)
         geo = WGeometry(line_diagram_catalog(name))
         rng = np.random.default_rng(12)

@@ -69,9 +69,18 @@ def reference_integrand(geo, t_univ, x_triv):
 
 
 def full_jacobian_values(geo, pos, tangents, tol):
-    """The integrand from the full 2E x 2E determinant, two frame rows per
-    edge and one column per coordinate, with nothing folded: the oracle of
-    jacobian_values.  A trivalent coordinate's velocity is its unit axis."""
+    """The integrand from the full 2E x 2E determinant of frame_rows: the
+    oracle of jacobian_values."""
+    M, lengths = frame_rows(geo, pos, tangents)
+    rejected = np.any(lengths < tol, axis=1)
+    values = geo.sign * np.linalg.det(M) / (4 * np.pi) ** len(geo.edges)
+    return np.where(rejected, 0.0, values), rejected
+
+
+def frame_rows(geo, pos, tangents):
+    """The full Jacobian, two frame rows per edge and one column per
+    coordinate, and the (count, E) edge lengths.  A trivalent coordinate's
+    velocity is its unit axis."""
     count = len(pos[geo.univ[0]])
     E = len(geo.edges)
     lengths = np.empty((count, E))
@@ -83,7 +92,6 @@ def full_jacobian_values(geo, pos, tangents, tol):
         safe = np.maximum(r, 1e-300)[:, None]
         dvec = diff / safe
         edge.append((dvec, *sphere_frames(dvec), safe))
-    rejected = np.any(lengths < tol, axis=1)
     M = np.zeros((count, geo.dim, geo.dim))
     for ci, v, ei, sign in geo.entries:
         col = geo.jacobian_columns[ci]
@@ -97,12 +105,11 @@ def full_jacobian_values(geo, pos, tangents, tol):
         entry = sign * proj / safe
         M[:, 2 * ei, ci] += np.sum(f1 * entry, axis=1)
         M[:, 2 * ei + 1, ci] += np.sum(f2 * entry, axis=1)
-    values = geo.sign * np.linalg.det(M) / (4 * np.pi) ** E
-    return np.where(rejected, 0.0, values), rejected
+    return M, lengths
 
 
 def folded_and_full(monkeypatch, module, integrand, *args):
-    """(folded values, oracle values, shortest edge) of one integrand call:
+    """(kernel values, oracle values, shortest edge) of one integrand call:
     the kernel's own inputs are handed to the oracle as well."""
     seen = []
     kernel = module.jacobian_values
@@ -232,12 +239,25 @@ class TestPointwise:
         assert np.array_equal(rejected, ref_rejected)
         assert np.any(values != 0)
 
+    def test_sphere_frames_orthonormal(self):
+        # both branches: Gram-Schmidt against z, and against x near the poles
+        rng = np.random.default_rng(9)
+        d = rng.normal(size=(4096, 3)) * [1.0, 1.0, 20.0]
+        d /= np.linalg.norm(d, axis=1)[:, None]
+        near_pole = np.abs(d[:, 2]) > 0.99
+        assert 0 < np.count_nonzero(near_pole) < len(d)
+        f1, f2 = sphere_frames(d)
+        gram = np.einsum("nij,nkj->nik", np.stack([f1, f2, d], axis=1),
+                         np.stack([f1, f2, d], axis=1))
+        assert np.max(np.abs(gram - np.eye(3))) <= 1e-15
+        assert np.max(np.abs(np.cross(f1, f2) - d)) <= 1e-15
+
 
 class TestFold:
     @pytest.mark.parametrize("name", ["trefoil", "figure8", "hopf-link"])
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_matches_full_determinant(self, monkeypatch, name, n):
-        # the folded kernel against the full 2E x 2E assembly on every
+        # the wedge kernel against the full 2E x 2E assembly on every
         # subprincipal class; triangle classes vanish pointwise and have
         # their own test below
         curve = catalog(name)
@@ -281,113 +301,152 @@ class TestFold:
     @pytest.mark.parametrize("od, name", [
         (std_oriented(THETA), "trefoil"), (crossed_chord(), "trefoil"),
         (parallel_chord(), "trefoil"), (hopf_chord(), "hopf-link")])
-    def test_chord_diagrams_take_no_determinant(self, monkeypatch, od, name):
-        def refuse(plan, matrix):
-            raise AssertionError("a chord diagram called det")
-
-        monkeypatch.setattr(integrate.LaplacePlan, "det", refuse)
+    def test_chord_diagrams_take_no_determinant(self, od, name):
+        # the wedge of chords is a single term: one pair, one transition
+        # per chord
         geo = DiagramGeometry(od, catalog(name))
+        assert geo.plan.transitions == len(geo.edges)
+        assert [len(pairs) for pairs in geo.plan.pairs] == [1] * len(geo.edges)
         rng = np.random.default_rng(4)
         _, x_univ, v_univ, x, _ = ConfigurationSampler(geo).sample(rng, 256)
         values, _ = integrand_batch(geo, x_univ, v_univ, x)
         assert np.any(values != 0)
 
-    @pytest.mark.parametrize("trivalent, shape", [(1, (3, 3)), (2, (6, 6))])
-    def test_reduced_determinant_shape(self, monkeypatch, trivalent, shape):
-        d = next(d for d in enumerate_diagrams(circles(1), trivalent + 1)
-                 if is_subprincipal(d) and len(d.trivalent) == trivalent)
-        shapes = []
-        det = integrate.LaplacePlan.det
-
-        def record(plan, matrix):
-            shapes.append(matrix.shape)
-            return det(plan, matrix)
-
-        monkeypatch.setattr(integrate.LaplacePlan, "det", record)
-        geo = DiagramGeometry(std_oriented(d), catalog("trefoil"))
-        rng = np.random.default_rng(5)
-        _, x_univ, v_univ, x, _ = ConfigurationSampler(geo).sample(rng, 64)
-        integrand_batch(geo, x_univ, v_univ, x)
-        assert shapes == [(64, *shape)]
-
 
 def plan_geometries(source):
-    """The kernel geometries with a reduced determinant: the W catalog, or
-    every subprincipal class without a trivalent triangle through degree 3
-    on a catalog curve."""
+    """The kernel geometries of the W catalog, or of every subprincipal
+    class through degree 3 on a catalog curve."""
     if source == "W":
-        geos = [WGeometry(line_diagram_catalog(name))
+        return [WGeometry(line_diagram_catalog(name))
                 for name in anomaly.LINE_CATALOG]
-    else:
-        curve = catalog(source)
-        geos = [DiagramGeometry(std_oriented(d), curve) for n in (1, 2, 3)
-                for d in enumerate_diagrams(circles(curve.n_components), n)
-                if is_subprincipal(d) and not has_trivalent_triangle(d)]
-    return [geo for geo in geos if geo.plan is not None]
+    curve = catalog(source)
+    return [DiagramGeometry(std_oriented(d), curve) for n in (1, 2, 3)
+            for d in enumerate_diagrams(circles(curve.n_components), n)
+            if is_subprincipal(d)]
+
+
+def edge_matrices(geo, rng, count):
+    """Random (count, 2E, 2E) matrices with the Jacobian's structure: edge
+    e's rows 2e, 2e + 1 are nonzero only on the columns that move e, and
+    the columns of one axis at both trivalent ends of e are opposite there.
+    Returns them with {(edge, column): its opposite column}."""
+    a = np.zeros((count, geo.dim, geo.dim))
+    for ci, v, ei, _ in geo.entries:
+        a[:, 2 * ei:2 * ei + 2, ci] = rng.normal(size=(count, 2))
+    opposite = {}
+    for ei, (p, q) in enumerate(geo.edges):
+        if p in geo.triv_index and q in geo.triv_index:
+            for axis in range(3):
+                cp, cq = (geo.jacobian_columns.index(("t", v, axis))
+                          for v in (p, q))
+                a[:, 2 * ei:2 * ei + 2, cq] = -a[:, 2 * ei:2 * ei + 2, cp]
+                opposite[ei, cp], opposite[ei, cq] = cq, cp
+    return a, opposite
+
+
+def plan_det(plan, a):
+    """The plan's wedge of the 2x2 minors of each edge's rows of a."""
+    minors = [[sign * (a[:, 2 * e, j] * a[:, 2 * e + 1, k]
+                       - a[:, 2 * e + 1, j] * a[:, 2 * e, k])
+               for j, k, sign, _ in pairs]
+              for e, pairs in enumerate(plan.pairs)]
+    return plan.wedge(minors)
 
 
 class TestDeterminant:
     @pytest.mark.parametrize("near_singular", [False, True])
-    def test_closed_form_matches_lapack(self, near_singular):
-        # the tripod's plan, whose 3x3 pattern is dense, on random 3x3
-        # batches over six decades of scale, on both layouts: a
-        # (count, 3, 3) stack and the transposed (3, 3, count) array that
-        # jacobian_values fills; near singular: one row a combination of
-        # the other two
-        plan = DiagramGeometry(std_oriented(tripod()), catalog("trefoil")).plan
-        assert plan.pattern == [(0, 1, 2)] * 3
-        rng = np.random.default_rng(8)
-        a = rng.normal(size=(4096, 3, 3)) \
-            * 10.0 ** rng.uniform(-3, 3, (4096, 1, 1))
-        if near_singular:
-            w = rng.normal(size=(4096, 2, 1))
-            a[:, 2] = w[:, 0] * a[:, 0] + w[:, 1] * a[:, 1]
-        bound = 1e-12 * np.prod(np.linalg.norm(a, axis=2), axis=1)
-        for stack in (a, np.ascontiguousarray(a.T).T):
-            assert np.all(np.abs(plan.det(stack) - np.linalg.det(a))
-                          <= bound)
-
-    @pytest.mark.parametrize("near_singular", [False, True])
     @pytest.mark.parametrize("source", ["W", "trefoil", "hopf-link"])
     def test_plan_matches_lapack(self, source, near_singular):
-        # random matrices with each plan's pattern, each scaled by up to
-        # three decades either way, on both layouts: a (count, n, n) stack
-        # and the transposed (n, n, count) array that jacobian_values
-        # fills; off the pattern the plan sees NaN, which it must not read.
-        # Near singular: one entry on a complete expansion is set to the
+        # random matrices with each geometry's structure, each scaled by up
+        # to three decades either way.  Near singular: one entry of the
+        # first edge's rows, with its opposite if it has one, is set to the
         # root of the determinant, which is affine in it.
-        sizes = set()
         for k, geo in enumerate(plan_geometries(source)):
-            plan = geo.plan
-            n = len(plan.pattern)
-            sizes.add(n)
-            mask = np.zeros((n, n), dtype=bool)
-            for j, rows in enumerate(plan.pattern):
-                mask[list(rows), j] = True
             rng = np.random.default_rng(k)
-            a = rng.normal(size=(4096, n, n)) * mask \
-                * 10.0 ** rng.uniform(-3, 3, (4096, 1, 1))
+            a, opposite = edge_matrices(geo, rng, 4096)
+            a *= 10.0 ** rng.uniform(-3, 3, (4096, 1, 1))
             if near_singular:
-                j, (i, *_) = plan.first
-                a[:, i, j] = 0.0
+                e = geo.plan.first
+                j = geo.plan.pairs[e][0][0]
+
+                def put(x):
+                    a[:, 2 * e, j] = x
+                    if (e, j) in opposite:
+                        a[:, 2 * e, opposite[e, j]] = -x
+
+                put(0.0)
                 at_zero = np.linalg.det(a)
-                a[:, i, j] = 1.0
-                slope = np.linalg.det(a) - at_zero
-                a[:, i, j] = -at_zero / slope
-            expected = np.linalg.det(a)
+                put(1.0)
+                put(-at_zero / (np.linalg.det(a) - at_zero))
             bound = 1e-12 * np.prod(np.linalg.norm(a, axis=2), axis=1)
-            a[:, ~mask] = np.nan
-            for stack in (a, np.ascontiguousarray(a.T).T):
-                assert np.all(np.abs(plan.det(stack) - expected) <= bound)
-        assert sizes == ({5, 8, 11} if source == "W" else {3, 6})
+            assert np.all(np.abs(plan_det(geo.plan, a) - np.linalg.det(a))
+                          <= bound)
 
     def test_plan_sizes(self):
         # transitions per geometry; the first leg's s-velocity is 0 and
         # lists no entries
         transitions = {name: WGeometry(line_diagram_catalog(name)).plan
-                       .transitions for name in ("d2", "a1", "a3", "w3")}
-        assert transitions == {"d2": 37, "a1": 109, "a3": 84, "w3": 232}
-        assert WGeometry(line_diagram_catalog("theta")).plan is None
+                       .transitions for name in anomaly.LINE_CATALOG}
+        assert transitions == {"theta": 1, "d2": 17, "a1": 59, "a2": 59,
+                               "a3": 47, "w3": 181}
+
+    @pytest.mark.parametrize("trivalent, transitions", [(1, 12), (2, 24)])
+    def test_closed_link_plan_sizes(self, trivalent, transitions):
+        # the tripod, and every degree-3 class with two trivalent vertices
+        # and no triangle
+        sizes = {DiagramGeometry(std_oriented(d), catalog("trefoil"))
+                 .plan.transitions
+                 for d in enumerate_diagrams(circles(1), trivalent + 1)
+                 if is_subprincipal(d) and len(d.trivalent) == trivalent
+                 and not has_trivalent_triangle(d)}
+        assert sizes == {transitions}
+
+    @pytest.mark.parametrize("source", ["W", "trefoil", "hopf-link"])
+    def test_two_forms_are_frame_minors(self, monkeypatch, source):
+        # every vector the plan is handed, times its pair's sign, is the
+        # 2x2 minor of its edge's frame rows on the pair's columns, to
+        # rounding of the product of the two columns' norms; near
+        # collisions the oracle's projection cancels digits, so only
+        # configurations with every edge at least 1e-2 of the scale count
+        kernel = integrate.jacobian_values
+        for seed, geo in enumerate(plan_geometries(source)):
+            rng = np.random.default_rng(seed)
+            inputs, handed = [], []
+            wedge = geo.plan.wedge
+
+            def record(geo, pos, tangents, tol):
+                inputs.append((pos, tangents))
+                return kernel(geo, pos, tangents, tol)
+
+            def record_minors(minors):
+                handed.append(minors)
+                return wedge(minors)
+
+            monkeypatch.setattr(geo.plan, "wedge", record_minors)
+            if source == "W":
+                monkeypatch.setattr(anomaly, "jacobian_values", record)
+                s, t, x, _ = WSampler(geo).sample(rng, 512)
+                anomaly.w_integrand_batch(geo, s, t, x)
+            else:
+                monkeypatch.setattr(integrate, "jacobian_values", record)
+                _, x_univ, v_univ, x, _ = ConfigurationSampler(geo).sample(
+                    rng, 512)
+                integrand_batch(geo, x_univ, v_univ, x)
+            (pos, tangents), = inputs
+            minors, = handed
+            M, lengths = frame_rows(geo, pos, tangents)
+            keep = np.min(lengths, axis=1) >= 1e-2 * (
+                1.0 if source == "W" else geo.diameter)
+            assert np.count_nonzero(keep) > len(keep) // 2
+            for e, pairs in enumerate(geo.plan.pairs):
+                rows = M[:, 2 * e:2 * e + 2]
+                for (j, k, sign, _), vector in zip(pairs, minors[e]):
+                    want = (rows[:, 0, j] * rows[:, 1, k]
+                            - rows[:, 1, j] * rows[:, 0, k])
+                    scale = (np.linalg.norm(rows[:, :, j], axis=1)
+                             * np.linalg.norm(rows[:, :, k], axis=1))
+                    assert np.all((np.abs(sign * vector - want)
+                                   <= 1e-12 * scale)[keep])
 
 
 class TestSampler:
