@@ -11,16 +11,17 @@ integral (the framing correction), and the spherical region predicates
 behind the degree-3 vanishing argument.
 """
 
+from functools import partial
 from math import factorial
 
 import numpy as np
 
-from .algebra import ClassVector, Series, reduction
+from .algebra import Series, reduction
 from .curves import LinkCurve
-from .diagrams import (Diagram, OrientedDiagram, automorphism_count,
-                       canonical_oriented, degree, is_connected, std_oriented)
+from .diagrams import (Diagram, OrientedDiagram, automorphism_count, degree,
+                       is_connected, std_oriented)
 from .errors import DiagramError, EmbeddingError
-from .integrate import (KernelGeometry, has_trivalent_triangle,
+from .integrate import (KernelGeometry, class_sum, has_trivalent_triangle,
                         jacobian_values, permutation_sign, propose_trivalent,
                         sphere_frames)
 from .invariants import self_linking
@@ -170,17 +171,23 @@ def f_gamma(gamma, samples=10 ** 6, seed=0, shards=None,
     return run_sharded(batch, samples, seed, shards, workers)
 
 
+def vanishes_on_w(d) -> bool:
+    """Whether the integrand of d on W(γ) is 0 at every point: d has a
+    trivalent triangle, or a trivalent vertex on three legs, whose edge
+    directions lie on one great circle (the plane of the axis and the
+    vertex), so their 6-form pulls back through a map of rank at most 5."""
+    return has_trivalent_triangle(d) or any(
+        set(d.neighbors(t)) <= d.univalent for t in d.trivalent)
+
+
 def anomaly_alpha(max_degree, samples=10 ** 6, seed=0, shards=None,
                   workers=None):
     """The anomaly series up to max_degree: sum of f_γ/(2|γ|) [γ].
 
-    Returns (series, estimates): float-coefficient class vectors per degree
-    and the f estimates per catalog name.  Degree two is included: its one
-    Monte Carlo member d2 vanishes pointwise, because its three edge
-    directions lie on one great circle, so the map to the spheres has rank
-    at most 5.  Degree three runs over a1, a2 and a3.  The wheel w3, like
-    every diagram with a trivalent triangle, has an integrand that vanishes
-    pointwise, so it is 0 exactly and is not sampled.
+    Returns (series, estimates): class_sum's vector per degree and the f
+    estimates per catalog name.  Only theta, a1 and a3 are integrated: d2
+    and the wheel w3 vanish pointwise (vanishes_on_w), and the class of a2
+    is 0 in A_3(R¹), so degree two is the zero vector.
     """
     if max_degree > 3:
         raise DiagramError("anomaly supports degree <= 3")
@@ -188,20 +195,14 @@ def anomaly_alpha(max_degree, samples=10 ** 6, seed=0, shards=None,
     series = Series(R1)
     estimates = {}
     for n in range(1, max_degree + 1):
-        red = reduction(R1, n)
-        vec = ClassVector.zero(R1, n)
-        for offset, name in enumerate(by_degree[n]):
-            od = line_diagram_catalog(name)
-            if has_trivalent_triangle(od.diagram):
-                continue
-            est = f_gamma(od, samples=samples, seed=seed + 101 * n + offset,
-                          shards=shards, workers=workers)
-            estimates[name] = est
-            aut = automorphism_count(od.diagram)
-            key, sign = canonical_oriented(od)
-            if sign:
-                vec = vec + ClassVector(R1, n, {key: sign * est.value / (2 * aut)})
-        series[n] = red.reduce(vec)
+        ods = {name: line_diagram_catalog(name) for name in by_degree[n]}
+        series[n], _, ests = class_sum(reduction(R1, n), (
+            (name, od, 2 * automorphism_count(od.diagram),
+             partial(f_gamma, od, samples=samples, shards=shards,
+                     workers=workers, seed=seed + 101 * n + offset))
+            for offset, (name, od) in enumerate(ods.items())
+            if not vanishes_on_w(od.diagram)))
+        estimates.update(ests)
     return series, estimates
 
 

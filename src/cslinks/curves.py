@@ -102,12 +102,12 @@ class LinkCurve:
         try:
             comps = [(c["const"], c.get("cos", []), c.get("sin", []))
                      for c in data["components"]]
+            if comps:
+                return cls(comps)
         except (TypeError, KeyError):
-            comps = []
-        if not comps:
-            raise ValueError(f"a curve file must hold {CURVE_SCHEMA} with at "
-                             "least one component")
-        return cls(comps)
+            pass
+        raise ValueError(f"a curve file must hold {CURVE_SCHEMA} with at "
+                         "least one component")
 
 
 def check_component(curve: LinkCurve, m):

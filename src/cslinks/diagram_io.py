@@ -30,7 +30,7 @@ def parse_diagram(text: str) -> OrientedDiagram:
         if not line:
             continue
         head, _, rest = line.partition(":")
-        head = head.split()
+        head = head.split() or [""]     # an empty head is unrecognised
         rest = rest.split()
         if head[0] == "component":
             if len(head) == 2:

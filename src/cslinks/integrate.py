@@ -36,8 +36,7 @@ makes the single-chord density equal the classical Gauss linking integrand
 exactly.
 """
 
-from fractions import Fraction
-from functools import reduce
+from functools import partial, reduce
 from itertools import combinations
 from math import factorial, prod
 from operator import or_
@@ -748,54 +747,56 @@ def has_trivalent_triangle(d) -> bool:
                <= d.edges for a, b, c in combinations(sorted(d.trivalent), 3))
 
 
+def class_sum(red, classes):
+    """Σ sign · value / order · [class] in the basis of red, and each
+    coordinate's standard error.  classes yields (label, od, order,
+    estimate); a class is reduced first, and estimate() runs only if its
+    unit is not 0.  Returns (vector, errors by basis key, estimates by
+    label)."""
+    coords, variances, estimates = {}, {}, {}
+    for label, od, order, estimate in classes:
+        unit = red.reduce(ClassVector.of(od))
+        if unit.is_zero():
+            continue
+        est = estimates[label] = estimate()
+        for bk, c in unit.terms.items():
+            w = float(c) / order
+            coords[bk] = coords.get(bk, 0.0) + w * est.value
+            variances[bk] = variances.get(bk, 0.0) + (w * est.stderr) ** 2
+    errors = {bk: float(np.sqrt(v)) for bk, v in variances.items() if v}
+    return ClassVector(red.support, red.n, coords), errors, estimates
+
+
 def z_n(curve: LinkCurve, n: int, k=None, samples=10 ** 6, seed=0,
         shards=None, workers=None):
-    """The degree-n part of the configuration space integral series.
-
-    Returns (vector, errors, estimates): the reduced class vector with
-    float coefficients, a dict basis-key -> standard error propagated
-    through the reduction, and the per-diagram-class estimates.  Classes
-    with a trivalent triangle are 0 exactly and are not sampled; one-chord
-    classes are computed by chord_quadrature and classes of two chords on
-    one circle by two_chord_quadrature.  Every other class, the two-chord
-    classes that span two components included, is sampled.
+    """The degree-n part of the configuration space integral series:
+    class_sum's (vector, errors, estimates by canonical key) over the
+    subprincipal classes.  Classes with a trivalent triangle are 0
+    pointwise and are not integrated.  One-chord classes are computed by
+    chord_quadrature and classes of two chords on one circle by
+    two_chord_quadrature.  Every other class, the two-chord classes that
+    span two components included, is sampled.
     """
     support = circles(curve.n_components)
     if n == 0:
         empty = enumerate_diagrams(support, 0)[0]
         vec = ClassVector.of(std_oriented(empty), 1.0)
         return vec, {}, {}
-    red = reduction(support, n, k)
-    estimates = {}
-    auts = {}
-    vec_terms = {}
     kernels = {}
-    for idx, d in enumerate(enumerate_diagrams(support, n)):
-        if not is_subprincipal(d) or has_trivalent_triangle(d):
-            continue
-        od = std_oriented(d)
-        key, sign = canonical_oriented(od)
-        if sign == 0:
-            continue
-        if len(d.edges) == 1:
-            est = chord_quadrature(od, curve)
-        elif two_chords_on_one_circle(d):
-            est = two_chord_quadrature(od, curve, kernels)
-        else:
-            est = integrate_diagram(od, curve, samples=samples,
-                                    seed=seed + 7919 * idx,
-                                    shards=shards, workers=workers)
-        estimates[key] = est
-        auts[key] = aut = automorphism_count(d)
-        vec_terms[key] = vec_terms.get(key, 0.0) + sign * est.value / aut
-    raw = ClassVector(support, n, vec_terms)
-    reduced = red.reduce(raw)
-    # propagate errors through the linear reduction
-    coords_err = {bk: 0.0 for bk in red.basis}
-    for key, est in estimates.items():
-        unit = ClassVector(support, n, {key: Fraction(1)})
-        coeffs = red.reduce(unit)
-        for bk, c in coeffs.terms.items():
-            coords_err[bk] += (float(c) * est.stderr / auts[key]) ** 2
-    errors = {bk: float(np.sqrt(v)) for bk, v in coords_err.items() if v}
-    return reduced, errors, estimates
+
+    def classes():
+        for idx, d in enumerate(enumerate_diagrams(support, n)):
+            if not is_subprincipal(d) or has_trivalent_triangle(d):
+                continue
+            od = std_oriented(d)
+            if len(d.edges) == 1:
+                est = partial(chord_quadrature, od, curve)
+            elif two_chords_on_one_circle(d):
+                est = partial(two_chord_quadrature, od, curve, kernels)
+            else:
+                est = partial(integrate_diagram, od, curve, samples=samples,
+                              seed=seed + 7919 * idx, shards=shards,
+                              workers=workers)
+            yield canonical_oriented(od)[0], od, automorphism_count(d), est
+
+    return class_sum(reduction(support, n, k), classes())

@@ -63,14 +63,11 @@ def z_series(curve: LinkCurve, max_degree, samples=10 ** 6, seed=0,
     check_degree(max_degree)
     support = circles(curve.n_components)
     series = Series(support)
-    errors = {}
-    estimates = {}
+    errors, estimates = {}, {}
     for n in range(0, max_degree + 1):
-        vec, errs, ests = z_n(curve, n, samples=samples, seed=seed + 31 * n,
-                              shards=shards, workers=workers)
-        series[n] = vec
-        errors[n] = errs
-        estimates[n] = ests
+        series[n], errors[n], estimates[n] = z_n(
+            curve, n, samples=samples, seed=seed + 31 * n, shards=shards,
+            workers=workers)
     return series, errors, estimates
 
 

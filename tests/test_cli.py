@@ -49,6 +49,12 @@ class TestDiagramCommands:
                     "--degree", "9")
         assert r.returncode == 2
 
+    def test_classify_empty_head_is_input_error(self, tmp_path):
+        f = tmp_path / "y.diagram"
+        f.write_text(": a b\n")
+        one_line_input_error(run_cli("diagrams", "classify", str(f)),
+                             "unrecognised line")
+
 
 class TestAlgebraCommands:
     def test_check_gluings(self):
@@ -66,6 +72,12 @@ class TestAlgebraCommands:
                 "coeff 1", f"coeff {coeff}"))
         one_line_input_error(run_cli("algebra", "reduce", str(f)),
                              f"coefficient {coeff!r}")
+
+    def test_reduce_empty_head_is_input_error(self, tmp_path):
+        f = tmp_path / "vec.txt"
+        f.write_text("coeff 1\n: a\n")
+        one_line_input_error(run_cli("algebra", "reduce", str(f)),
+                             "unrecognised line")
 
     def test_reduce_vector_file(self, tmp_path):
         from cslinks.diagram_io import serialize_class_vector
@@ -298,7 +310,10 @@ class TestCurveFiles:
         r = run_cli("curve", "validate", "--curve", str(tmp_path))
         one_line_input_error(r, "directory")
 
-    @pytest.mark.parametrize("text", ["[1, 2]", '{"components": {}}'])
+    @pytest.mark.parametrize("text", [
+        "[1, 2]", '{"components": {}}',
+        '{"components": [{"const": {"x": 1}}]}',
+        '{"components": [{"const": [0, 0, 0], "sin": {"a": 1}}]}'])
     def test_wrong_schema_is_input_error(self, tmp_path, text):
         f = tmp_path / "curve.json"
         f.write_text(text)

@@ -1,4 +1,5 @@
 import tracemalloc
+from fractions import Fraction
 from itertools import combinations
 from math import factorial
 
@@ -6,11 +7,13 @@ import numpy as np
 import pytest
 
 from cslinks import anomaly, integrate
+from cslinks.algebra import ClassVector, reduction
 from cslinks.anomaly import WGeometry, WSampler, f_gamma, line_diagram_catalog
 from cslinks.curves import LinkCurve, catalog
-from cslinks.diagrams import (THETA, Diagram, canonical_oriented,
-                              enumerate_diagrams, is_subprincipal,
-                              std_oriented, tripod, tripod_positive)
+from cslinks.diagrams import (THETA, Diagram, automorphism_count,
+                              canonical_oriented, enumerate_diagrams,
+                              is_subprincipal, std_oriented, tripod,
+                              tripod_positive)
 from cslinks.errors import DiagramError
 from cslinks.integrate import (ConfigurationSampler, DiagramGeometry,
                                chord_quadrature, chord_sign, gauss_kernel,
@@ -556,6 +559,35 @@ class TestZn:
                               samples=2 * 10 ** 5, seed=4)
         coeff = float(vec.terms.get(crossed_chord_key(), 0.0))
         assert abs(coeff + 1.0 / 24.0) < 0.01
+
+    @pytest.mark.parametrize("name, n", [("trefoil", 2), ("trefoil", 3),
+                                         ("hopf-link", 1), ("hopf-link", 2)])
+    def test_z_n_is_the_reduced_class_sum(self, name, n):
+        # the raw vector of the returned estimates, reduced as a whole, and
+        # each class's unit reduced alone for the errors
+        curve = catalog(name)
+        vec, errs, ests = z_n(curve, n, samples=2000, seed=3)
+        support = circles(curve.n_components)
+        red = reduction(support, n)
+        raw, var = {}, {}
+        for d in enumerate_diagrams(support, n):
+            key, sign = canonical_oriented(std_oriented(d))
+            if key not in ests:
+                continue
+            aut = automorphism_count(d)
+            raw[key] = raw.get(key, 0.0) + sign * ests[key].value / aut
+            unit = red.reduce(ClassVector(support, n, {key: Fraction(1)}))
+            for bk, c in unit.terms.items():
+                var[bk] = var.get(bk, 0.0) + (float(c) * ests[key].stderr
+                                              / aut) ** 2
+        assert len(raw) == len(ests)
+        old = red.reduce(ClassVector(support, n, raw))
+        assert vec.terms.keys() == old.terms.keys()
+        for bk, c in old.terms.items():
+            assert vec.terms[bk] == pytest.approx(c, rel=1e-12)
+        assert errs.keys() == {bk for bk, v in var.items() if v}
+        for bk, v in errs.items():
+            assert v == pytest.approx(np.sqrt(var[bk]), rel=1e-12)
 
 
 def reversed_hopf():
