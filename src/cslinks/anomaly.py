@@ -98,33 +98,54 @@ class WGeometry(KernelGeometry):
         self.set_entries([("s", 0), ("s", 1)] + self.kept, self.univ[1:])
 
 
-def _sample_sphere(rng, count):
-    """Uniform points of S²; z is stratified across the batch."""
-    z = -1 + 2 * (np.arange(count) + rng.uniform(size=count)) / count
-    phi = rng.uniform(0, 2 * np.pi, size=count)
-    r = np.sqrt(np.maximum(0.0, 1 - z ** 2))
-    return np.stack([r * np.cos(phi), r * np.sin(phi), z], axis=1)
+def _sample_sphere(rng, count, work):
+    """Uniform points of S², as a (count, 3) array of work; z is
+    stratified across the batch.  rng.random gives the bits of
+    rng.uniform(0, 1), and times 2 pi those of rng.uniform(0, 2 pi)."""
+    s = work("sphere.s", (count, 3))
+    z, phi, r, trig = (work(name, (count,)) for name in
+                       ("sphere.z", "sphere.phi", "sphere.r", "sphere.trig"))
+    # z = -1 + 2 (i + u_i) / count, op by op
+    np.add(work.arange(count), rng.random(out=z), out=z)
+    np.add(np.divide(np.multiply(z, 2, out=z), count, out=z), -1, out=z)
+    np.multiply(rng.random(out=phi), 2 * np.pi, out=phi)
+    # r = sqrt(max(0, 1 - z^2))
+    np.subtract(1, np.square(z, out=r), out=r)
+    np.sqrt(np.maximum(0.0, r, out=r), out=r)
+    np.multiply(r, np.cos(phi, out=trig), out=s[:, 0])
+    np.multiply(r, np.sin(phi, out=trig), out=s[:, 1])
+    s[:, 2] = z
+    return s
 
 
-def w_config_positions(geo: WGeometry, s, t_params, x_triv):
-    """Positions of all vertices for gauge-slice configurations."""
-    pos = {v: t_params[:, j, None] * s for j, v in enumerate(geo.univ)}
-    for v in geo.triv:
-        pos[v] = x_triv[:, geo.triv_index[v], :]
+def w_config_positions(geo: WGeometry, s, t_params, x_triv=None):
+    """Positions of all vertices for gauge-slice configurations: the legs'
+    t_v s in geo.work, valid until the next call on geo in the same
+    thread, and views of the trivalent points (none if x_triv is None)."""
+    pos = {v: np.multiply(t_params[:, j, None], s,
+                          out=geo.work(("w.leg", j), s.shape))
+           for j, v in enumerate(geo.univ)}
+    if x_triv is not None:
+        pos.update((v, x_triv[:, geo.triv_index[v], :]) for v in geo.triv)
     return pos
 
 
 def w_integrand_batch(geo: WGeometry, s, t_params, x_triv):
     """Density of the pulled-back sphere forms on the slice chart of W(γ);
-    rows as in the closed-link integrand."""
+    rows as in the closed-link integrand.  Returns (values,
+    rejected_mask), new arrays (jacobian_values); the frames, positions
+    and tangents are kept in geo.work."""
+    work, shape = geo.work, np.shape(s)
     tangents = {}
     # s-variation columns: univalent positions move by t_v * delta, except
     # the first leg at t = 0
-    for ci, delta in enumerate(sphere_frames(s)):
+    for ci, delta in enumerate(sphere_frames(s, work)):
         for j, v in enumerate(geo.univ[1:], 1):
-            tangents[ci, v] = t_params[:, j, None] * delta
+            tangents[ci, v] = np.multiply(t_params[:, j, None], delta,
+                                          out=work(("w.s", ci, j), shape))
     for v in geo.univ[1:-1]:    # the interior legs' slice columns
-        tangents[2 + geo.kept.index(("u", v)), v] = s * geo.univ_sign[v]
+        tangents[2 + geo.kept.index(("u", v)), v] = np.multiply(
+            s, geo.univ_sign[v], out=work(("w.slice", v), shape))
     return jacobian_values(geo, w_config_positions(geo, s, t_params, x_triv),
                            tangents, 1e-9)
 
@@ -138,25 +159,31 @@ class WSampler:
         self.interior_density = float(factorial(len(geo.univ) - 2))
 
     def sample(self, rng, count):
-        geo = self.geo
-        s = _sample_sphere(rng, count)
+        """(s, t_params, x_triv, density) for count configurations, all in
+        geo.work until the next sample in the same thread."""
+        geo, work = self.geo, self.geo.work
+        s = _sample_sphere(rng, count, work)
         u = len(geo.univ)
-        t_params = np.empty((count, u))
+        t_params = work("w.t", (count, u))
         t_params[:, 0] = 0.0
         t_params[:, -1] = 1.0
         if u > 2:
-            inner = np.sort(rng.uniform(0, 1, size=(count, u - 2)), axis=1)
+            # rng.random gives the bits of rng.uniform(0, 1)
+            inner = rng.random(out=work("w.inner", (count, u - 2)))
+            inner.sort(axis=1)
             t_params[:, 1:-1] = inner
-        density = np.full(count, self.interior_density / (4 * np.pi))
-        pos = {v: t_params[:, j, None] * s for j, v in enumerate(geo.univ)}
-        x_triv = propose_trivalent(geo, rng, pos, density, 1.0)
+        density = work("w.density", (count,))
+        density.fill(self.interior_density / (4 * np.pi))
+        x_triv = propose_trivalent(geo, rng, w_config_positions(
+            geo, s, t_params), density, 1.0)
         return s, t_params, x_triv, density
 
 
 def f_gamma(gamma, samples=10 ** 6, seed=0, shards=None,
             workers=None) -> Estimate:
     """The anomaly integral of a connected line diagram (by name or as an
-    oriented diagram)."""
+    oriented diagram).  A batch samples into the geometry's workspace and
+    divides the integrand's new values array by the density in place."""
     od = line_diagram_catalog(gamma) if isinstance(gamma, str) else gamma
     if degree(od.diagram) > 3:
         raise DiagramError("anomaly integrals support degree <= 3")
@@ -166,7 +193,7 @@ def f_gamma(gamma, samples=10 ** 6, seed=0, shards=None,
     def batch(rng, count):
         s, t_params, x_triv, density = sampler.sample(rng, count)
         values, rejected = w_integrand_batch(geo, s, t_params, x_triv)
-        return values / density, int(np.sum(rejected))
+        return np.divide(values, density, out=values), int(np.sum(rejected))
 
     return run_sharded(batch, samples, seed, shards, workers)
 

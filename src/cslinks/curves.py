@@ -13,6 +13,7 @@ import numpy as np
 
 from .blocks import closest_pair
 from .errors import DiagramError, EmbeddingError
+from .mc import fresh
 
 
 CURVE_SCHEMA = '{"components": [{"const": [x,y,z], "cos": [[...]], "sin": [[...]]}]}'
@@ -57,19 +58,28 @@ class LinkCurve:
         """Velocity L'_m(t)."""
         return self.jet(m, t)[1]
 
-    def jet(self, m, t):
+    def jet(self, m, t, out=None, work=fresh):
         """(L_m(t), L'_m(t)): the powers z^h of z = e^{it}, h = 1..H, give
         cos(ht) and sin(ht) as their real and imaginary parts, and one
-        matmul against the component's coefficients gives both."""
+        matmul against the component's coefficients gives both.
+
+        out, when given, receives the point.  work (a mc.Workspace, or new
+        arrays by default) holds z, the powers and the matmul's (..., 6)
+        result, of which the velocity is a view: it stays valid until the
+        next jet with the same workspace in the same thread."""
         coef = self._jet_coefs[m]
-        z = np.exp(1j * np.asarray(t, dtype=float))
-        powers = np.empty(np.shape(z) + (len(coef) // 2,), dtype=complex)
+        t = np.asarray(t, dtype=float)
+        z = np.multiply(t, 1j, out=work("jet.z", t.shape, complex))
+        np.exp(z, out=z)
+        powers = work("jet.powers", t.shape + (len(coef) // 2,), complex)
         if powers.shape[-1]:
             powers[..., 0] = z
             for h in range(1, powers.shape[-1]):
                 np.multiply(powers[..., h - 1], z, out=powers[..., h])
-        out = powers.view(float) @ coef
-        return self.components[m][0] + out[..., :3], out[..., 3:]
+        both = np.matmul(powers.view(float), coef,
+                         out=work("jet.both", t.shape + (6,)))
+        return (np.add(self.components[m][0], both[..., :3], out=out),
+                both[..., 3:])
 
     def tangent(self, m, t):
         """Unit tangent; raises if the immersion degenerates, with the

@@ -46,7 +46,7 @@ def parse_diagram(text: str) -> OrientedDiagram:
                 a, _, b = tok.partition("-")
                 if not a or not b:
                     raise DiagramError(f"bad edge token {tok!r}")
-                edge_pairs.append((a, b))
+                edge_pairs.append((tok, a, b))
         elif head[0] == "orient" and len(head) == 2:
             orient_lines[head[1]] = rest
         else:
@@ -65,11 +65,20 @@ def parse_diagram(text: str) -> OrientedDiagram:
             raise DiagramError(f"vertex {name!r} both univalent and trivalent")
         ids[name] = len(ids)
 
+    edges = {}
+    for tok, a, b in edge_pairs:
+        _check_declared(ids, f"edge {tok!r}", (a, b))
+        if a == b:
+            raise DiagramError(f"edge {tok!r} is a loop at vertex {a!r}")
+        edge = frozenset((ids[a], ids[b]))
+        if edge in edges:
+            raise DiagramError(f"edge {tok!r} repeats edge {edges[edge]!r}")
+        edges[edge] = tok
+
     support = Support(tuple((ident, kind) for ident, kind, _ in comps))
     placements = tuple(tuple(ids[n] for n in names) for _, _, names in comps)
     trivalent = frozenset(ids[n] for n in trivalent_names)
-    edges = frozenset(frozenset((ids[a], ids[b])) for a, b in edge_pairs)
-    d = Diagram(support, placements, trivalent, edges)
+    d = Diagram(support, placements, trivalent, frozenset(edges))
 
     od = std_oriented(d)
     if orient_lines:
@@ -77,10 +86,19 @@ def parse_diagram(text: str) -> OrientedDiagram:
         for name, neigh in orient_lines.items():
             if name not in ids or ids[name] not in trivalent:
                 raise DiagramError(f"orient line for non-trivalent vertex {name!r}")
+            _check_declared(ids, f"orient line of {name!r}", neigh)
             cyc = tuple(ids[n] for n in neigh)
             to[ids[name]] = cyc
         od = OrientedDiagram(d, tuple(sorted(to.items())), od.univ_orient)
     return od
+
+
+def _check_declared(ids, where, names):
+    """Raise DiagramError naming where and the first of names that no
+    component or trivalent line declares."""
+    for name in names:
+        if name not in ids:
+            raise DiagramError(f"{where} names undeclared vertex {name!r}")
 
 
 def serialize_diagram(od: OrientedDiagram) -> str:

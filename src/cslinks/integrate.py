@@ -48,7 +48,7 @@ from .curves import LinkCurve
 from .diagrams import OrientedDiagram, automorphism_count, \
     canonical_oriented, enumerate_diagrams, is_subprincipal, std_oriented
 from .errors import DiagramError, SamplingError
-from .mc import BATCH, Estimate, run_sharded
+from .mc import BATCH, Estimate, Workspace, fresh, run_sharded
 from .support import circles
 
 COLLISION_TOL = 1e-6     # edges shorter than this times the curve diameter
@@ -103,18 +103,22 @@ def _kernel_rows(curve: LinkCurve, m1, m2, n):
                             start if m1 == m2 else None)
 
 
-def _cross(a, b):
-    """np.cross over the last axis, bit for bit, without its axis
-    handling (which costs more than the products at batch sizes)."""
+def _cross(a, b, out, tmp):
+    """np.cross over the last axis into out, bit for bit, without its axis
+    handling (which costs more than the products at batch sizes); tmp is
+    an array of out's leading shape for the second product."""
     a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
     b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
-    return np.stack([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2,
-                     a0 * b1 - a1 * b0], axis=-1)
+    for k, (p, q, r, u) in enumerate(((a1, b2, a2, b1), (a2, b0, a0, b2),
+                                      (a0, b1, a1, b0))):
+        np.subtract(np.multiply(p, q, out=out[..., k]),
+                    np.multiply(r, u, out=tmp), out=out[..., k])
+    return out
 
 
-def _norms(x):
-    """The Euclidean norms of the rows of an (..., 3) array."""
-    return np.sqrt(np.einsum("...i,...i->...", x, x))
+def _norms(x, out):
+    """The Euclidean norms of the rows of an (..., 3) array, into out."""
+    return np.sqrt(np.einsum("...i,...i->...", x, x, out=out), out=out)
 
 
 def permutation_sign(seq):
@@ -122,19 +126,24 @@ def permutation_sign(seq):
     return (-1) ** sum(a > b for a, b in combinations(seq, 2))
 
 
-def sphere_frames(directions):
+def sphere_frames(directions, work=fresh):
     """Deterministic oriented frames: f1 x f2 = direction (outward).
 
     Gram-Schmidt against the global z-axis, falling back to the x-axis near
-    the poles; vectorized over the leading axes.
+    the poles; vectorized over the leading axes.  The frames and their
+    scratch come from work (a mc.Workspace, or new arrays by default).
     """
     d = np.asarray(directions, dtype=float)
-    near_pole = np.abs(d[..., 2]) > 0.99
-    a = np.where(near_pole[..., None], (1., 0., 0.), (0., 0., 1.))
-    f1 = _cross(a, d)
-    f1 = f1 / _norms(f1)[..., None]
-    f2 = _cross(d, f1)
-    return f1, f2
+    lead = d.shape[:-1]
+    tmp = work("frames.tmp", lead)
+    near_pole = np.greater(np.abs(d[..., 2], out=tmp), 0.99,
+                           out=work("frames.pole", lead, bool))
+    a = work("frames.axis", d.shape)
+    a[...] = (0., 0., 1.)
+    np.copyto(a, (1., 0., 0.), where=near_pole[..., None])
+    f1 = _cross(a, d, work("frames.f1", d.shape), tmp)
+    np.divide(f1, _norms(f1, tmp)[..., None], out=f1)
+    return f1, _cross(d, f1, work("frames.f2", d.shape), tmp)
 
 
 class WedgePlan:
@@ -155,7 +164,10 @@ class WedgePlan:
 
     Each state is stored times a sign fixed here, so the first edge's
     values are states as they stand and every later transition is one
-    product and one in-place add or subtract of a (count,) vector.
+    product and one in-place add or subtract of a (count,) vector.  The
+    states of consecutive edges alternate between the two halves of one
+    (2, width, count) array of the plan's Workspace, width the most states
+    after any edge.
 
     pairs: per edge, the (j, k, sign, key) of its column pairs j < k whose
     value can be nonzero: sign times the vector handed to wedge for it,
@@ -226,18 +238,23 @@ class WedgePlan:
             self.transitions += len(transitions)
             index, signs = target, target_signs
         self.sign = signs[0]
+        self.width = max([1] + [size for _, size, _ in self.steps])
+        self.work = Workspace()
 
     def wedge(self, minors):
         """The determinants for a batch; minors[e] lists the (count,)
-        vectors of pairs[e]."""
+        vectors of pairs[e].  The result is a view into the plan's
+        workspace (or one of the minors), valid until the next wedge in
+        the same thread."""
         values = minors[self.first]
-        term = np.empty(len(values[0]))
-        for e, size, transitions in self.steps:
-            vectors = minors[e]
-            new = [None] * size
+        count = len(values[0])
+        states = self.work("states", (2, self.width, count))
+        term = self.work("term", (count,))
+        for n, (e, size, transitions) in enumerate(self.steps):
+            vectors, new = minors[e], states[n % 2]
             for i, p, t, op in transitions:
                 if op == 0:
-                    new[t] = values[i] * vectors[p]
+                    np.multiply(values[i], vectors[p], out=new[t])
                     continue
                 np.multiply(values[i], vectors[p], out=term)
                 if op > 0:
@@ -245,7 +262,9 @@ class WedgePlan:
                 else:
                     new[t] -= term
             values = new
-        return values[0] if self.sign > 0 else -values[0]
+        if self.sign > 0:
+            return values[0]
+        return np.negative(values[0], out=states[len(self.steps) % 2, 0])
 
 
 class KernelGeometry:
@@ -269,9 +288,12 @@ class KernelGeometry:
                       at both trivalent ends gives 0 and is not listed),
       ('x', j, a)     (D x V_j)_a, for the velocity column j and axis a,
       ('v', j, k)     (D x V_j) . V_k, for two velocity columns,
-    with V_j the tangent of the one end that column j moves, or the signed
-    sum when it moves both.  moves: {(edge, velocity column): [(vertex,
-    sign)]}; plan: the WedgePlan of the pairs, each keyed as above.
+    with V_j the tangent of the one end that column j moves (_velocity).
+    moves: {(edge, velocity column): [(vertex, sign)]}; plan: the WedgePlan
+    of the pairs, each keyed as above.
+
+    work: the mc.Workspace of the geometry's samplers and integrands, so
+    that a batch allocates only the arrays it returns.
     """
 
     def __init__(self, od: OrientedDiagram, edges):
@@ -287,6 +309,7 @@ class KernelGeometry:
         self.dim = 2 * len(edges)
         self.columns = self._column_order()
         self.placement_order = self._placement_order()
+        self.work = Workspace()
 
     def _column_order(self):
         cols = {}
@@ -372,28 +395,40 @@ def propose_trivalent(geo: KernelGeometry, rng, pos, density, scale):
     In placement order, each vertex is centred at a uniformly chosen placed
     neighbour; the 1/r^2 density core matches the collision singularity of
     the integrand, the r^-4 tail covers escapes to infinity.  Adds the new
-    positions to pos, multiplies density by the mixture density in place,
-    and returns the (count, trivalent, 3) positions.
+    positions to pos, as views into x_triv, multiplies density by the
+    mixture density in place, and returns the (count, trivalent, 3)
+    positions x_triv.  x_triv and the scratch come from geo.work.
     """
-    count = len(density)
-    x_triv = np.empty((count, len(geo.triv), 3))
+    count, work = len(density), geo.work
+    x_triv = work("triv.x", (count, len(geo.triv), 3))
+    step = work("triv.step", (count, 3))
+    r, t, q = (work(name, (count,)) for name in ("triv.r", "triv.t", "triv.q"))
+    pick = work("triv.pick", (count,), bool)
     for v, anchors in geo.placement_order:
-        anchor_pos = np.stack([pos[a] for a in anchors], axis=1)
+        # x starts at the chosen centres
+        x = pos[v] = x_triv[:, geo.triv_index[v]]
         choice = rng.integers(0, len(anchors), size=count)
-        centers = anchor_pos[np.arange(count), choice]
-        u = rng.uniform(0.0, 1.0, size=count)
-        r = scale * np.tan(0.5 * np.pi * u)
-        direc = rng.normal(size=(count, 3))
-        direc /= _norms(direc)[:, None]
-        x = centers + r[:, None] * direc
-        q = np.zeros(count)
+        np.copyto(x, pos[anchors[0]])
+        for k, a in enumerate(anchors[1:], 1):
+            np.copyto(x, pos[a], where=np.equal(choice, k, out=pick)[:, None])
+        # rng.random and rng.standard_normal give the bits of
+        # rng.uniform(0, 1) and rng.normal()
+        rng.random(out=r)
+        np.multiply(r, 0.5 * np.pi, out=r)
+        np.multiply(np.tan(r, out=r), scale, out=r)
+        rng.standard_normal(out=step)
+        np.divide(step, _norms(step, t)[:, None], out=step)
+        x += np.multiply(step, r[:, None], out=step)
+        q.fill(0.0)
         for a in anchors:
-            ra = np.maximum(_norms(x - pos[a]), 1e-300)
-            q += scale / (2 * np.pi ** 2 * ra ** 2 * (scale ** 2 + ra ** 2))
+            # q += scale / (2 pi^2 ra^2 (scale^2 + ra^2)), op by op
+            ra = _norms(np.subtract(x, pos[a], out=step), r)
+            ra2 = np.square(np.maximum(ra, 1e-300, out=r), out=r)
+            np.multiply(ra2, 2 * np.pi ** 2, out=t)
+            np.multiply(t, np.add(ra2, scale ** 2, out=r), out=t)
+            q += np.divide(scale, t, out=t)
         q /= len(anchors)
         density *= q
-        x_triv[:, geo.triv_index[v], :] = x
-        pos[v] = x
     return x_triv
 
 
@@ -404,49 +439,55 @@ def jacobian_values(geo: KernelGeometry, pos, tangents, tol):
     pos: {vertex: (count, 3)}; tangents: {(column, vertex): (count, 3)},
     the velocity of the vertex along the column's coordinate, for every
     column but the trivalent coordinates (whose velocity is a unit axis).
-    Returns (values, rejected_mask); configurations with an edge shorter
-    than tol are flagged and valued 0.
+    Returns (values, rejected_mask), the batch's only new arrays: the
+    2-form values, one (values, count) array, and the scratch come from
+    geo.work.  Configurations with an edge shorter than tol are flagged
+    and valued 0.
     """
+    work = geo.work
     count = len(pos[geo.univ[0]])
     E = len(geo.edges)
-    lengths = np.empty((count, E))
-    # one array holds the batch's 2-form values: as separate temporaries
-    # they let the heap shrink and regrow between batches, a page fault per
-    # 4 KiB regrown, in the sampler's allocations as much as in these
-    rows = iter(np.empty((sum(len({key for *_, key in pairs})
-                              for pairs in geo.plan.pairs), count)))
+    rows = iter(work("jv.minors", (sum(len({key for *_, key in pairs})
+                                       for pairs in geo.plan.pairs), count)))
+    diff = work("jv.diff", (count, 3))
+    r, r3 = work("jv.r", (count,)), work("jv.r3", (count,))
+    short = work("jv.short", (count,), bool)
+    rejected = np.zeros(count, bool)
     minors = []
     for ei, (p, q) in enumerate(geo.edges):
-        diff = pos[q] - pos[p]
-        r = _norms(diff)
-        lengths[:, ei] = r
-        r3 = np.maximum(r, 1e-300) ** 3
+        r = _norms(np.subtract(pos[q], pos[p], out=diff), r)
+        rejected |= np.less(r, tol, out=short)
+        np.power(np.maximum(r, 1e-300, out=r3), 3, out=r3)
         crossed, minor = {}, {}
         for *_, key in geo.plan.pairs[ei]:
             if key in minor:
                 continue
             kind, a, b = key
+            row = next(rows)
             if kind == "w":
                 top = diff[:, a]
             else:
-                if a not in crossed:
-                    crossed[a] = _cross(diff, _velocity(geo, tangents, ei, a))
+                if a not in crossed:     # r is free once r3 is taken
+                    crossed[a] = _cross(
+                        diff, _velocity(geo, tangents, ei, a),
+                        work(("jv.crossed", len(crossed)), (count, 3)), r)
                 top = (crossed[a][:, b] if kind == "x" else np.einsum(
-                    "ij,ij->i", crossed[a], _velocity(geo, tangents, ei, b)))
-            minor[key] = np.divide(top, r3, out=next(rows))
+                    "ij,ij->i", crossed[a], _velocity(geo, tangents, ei, b),
+                    out=row))
+            minor[key] = np.divide(top, r3, out=row)
         minors.append([minor[key] for *_, key in geo.plan.pairs[ei]])
-    rejected = np.any(lengths < tol, axis=1)
-    values = geo.plan.wedge(minors) * (geo.sign / (4 * np.pi) ** E)
-    return np.where(rejected, 0.0, values), rejected
+    values = np.multiply(geo.plan.wedge(minors), geo.sign / (4 * np.pi) ** E)
+    np.copyto(values, 0.0, where=rejected)
+    return values, rejected
 
 
 def _velocity(geo: KernelGeometry, tangents, ei, ci):
-    """V for column ci on edge ei: the tangent of the one end it moves,
-    as it stands, or the signed sum when it moves both."""
-    ends = geo.moves[ei, ci]
-    if len(ends) == 1:
-        return tangents[ci, ends[0][0]]
-    return sum(s * tangents[ci, v] for v, s in ends)
+    """V for column ci on edge ei: the tangent of the end it moves, as it
+    stands.  No column moves both ends of an edge: only W's s-columns move
+    more than one vertex, and a connected line diagram has an edge between
+    two legs only in θ, whose first leg they leave in place."""
+    (v, _), = geo.moves[ei, ci]
+    return tangents[ci, v]
 
 
 def chord_sign(geo: KernelGeometry):
@@ -494,12 +535,16 @@ class DiagramGeometry(KernelGeometry):
 def univalent_jets(geo: DiagramGeometry, t_univ):
     """Points and signed velocities of the univalent vertices: two lists of
     (count, 3) arrays in geo.univ order, from one curve jet per vertex; the
-    velocity carries the vertex's orientation sign."""
+    velocity carries the vertex's orientation sign.  The arrays live in
+    geo.work until the next univalent_jets on geo in the same thread."""
+    work, count = geo.work, len(t_univ)
     x_univ, v_univ = [], []
     for i, v in enumerate(geo.univ):
-        x, dx = geo.curve.jet(geo.d.component_of(v), t_univ[:, i])
+        x, dx = geo.curve.jet(geo.d.component_of(v), t_univ[:, i],
+                              work(("univ.x", i), (count, 3)), work)
         x_univ.append(x)
-        v_univ.append(dx * geo.univ_sign[v])
+        v_univ.append(np.multiply(dx, geo.univ_sign[v],
+                                  out=work(("univ.v", i), (count, 3))))
     return x_univ, v_univ
 
 
@@ -527,19 +572,28 @@ class ConfigurationSampler:
         """(t_univ, x_univ, v_univ, x_triv, density) for count
         configurations: the circle parameters, the univalent points and
         signed velocities (see univalent_jets), the trivalent points and
-        the proposal density."""
-        geo = self.geo
-        t_univ = np.empty((count, len(geo.univ)))
-        rows = np.arange(count)
-        for ci, comp in enumerate(geo.d.placements):
+        the proposal density.  All of them live in geo.work until the next
+        sample in the same thread."""
+        geo, work = self.geo, self.geo.work
+        t_univ = work("sample.t", (count, len(geo.univ)))
+        for comp in geo.d.placements:
             k = len(comp)
             if not k:
                 continue
-            u = np.sort(rng.uniform(0.0, 2 * np.pi, size=(count, k)), axis=1)
+            # rng.random gives the bits of rng.uniform(0, 1)
+            u = rng.random(out=work("sample.u", (count, k)))
+            np.multiply(u, 2 * np.pi, out=u).sort(axis=1)
             rot = rng.integers(0, k, size=count)
+            at = work("sample.rot", (k, count), bool)
+            for r in range(k):
+                np.equal(rot, r, out=at[r])
+            # the j-th vertex takes the sorted parameter (rot + j) mod k
             for j, v in enumerate(comp):
-                t_univ[:, geo.univ_index[v]] = u[rows, (rot + j) % k]
-        density = np.full(count, self.univ_density)
+                for r in range(k):
+                    np.copyto(t_univ[:, geo.univ_index[v]], u[:, (r + j) % k],
+                              where=at[r])
+        density = work("sample.density", (count,))
+        density.fill(self.univ_density)
         x_univ, v_univ = univalent_jets(geo, t_univ)
         pos = dict(zip(geo.univ, x_univ))
         x_triv = propose_trivalent(geo, rng, pos, density, self.scale)
@@ -551,8 +605,9 @@ def integrand_batch(geo: DiagramGeometry, x_univ, v_univ, x_triv):
     univalent points and signed velocities (as univalent_jets returns them)
     and the trivalent points.
 
-    Returns (values, rejected_mask); configurations with an edge shorter
-    than the collision tolerance are flagged and valued 0.
+    Returns (values, rejected_mask), new arrays (jacobian_values);
+    configurations with an edge shorter than the collision tolerance are
+    flagged and valued 0.
     """
     pos = dict(zip(geo.univ, x_univ))
     for v in geo.triv:
@@ -582,7 +637,9 @@ def integrand_at(od: OrientedDiagram, curve: LinkCurve, univ_params,
 
 def integrate_diagram(od: OrientedDiagram, curve: LinkCurve, samples=10 ** 6,
                       seed=0, shards=None, workers=None) -> Estimate:
-    """Importance-sampled estimate of the configuration space integral."""
+    """Importance-sampled estimate of the configuration space integral.
+    A batch samples into the geometry's workspace and divides the
+    integrand's new values array by the density in place."""
     d = od.diagram
     if not d.vertices:
         raise DiagramError("the empty diagram has the empty integral (1)")
@@ -592,7 +649,7 @@ def integrate_diagram(od: OrientedDiagram, curve: LinkCurve, samples=10 ** 6,
     def batch(rng, count):
         _, x_univ, v_univ, x_triv, density = sampler.sample(rng, count)
         values, rejected = integrand_batch(geo, x_univ, v_univ, x_triv)
-        return values / density, int(np.sum(rejected))
+        return np.divide(values, density, out=values), int(np.sum(rejected))
 
     return run_sharded(batch, samples, seed, shards, workers)
 

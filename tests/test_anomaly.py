@@ -63,6 +63,19 @@ class TestSymmetries:
     def test_central_symmetry_sign(self, name):
         assert symmetry_check_central(name, points=60, seed=1)
 
+    def test_central_symmetry_catches_a_broken_integrand(self, monkeypatch):
+        # an integrand that is not odd under s -> -s fails the check; it
+        # would pass if both calls returned one shared array
+        kernel = anomaly.w_integrand_batch
+
+        def broken(geo, s, t_params, x_triv):
+            values, rejected = kernel(geo, s, t_params, x_triv)
+            values *= 1 + s[:, 2]
+            return values, rejected
+
+        monkeypatch.setattr(anomaly, "w_integrand_batch", broken)
+        assert not symmetry_check_central("a1", points=60, seed=1)
+
     @pytest.mark.parametrize("name", ["theta", "a1"])
     def test_s1_even(self, name):
         assert symmetry_check_s1_even(name, samples=4 * 10 ** 4, seed=2,

@@ -22,6 +22,21 @@ def report(result):
     return json.loads(result.stdout)
 
 
+TRIPOD_TEXT = "component 0: a b c\ntrivalent: t\nedges: a-t b-t c-t\n"
+# diagram files that name an undeclared vertex, repeat an edge or hold a
+# loop, with the words their one-line error must contain
+BAD_DIAGRAMS = [
+    ("component 0: a b\nedges: a-c\n", ("'a-c'", "undeclared", "'c'")),
+    ("component 0: a b\nedges: c-a\n", ("'c-a'", "undeclared", "'c'")),
+    (TRIPOD_TEXT + "orient t: a b x\n", ("orient", "'t'", "undeclared",
+                                         "'x'")),
+    ("component 0: a b\nedges: a-b a-b\n", ("'a-b'", "repeats")),
+    ("component 0: a b\nedges: a-b b-a\n", ("'b-a'", "repeats", "'a-b'")),
+    ("component 0: a b c\ntrivalent: t\nedges: a-t b-t c-t t-t\n",
+     ("'t-t'", "loop", "vertex 't'")),
+]
+
+
 class TestDiagramCommands:
     def test_enumerate_degree1(self):
         r = run_cli("diagrams", "enumerate", "--support", "S1",
@@ -55,6 +70,12 @@ class TestDiagramCommands:
         one_line_input_error(run_cli("diagrams", "classify", str(f)),
                              "unrecognised line")
 
+    @pytest.mark.parametrize("text, words", BAD_DIAGRAMS)
+    def test_classify_bad_diagram_is_input_error(self, tmp_path, text, words):
+        f = tmp_path / "y.diagram"
+        f.write_text(text)
+        one_line_input_error(run_cli("diagrams", "classify", str(f)), *words)
+
 
 class TestAlgebraCommands:
     def test_check_gluings(self):
@@ -78,6 +99,12 @@ class TestAlgebraCommands:
         f.write_text("coeff 1\n: a\n")
         one_line_input_error(run_cli("algebra", "reduce", str(f)),
                              "unrecognised line")
+
+    @pytest.mark.parametrize("text, words", BAD_DIAGRAMS)
+    def test_reduce_bad_diagram_is_input_error(self, tmp_path, text, words):
+        f = tmp_path / "vec.txt"
+        f.write_text("coeff 1\n" + text)
+        one_line_input_error(run_cli("algebra", "reduce", str(f)), *words)
 
     def test_reduce_vector_file(self, tmp_path):
         from cslinks.diagram_io import serialize_class_vector

@@ -144,9 +144,9 @@ class CountingCurve(LinkCurve):
 
     points = 0
 
-    def jet(self, m, t):
+    def jet(self, m, t, *buffers):
         self.points += np.size(t)
-        return super().jet(m, t)
+        return super().jet(m, t, *buffers)
 
 
 class TestPointwise:

@@ -1,14 +1,19 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 
-from cslinks.anomaly import disc_integral, f_gamma
+from cslinks.anomaly import (WGeometry, WSampler, disc_integral, f_gamma,
+                             line_diagram_catalog, w_integrand_batch)
 from cslinks.curves import catalog
-from cslinks.diagrams import THETA, Diagram, std_oriented
-from cslinks.integrate import (chord_quadrature, integrate_diagram,
-                               two_chord_quadrature)
+from cslinks.diagrams import THETA, Diagram, std_oriented, tripod_positive
+from cslinks.integrate import (ConfigurationSampler, DiagramGeometry,
+                               chord_quadrature, integrand_batch,
+                               integrate_diagram, two_chord_quadrature)
 from cslinks.invariants import self_linking
-from cslinks.mc import (BATCH, Estimate, combined_stderr, default_workers,
-                        run_sharded, shard_stream)
+from cslinks.mc import (BATCH, Estimate, Workspace, combined_stderr,
+                        default_workers, run_sharded, shard_stream)
 from cslinks.support import circles
 
 
@@ -185,3 +190,93 @@ class TestBadCounts:
         # only None asks for the default worker count
         with pytest.raises(ValueError, match="worker count"):
             run_sharded(weight_batch, 100, seed=0, shards=4, workers=workers)
+
+
+# the samplers' arrays live in the geometry's workspace, so a second
+# sample overwrites the first: the inputs of the aliasing tests are copies
+def w_inputs(geo, rng, count):
+    s, t, x, _ = WSampler(geo).sample(rng, count)
+    return s.copy(), t.copy(), x.copy()
+
+
+def closed_inputs(geo, rng, count):
+    _, x_univ, v_univ, x, _ = ConfigurationSampler(geo).sample(rng, count)
+    return ([a.copy() for a in x_univ], [a.copy() for a in v_univ],
+            x.copy())
+
+
+class TestWorkspace:
+    def test_buffers_per_name_and_thread(self):
+        work = Workspace()
+        a = work("a", (4, 3))
+        assert a.flags.c_contiguous and a.shape == (4, 3)
+        assert np.shares_memory(work("a", (2, 3)), a)     # a prefix of a
+        assert not np.shares_memory(work("b", (4, 3)), a)
+        assert work("a", (5, 3)).shape == (5, 3)           # grown
+        other = []
+        thread = threading.Thread(
+            target=lambda: other.append(work("a", (5, 3))))
+        thread.start()
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert not np.shares_memory(other[0], work("a", (5, 3)))
+
+    @pytest.mark.parametrize("case", ["tripod", "d2", "w3"])
+    def test_threads_share_no_buffer(self, case):
+        # each worker thread keeps its own buffers, so the shard means do
+        # not depend on the worker count; more workers than cores and a
+        # short switch interval interleave the threads' batches
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            if case == "tripod":
+                one, three = (integrate_diagram(
+                    tripod_positive(), catalog("trefoil"), samples=10 ** 5,
+                    seed=23, shards=8, workers=w) for w in (1, 3))
+            else:
+                one, three = (f_gamma(case, samples=10 ** 5, seed=23,
+                                      shards=8, workers=w) for w in (1, 3))
+        finally:
+            sys.setswitchinterval(interval)
+        assert one.value == three.value
+        assert one.shard_means == three.shard_means
+
+    @pytest.mark.parametrize("case", ["W", "closed"])
+    def test_integrands_return_new_arrays(self, case):
+        # a later call on the same geometry leaves an earlier result as it
+        # was: the values and rejection masks are not workspace arrays
+        rng = np.random.default_rng(31)
+        if case == "W":
+            geo = WGeometry(line_diagram_catalog("a1"))
+
+            def call():
+                return w_integrand_batch(geo, *w_inputs(geo, rng, 512))
+        else:
+            geo = DiagramGeometry(tripod_positive(), catalog("trefoil"))
+
+            def call():
+                return integrand_batch(geo, *closed_inputs(geo, rng, 512))
+        first = call()
+        kept = [a.copy() for a in first]
+        second = call()
+        assert not np.array_equal(first[0], second[0])
+        for a, b, c in zip(first, second, kept):
+            assert not np.shares_memory(a, b)
+            assert np.array_equal(a, c)
+
+    @pytest.mark.skipif(sys.platform != "linux",
+                        reason="ru_minflt counts minor page faults on Linux")
+    def test_warm_call_faults_little(self):
+        # before the per-thread buffers, a warm call took 10 816 to 11 408
+        # minor faults under pytest on a 2-vCPU Linux VM (Python 3.11.7,
+        # numpy 2.4.6): glibc trimmed the heap between batches and faulted
+        # it back; the bound is 25 % of the lower count
+        import resource
+
+        def faults():
+            return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+        f_gamma("a1", samples=10 ** 5, seed=13, workers=1)
+        before = faults()
+        f_gamma("a1", samples=10 ** 5, seed=13, workers=1)
+        assert faults() - before <= 2704
