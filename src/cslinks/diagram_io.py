@@ -70,27 +70,35 @@ def parse_diagram(text: str) -> OrientedDiagram:
         _check_declared(ids, f"edge {tok!r}", (a, b))
         if a == b:
             raise DiagramError(f"edge {tok!r} is a loop at vertex {a!r}")
-        edge = frozenset((ids[a], ids[b]))
+        edge = frozenset((a, b))
         if edge in edges:
             raise DiagramError(f"edge {tok!r} repeats edge {edges[edge]!r}")
         edges[edge] = tok
+    for name, neigh in orient_lines.items():
+        if name not in trivalent_names:
+            raise DiagramError(f"orient line for non-trivalent vertex {name!r}")
+        _check_declared(ids, f"orient line of {name!r}", neigh)
 
+    # built in the file's names first, so that an error names its vertices;
+    # a vertex's default cyclic order is its neighbours' declaration order
     support = Support(tuple((ident, kind) for ident, kind, _ in comps))
-    placements = tuple(tuple(ids[n] for n in names) for _, _, names in comps)
-    trivalent = frozenset(ids[n] for n in trivalent_names)
-    d = Diagram(support, placements, trivalent, frozenset(edges))
+    named = Diagram(support, tuple(tuple(names) for _, _, names in comps),
+                    frozenset(trivalent_names), frozenset(edges))
+    cyclic = {t: tuple(orient_lines[t]) if t in orient_lines
+              else tuple(sorted(named.neighbors(t), key=ids.get))
+              for t in trivalent_names}
+    OrientedDiagram(named, tuple(cyclic.items()),
+                    tuple((v, 1) for v in named.univalent))
 
-    od = std_oriented(d)
-    if orient_lines:
-        to = dict(od.triv_orient)
-        for name, neigh in orient_lines.items():
-            if name not in ids or ids[name] not in trivalent:
-                raise DiagramError(f"orient line for non-trivalent vertex {name!r}")
-            _check_declared(ids, f"orient line of {name!r}", neigh)
-            cyc = tuple(ids[n] for n in neigh)
-            to[ids[name]] = cyc
-        od = OrientedDiagram(d, tuple(sorted(to.items())), od.univ_orient)
-    return od
+    def number(names):
+        return tuple(ids[n] for n in names)
+
+    d = Diagram(support, tuple(number(names) for _, _, names in comps),
+                frozenset(number(trivalent_names)),
+                frozenset(frozenset(number(e)) for e in edges))
+    return OrientedDiagram(
+        d, tuple(sorted((ids[t], number(c)) for t, c in cyclic.items())),
+        std_oriented(d).univ_orient)
 
 
 def _check_declared(ids, where, names):

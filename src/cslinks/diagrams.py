@@ -47,12 +47,12 @@ class Diagram:
                 deg[v] += 1
         if len(self.edges) != sum(deg.values()) // 2:
             raise DiagramError("double edges are excluded")
-        for v in uset:
+        for v in univ:
             if deg[v] != 1:
-                raise DiagramError(f"univalent vertex {v} lies in {deg[v]} edges")
-        for v in self.trivalent:
+                raise DiagramError(f"univalent vertex {v!r} lies in {deg[v]} edges")
+        for v in sorted(self.trivalent):
             if deg[v] != 3:
-                raise DiagramError(f"trivalent vertex {v} lies in {deg[v]} edges")
+                raise DiagramError(f"trivalent vertex {v!r} lies in {deg[v]} edges")
         for comp in graph_components(frozenset(deg), self.edges):
             if not comp & uset:
                 raise DiagramError("a connected component misses the support")
@@ -232,7 +232,7 @@ class OrientedDiagram:
             raise DiagramError("orientation data must cover exactly the vertex set")
         for t, cyc in to.items():
             if sorted(cyc) != d.neighbors(t):
-                raise DiagramError(f"cyclic order at {t} does not list its neighbours")
+                raise DiagramError(f"cyclic order at {t!r} does not list its neighbours")
         if any(s not in (1, -1) for s in uo.values()):
             raise DiagramError("univalent orientations are ±1")
 
@@ -426,53 +426,43 @@ def automorphism_count(d: Diagram) -> int:
 # Enumeration
 
 def _graphs_with_valences(u, t):
-    """All loop-free, double-edge-free graphs on univalent vertices 0..u-1
-    (degree 1) and trivalent vertices u..u+t-1 (degree 3)."""
-    verts = list(range(u + t))
-    target = {v: (1 if v < u else 3) for v in verts}
+    """Loop-free, double-edge-free graphs on univalent vertices 0..u-1
+    (degree 1) and trivalent vertices u..u+t-1 (degree 3), each component
+    reaching a univalent vertex: at least one per class under renaming the
+    trivalent vertices.  The lowest unfinished vertex takes all its partners
+    at once, so no edge repeats: unfinished vertices already reached, and
+    untouched trivalent vertices only as the next labels, which numbers them
+    in the order they are first reached."""
     results = []
 
-    def rec(edges, remaining):
-        active = [v for v in verts if remaining[v] > 0]
-        if not active:
-            results.append(frozenset(edges))
+    def rec(edges, remaining, fresh):
+        v = next((w for w in range(fresh) if remaining[w]), None)
+        if v is None:
+            # untouched vertices left could only form components off the support
+            if fresh == u + t:
+                results.append(frozenset(edges))
             return
-        v = active[0]
         need = remaining[v]
-        partners = [w for w in active[1:] if frozenset((v, w)) not in edges]
-        if len(partners) < need:
-            return
-        for combo in itertools.combinations(partners, need):
-            new_edges = edges | {frozenset((v, w)) for w in combo}
-            new_rem = dict(remaining)
-            new_rem[v] = 0
-            ok = True
-            for w in combo:
-                new_rem[w] -= 1
-                if new_rem[w] < 0:
-                    ok = False
-            if ok:
-                rec(new_edges, new_rem)
+        reached = [w for w in range(v + 1, fresh) if remaining[w]]
+        for k in range(min(need, u + t - fresh) + 1):
+            for combo in itertools.combinations(reached, need - k):
+                partners = combo + tuple(range(fresh, fresh + k))
+                rest = list(remaining)
+                rest[v] = 0
+                for w in partners:
+                    rest[w] -= 1
+                rec(edges | {frozenset((v, w)) for w in partners}, rest,
+                    fresh + k)
 
-    rec(frozenset(), target)
+    rec(frozenset(), [1] * u + [3] * t, u)
     return results
-
-
-def _compositions(total, parts):
-    """All ways to write total as an ordered sum of `parts` nonnegatives."""
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
 
 
 def enumerate_diagrams(support: Support, n: int, connected_only=False):
     """One normal-form representative per isomorphism class of degree n.
 
     Deterministic order (sorted by canonical encoding).  Degrees above
-    MAX_DEGREE are refused: the brute-force generator is exponential.
+    MAX_DEGREE are refused: the number of classes grows exponentially.
     Memoised per (support, n, connected_only); each call gets a fresh list.
     """
     check_degree(n)
@@ -487,51 +477,59 @@ def check_degree(n):
         raise CapabilityError("degree must be nonnegative")
 
 
-def _relabellings(support, placements, t):
-    """The group the canonical labeling minimises over, as vertex maps
-    (tuples indexed by vertex): every rotation of the univalent labels per
-    circle component times every order of the trivalent labels u..u+t-1."""
-    u = sum(len(comp) for comp in placements)
-    return [tuple(umap[v] for v in range(u)) + perm
-            for umap in _rotated_umaps(support, placements)
-            for perm in itertools.permutations(range(u, u + t))]
+def _least_rotations(support, placements, neighbours):
+    """Whether on every circle the legs' descriptors read least among their
+    rotations.  A leg's descriptor is the component its partner lies on and,
+    on the same circle, the partner's offset; for a trivalent partner, the
+    sorted offsets of that vertex's other legs on the same circle.  Renaming
+    trivalent vertices or rotating other components changes no descriptor,
+    and rotating a circle rotates its sequence, so every class keeps a graph
+    that passes."""
+    where = {v: (i, j) for i, comp in enumerate(placements)
+             for j, v in enumerate(comp)}
+    for i, comp in enumerate(placements):
+        if not support.is_circle(i):
+            continue
+        k, seq = len(comp), []
+        for j, v in enumerate(comp):
+            (p,) = neighbours[v]
+            if p in where:
+                m, jp = where[p]
+                seq.append((m, (jp - j) % k if m == i else 0))
+            else:
+                seq.append((-1,) + tuple(sorted(
+                    (where[w][1] - j) % k for w in neighbours[p]
+                    if w != v and w in comp)))
+        if any(seq[r:] + seq[:r] < seq for r in range(1, k)):
+            return False
+    return True
 
 
 @lru_cache(maxsize=None)
 def _enumerate_cached(support, n, connected_only):
-    """Canonicalises one labelled graph per relabelling orbit: the orbits of
-    `_relabellings` are exactly the isomorphism classes of one (u, t,
-    placement sizes) group, and validity and connectedness are invariant."""
+    """Canonicalises the graphs of `_graphs_with_valences` that pass
+    `_least_rotations` on each placement: every isomorphism class keeps at
+    least one, and connectedness does not depend on the placement."""
     if n == 0:
         return (Diagram(support, tuple(() for _ in support.components),
                         frozenset(), frozenset()),)
-    out = {}
+    keys = set()
     for t in range(0, 2 * n):
         u = 2 * n - t
-        graphs = _graphs_with_valences(u, t)
-        # one edge object per vertex pair, hashed once for every orbit image
-        edge = [[frozenset((a, b)) for b in range(u + t)]
-                for a in range(u + t)]
-        for sizes in _compositions(u, support.n_components):
+        vertices = range(u + t)
+        graphs = [g for g in _graphs_with_valences(u, t)
+                  if not connected_only or is_connected(vertices, g)]
+        neighbours = [[[w for e in g if v in e for w in e - {v}]
+                       for v in vertices] for g in graphs]
+        for sizes in itertools.product(range(u + 1), repeat=support.n_components):
+            if sum(sizes) != u:
+                continue
             placements = _normal_placements(sizes)
-            relabellings = _relabellings(support, placements, t)
-            seen = set()
-            for g in graphs:
-                if g in seen:
-                    continue
-                pairs = [tuple(e) for e in g]
-                seen.update(frozenset([edge[p[a]][p[b]] for a, b in pairs])
-                            for p in relabellings)
-                try:
-                    d = Diagram(support, placements,
-                                frozenset(range(u, u + t)), g)
-                except DiagramError:
-                    continue
-                if connected_only and not is_connected(d.vertices, d.edges):
-                    continue
-                key = canonical_form(d)
-                out[key] = diagram_from_key(key)
-    return tuple(out[k] for k in sorted(out))
+            for g, nb in zip(graphs, neighbours):
+                if _least_rotations(support, placements, nb):
+                    keys.add(canonical_form(Diagram(
+                        support, placements, frozenset(vertices[u:]), g)))
+    return tuple(diagram_from_key(k) for k in sorted(keys))
 
 
 # ---------------------------------------------------------------------------

@@ -23,8 +23,8 @@ def report(result):
 
 
 TRIPOD_TEXT = "component 0: a b c\ntrivalent: t\nedges: a-t b-t c-t\n"
-# diagram files that name an undeclared vertex, repeat an edge or hold a
-# loop, with the words their one-line error must contain
+# diagram files that name an undeclared vertex, repeat an edge, hold a loop
+# or break a valence, with the words their one-line error must contain
 BAD_DIAGRAMS = [
     ("component 0: a b\nedges: a-c\n", ("'a-c'", "undeclared", "'c'")),
     ("component 0: a b\nedges: c-a\n", ("'c-a'", "undeclared", "'c'")),
@@ -34,6 +34,12 @@ BAD_DIAGRAMS = [
     ("component 0: a b\nedges: a-b b-a\n", ("'b-a'", "repeats", "'a-b'")),
     ("component 0: a b c\ntrivalent: t\nedges: a-t b-t c-t t-t\n",
      ("'t-t'", "loop", "vertex 't'")),
+    # errors of the diagram itself name the file's vertices
+    ("component 0: a b c\ntrivalent: t\nedges: a-t b-t\n",
+     ("univalent vertex 'c'", "0 edges")),
+    (TRIPOD_TEXT + "orient t: a b b\n", ("cyclic order at 't'",)),
+    ("component 0: a b\ntrivalent: t s\nedges: a-b t-s\n",
+     ("trivalent vertex 's'", "1 edges")),
 ]
 
 

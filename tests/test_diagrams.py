@@ -1,9 +1,9 @@
+import hashlib
 import itertools
 
 import pytest
 
-from cslinks.diagrams import (THETA, Diagram, _compositions,
-                              _graphs_with_valences, _relabellings,
+from cslinks.diagrams import (THETA, Diagram, _graphs_with_valences,
                               _rotated_umaps, is_connected,
                               canonical_diagram, canonical_form,
                               canonical_maps, degree, enumerate_diagrams,
@@ -255,16 +255,52 @@ class TestCanonicalForm:
             od.flip_vertex(t).flip_vertex(t))
 
 
+def all_graphs_with_valences(u, t):
+    """Every loop-free, double-edge-free graph on univalent vertices 0..u-1
+    (degree 1) and trivalent vertices u..u+t-1 (degree 3)."""
+    verts = list(range(u + t))
+    target = {v: (1 if v < u else 3) for v in verts}
+    results = []
+
+    def rec(edges, remaining):
+        active = [v for v in verts if remaining[v] > 0]
+        if not active:
+            results.append(frozenset(edges))
+            return
+        v = active[0]
+        need = remaining[v]
+        partners = [w for w in active[1:] if frozenset((v, w)) not in edges]
+        if len(partners) < need:
+            return
+        for combo in itertools.combinations(partners, need):
+            new_edges = edges | {frozenset((v, w)) for w in combo}
+            new_rem = dict(remaining)
+            new_rem[v] = 0
+            ok = True
+            for w in combo:
+                new_rem[w] -= 1
+                if new_rem[w] < 0:
+                    ok = False
+            if ok:
+                rec(new_edges, new_rem)
+
+    rec(frozenset(), target)
+    return results
+
+
 def labelled_graphs(support, n):
-    """Every valid labelled diagram the enumerator visits at degree n."""
+    """Every valid labelled diagram of degree n in normal form."""
     for t in range(0, 2 * n):
         u = 2 * n - t
-        for sizes in _compositions(u, support.n_components):
+        for sizes in itertools.product(range(u + 1),
+                                       repeat=support.n_components):
+            if sum(sizes) != u:
+                continue
             placements, start = [], 0
             for k in sizes:
                 placements.append(tuple(range(start, start + k)))
                 start += k
-            for g in _graphs_with_valences(u, t):
+            for g in all_graphs_with_valences(u, t):
                 try:
                     yield Diagram(support, tuple(placements),
                                   frozenset(range(u, u + t)), g)
@@ -325,19 +361,55 @@ class TestOrbitSkipping:
         expected = [reference[k] for k in sorted(reference)]
         assert enumerate_diagrams(support, n, connected_only) == expected
 
-    @pytest.mark.parametrize("support, n", [(S1, 3), (R1, 3),
-                                            (CIRCLE_LINE, 2)],
-                             ids=["S1-3", "R1-3", "S1+R1-2"])
-    def test_relabelling_orbit_is_class(self, support, n):
-        graphs = list(labelled_graphs(support, n))
-        classes = {}
-        for d in graphs:
-            classes.setdefault(canonical_form(d), set()).add(d.edges)
-        for d in graphs:
-            orbit = {frozenset(frozenset(p[v] for v in e) for e in d.edges)
-                     for p in _relabellings(support, d.placements,
-                                            len(d.trivalent))}
-            assert orbit == classes[canonical_form(d)]
+
+SUPPORTS = {"S1": S1, "R1": R1, "S1x2": circles(2), "S1x3": circles(3),
+            "S1+R1": CIRCLE_LINE}
+# degree 4, connected_only False and True: the class count and the sha256
+# of the repr of the ordered canonical keys, pinned from the enumerator
+# that canonicalised one labelled graph per relabelling orbit
+DEGREE4 = {
+    "S1": ((69, "a9ea85bb14ddcd2c76a3d7e49be132683de8d931a0961b0d72c4282b2d87dbf8"),
+           (19, "1bf85900e4f7211119c59fa82bbf8201f2be0b7a99614783d0dfa2b2dd149fc4")),
+    "R1": ((324, "dd7821efc2c55a156b5cbc423c312c5a590d3bb0c54d30228f6e9813cd63289b"),
+           (40, "cb9b3e7c95b0ad88c9b82e30ec1374aace0e6c74d2be7c1c28f6ae373555fb80")),
+    "S1x2": ((426, "e3ab301a8aa4c4820243022cb9e8e8876eba84dc99c0777bb63b854ab217ab82"),
+             (80, "027bcd7ec0406ac22b431f7a5b7f7a31304579b08f770118c49d422501d4b57c")),
+    "S1x3": ((1823, "87d9c41a3f81f09e6ee4015ca848e9a37ecbaefa85ab77a7f53dd60d3a09030b"),
+             (241, "e5548cbab32c8302f3ee7034fa13c03f7463a7893f8975a1418a1982d7e961c7")),
+    "S1+R1": ((1200, "7e429b2218b83c297b0fa8c8c851ce2d2283cc617efbb81b0ab34c588529f3bf"),
+              (128, "85bccf83148b0385f02d11cff5000afb003907d758a3439df4349c8bc380a5a0")),
+}
+
+
+class TestDegree4:
+    @pytest.mark.parametrize("connected_only", [False, True])
+    @pytest.mark.parametrize("name", sorted(DEGREE4))
+    def test_counts_and_keys_pinned(self, name, connected_only):
+        ds = enumerate_diagrams(SUPPORTS[name], 4, connected_only)
+        keys = [canonical_form(d) for d in ds]
+        digest = hashlib.sha256(repr(keys).encode()).hexdigest()
+        assert (len(ds), digest) == DEGREE4[name][connected_only]
+
+
+class TestGenerator:
+    @pytest.mark.parametrize("u, t", [(u, t) for u in range(1, 7)
+                                      for t in range(0, 7 - u)
+                                      if (u + 3 * t) % 2 == 0])
+    def test_every_graph_is_a_renaming_of_a_generated_one(self, u, t):
+        generated = set(_graphs_with_valences(u, t))
+        valid = []
+        for g in all_graphs_with_valences(u, t):
+            try:
+                Diagram(S1, (tuple(range(u)),), frozenset(range(u, u + t)), g)
+            except DiagramError:
+                continue
+            valid.append(g)
+        assert generated <= set(valid)
+        renamings = [dict(zip(range(u, u + t), p))
+                     for p in itertools.permutations(range(u, u + t))]
+        for g in valid:
+            assert any(frozenset(frozenset(p.get(v, v) for v in e) for e in g)
+                       in generated for p in renamings)
 
 
 class TestQuotient:
