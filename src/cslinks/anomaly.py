@@ -21,9 +21,10 @@ from .curves import LinkCurve
 from .diagrams import (Diagram, OrientedDiagram, automorphism_count, degree,
                        is_connected, std_oriented)
 from .errors import DiagramError, EmbeddingError
-from .integrate import (KernelGeometry, class_sum, has_trivalent_triangle,
-                        jacobian_values, permutation_sign, propose_trivalent,
-                        sphere_frames)
+from .integrate import (KernelGeometry, chart_frame, class_sum,
+                        has_trivalent_triangle, jacobian_values,
+                        permutation_sign, propose_trivalent, sort_rows,
+                        sphere_chart)
 from .invariants import self_linking
 from .mc import Estimate, run_sharded
 from .support import R1
@@ -98,26 +99,6 @@ class WGeometry(KernelGeometry):
         self.set_entries([("s", 0), ("s", 1)] + self.kept, self.univ[1:])
 
 
-def _sample_sphere(rng, count, work):
-    """Uniform points of S², as a (count, 3) array of work; z is
-    stratified across the batch.  rng.random gives the bits of
-    rng.uniform(0, 1), and times 2 pi those of rng.uniform(0, 2 pi)."""
-    s = work("sphere.s", (count, 3))
-    z, phi, r, trig = (work(name, (count,)) for name in
-                       ("sphere.z", "sphere.phi", "sphere.r", "sphere.trig"))
-    # z = -1 + 2 (i + u_i) / count, op by op
-    np.add(work.arange(count), rng.random(out=z), out=z)
-    np.add(np.divide(np.multiply(z, 2, out=z), count, out=z), -1, out=z)
-    np.multiply(rng.random(out=phi), 2 * np.pi, out=phi)
-    # r = sqrt(max(0, 1 - z^2))
-    np.subtract(1, np.square(z, out=r), out=r)
-    np.sqrt(np.maximum(0.0, r, out=r), out=r)
-    np.multiply(r, np.cos(phi, out=trig), out=s[:, 0])
-    np.multiply(r, np.sin(phi, out=trig), out=s[:, 1])
-    s[:, 2] = z
-    return s
-
-
 def w_config_positions(geo: WGeometry, s, t_params, x_triv=None):
     """Positions of all vertices for gauge-slice configurations: the legs'
     t_v s in geo.work, valid until the next call on geo in the same
@@ -132,14 +113,15 @@ def w_config_positions(geo: WGeometry, s, t_params, x_triv=None):
 
 def w_integrand_batch(geo: WGeometry, s, t_params, x_triv):
     """Density of the pulled-back sphere forms on the slice chart of W(γ);
-    rows as in the closed-link integrand.  Returns (values,
-    rejected_mask), new arrays (jacobian_values); the frames, positions
-    and tangents are kept in geo.work."""
+    rows as in the closed-link integrand.  The two s-columns move s along
+    its chart_frame, whose area element is the sampler's dz dphi.  Returns
+    (values, rejected_mask), new arrays (jacobian_values); the frames,
+    positions and tangents are kept in geo.work."""
     work, shape = geo.work, np.shape(s)
     tangents = {}
     # s-variation columns: univalent positions move by t_v * delta, except
     # the first leg at t = 0
-    for ci, delta in enumerate(sphere_frames(s, work)):
+    for ci, delta in enumerate(chart_frame(s, work)):
         for j, v in enumerate(geo.univ[1:], 1):
             tangents[ci, v] = np.multiply(t_params[:, j, None], delta,
                                           out=work(("w.s", ci, j), shape))
@@ -151,30 +133,33 @@ def w_integrand_batch(geo: WGeometry, s, t_params, x_triv):
 
 
 class WSampler:
-    """Importance sampler on S² x (gauge slice): a stratified uniform axis,
-    uniformly ordered interior legs, and propose_trivalent at unit scale."""
+    """Importance sampler on S² x (gauge slice), as a map of one block of
+    uniforms per batch, dim rows of count: the axis s from the sphere_chart
+    of the first two rows, the interior legs from the next (legs - 2) rows
+    sorted, and propose_trivalent's points at unit scale.  The axis is not
+    stratified: the proposal and the integrand are rotation-equivariant,
+    so the weight's mean given s is f_γ for every s."""
 
     def __init__(self, geo: WGeometry):
         self.geo = geo
-        self.interior_density = float(factorial(len(geo.univ) - 2))
+        self.dim = len(geo.univ) + 4 * len(geo.triv)
+        self.density = factorial(len(geo.univ) - 2) / (4 * np.pi)
 
     def sample(self, rng, count):
-        """(s, t_params, x_triv, density) for count configurations, all in
-        geo.work until the next sample in the same thread."""
+        """(s, t_params, x_triv, density) for count configurations from one
+        rng.random block, all in geo.work until the next sample in the same
+        thread."""
         geo, work = self.geo, self.geo.work
-        s = _sample_sphere(rng, count, work)
-        u = len(geo.univ)
-        t_params = work("w.t", (count, u))
+        legs = len(geo.univ)
+        u = rng.random(out=work("w.u", (self.dim, count)))
+        density = work("w.density", (count,))     # scratch until filled
+        s = sphere_chart(u[0], u[1], work("w.s", (count, 3)), density)
+        t_params = work("w.t", (count, legs))
         t_params[:, 0] = 0.0
         t_params[:, -1] = 1.0
-        if u > 2:
-            # rng.random gives the bits of rng.uniform(0, 1)
-            inner = rng.random(out=work("w.inner", (count, u - 2)))
-            inner.sort(axis=1)
-            t_params[:, 1:-1] = inner
-        density = work("w.density", (count,))
-        density.fill(self.interior_density / (4 * np.pi))
-        x_triv = propose_trivalent(geo, rng, w_config_positions(
+        t_params[:, 1:-1] = sort_rows(u[2:legs], density).T
+        density.fill(self.density)
+        x_triv = propose_trivalent(geo, u[legs:], w_config_positions(
             geo, s, t_params), density, 1.0)
         return s, t_params, x_triv, density
 

@@ -458,15 +458,15 @@ def _graphs_with_valences(u, t):
     return results
 
 
-def enumerate_diagrams(support: Support, n: int, connected_only=False):
+def enumerate_diagrams(support: Support, n: int):
     """One normal-form representative per isomorphism class of degree n.
 
     Deterministic order (sorted by canonical encoding).  Degrees above
     MAX_DEGREE are refused: the number of classes grows exponentially.
-    Memoised per (support, n, connected_only); each call gets a fresh list.
+    Memoised per (support, n); each call gets a fresh list.
     """
     check_degree(n)
-    return list(_enumerate_cached(support, n, connected_only))
+    return list(_enumerate_cached(support, n))
 
 
 def check_degree(n):
@@ -506,10 +506,11 @@ def _least_rotations(support, placements, neighbours):
 
 
 @lru_cache(maxsize=None)
-def _enumerate_cached(support, n, connected_only):
+def _enumerate_cached(support, n):
     """Canonicalises the graphs of `_graphs_with_valences` that pass
     `_least_rotations` on each placement: every isomorphism class keeps at
-    least one, and connectedness does not depend on the placement."""
+    least one.  Then empties the canonical-form cache: the raw graphs are
+    seldom met again, and the returned diagrams are rebuilt from the keys."""
     if n == 0:
         return (Diagram(support, tuple(() for _ in support.components),
                         frozenset(), frozenset()),)
@@ -517,8 +518,7 @@ def _enumerate_cached(support, n, connected_only):
     for t in range(0, 2 * n):
         u = 2 * n - t
         vertices = range(u + t)
-        graphs = [g for g in _graphs_with_valences(u, t)
-                  if not connected_only or is_connected(vertices, g)]
+        graphs = _graphs_with_valences(u, t)
         neighbours = [[[w for e in g if v in e for w in e - {v}]
                        for v in vertices] for g in graphs]
         for sizes in itertools.product(range(u + 1), repeat=support.n_components):
@@ -529,6 +529,7 @@ def _enumerate_cached(support, n, connected_only):
                 if _least_rotations(support, placements, nb):
                     keys.add(canonical_form(Diagram(
                         support, placements, frozenset(vertices[u:]), g)))
+    _canonical_cached.cache_clear()
     return tuple(diagram_from_key(k) for k in sorted(keys))
 
 

@@ -126,24 +126,48 @@ def permutation_sign(seq):
     return (-1) ** sum(a > b for a, b in combinations(seq, 2))
 
 
-def sphere_frames(directions, work=fresh):
-    """Deterministic oriented frames: f1 x f2 = direction (outward).
+def sphere_chart(z, phi, out, tmp):
+    """The (z, phi) chart of S² as a map of two uniform rows, transformed in
+    place: z = 2u - 1, phi = 2 pi u and the point (r cos phi, r sin phi, z),
+    r = sqrt(1 - z^2), written into the (count, 3) out; z's row ends
+    holding r, and tmp is a (count,) scratch row.  The area element is
+    dz dphi, so the point is uniform on the sphere: density 1/(4 pi)."""
+    np.subtract(np.multiply(z, 2, out=z), 1, out=z)
+    np.multiply(phi, 2 * np.pi, out=phi)
+    out[:, 2] = z
+    r = np.sqrt(np.subtract(1, np.square(z, out=z), out=z), out=z)
+    np.multiply(np.cos(phi, out=tmp), r, out=out[:, 0])
+    np.multiply(np.sin(phi, out=tmp), r, out=out[:, 1])
+    return out
 
-    Gram-Schmidt against the global z-axis, falling back to the x-axis near
-    the poles; vectorized over the leading axes.  The frames and their
-    scratch come from work (a mc.Workspace, or new arrays by default).
-    """
-    d = np.asarray(directions, dtype=float)
-    lead = d.shape[:-1]
-    tmp = work("frames.tmp", lead)
-    near_pole = np.greater(np.abs(d[..., 2], out=tmp), 0.99,
-                           out=work("frames.pole", lead, bool))
-    a = work("frames.axis", d.shape)
-    a[...] = (0., 0., 1.)
-    np.copyto(a, (1., 0., 0.), where=near_pole[..., None])
-    f1 = _cross(a, d, work("frames.f1", d.shape), tmp)
-    np.divide(f1, _norms(f1, tmp)[..., None], out=f1)
-    return f1, _cross(d, f1, work("frames.f2", d.shape), tmp)
+
+def chart_frame(s, work=fresh):
+    """The frame of the sphere_chart at the unit vectors s, (count, 3):
+    f1 = (-sin phi, cos phi, 0) and f2 = s x f1 = (-z cos phi, -z sin phi,
+    r), phi = atan2(s_y, s_x).  f1 x f2 = s for every phi, so the poles
+    need no branch.  The frames and their scratch come from work (a
+    mc.Workspace, or new arrays by default)."""
+    count = len(s)
+    f1, f2 = work("frame.f1", (count, 3)), work("frame.f2", (count, 3))
+    phi = np.arctan2(s[:, 1], s[:, 0], out=work("frame.phi", (count,)))
+    f1[:, 1] = np.cos(phi, out=work("frame.cos", (count,)))
+    np.negative(np.sin(phi, out=phi), out=f1[:, 0])
+    f1[:, 2] = 0.0
+    return f1, _cross(s, f1, f2, phi)
+
+
+def sort_rows(rows, tmp):
+    """Sorts every column of the few (k, count) rows in place: k rounds of
+    an odd-even transposition network, each compare-exchange of two rows
+    one elementwise minimum and maximum (numpy's sort along the short axis
+    took 5 times as long for 5 rows and 35 times for 2); tmp is a (count,)
+    scratch row."""
+    for r in range(len(rows)):
+        for i in range(r % 2, len(rows) - 1, 2):
+            np.minimum(rows[i], rows[i + 1], out=tmp)
+            np.maximum(rows[i], rows[i + 1], out=rows[i + 1])
+            rows[i] = tmp
+    return rows
 
 
 class WedgePlan:
@@ -389,44 +413,45 @@ class KernelGeometry:
         self.plan = WedgePlan(pairs)
 
 
-def propose_trivalent(geo: KernelGeometry, rng, pos, density, scale):
-    """Radial half-Cauchy proposals for the trivalent vertices.
-
-    In placement order, each vertex is centred at a uniformly chosen placed
-    neighbour; the 1/r^2 density core matches the collision singularity of
-    the integrand, the r^-4 tail covers escapes to infinity.  Adds the new
-    positions to pos, as views into x_triv, multiplies density by the
-    mixture density in place, and returns the (count, trivalent, 3)
-    positions x_triv.  x_triv and the scratch come from geo.work.
+def propose_trivalent(geo: KernelGeometry, u, pos, density, scale):
+    """Radial half-Cauchy proposals for the trivalent vertices, as a map of
+    the uniform rows u, (a, r, z, phi) per vertex in placement order, which
+    it transforms in place: the centre is the placed neighbour floor(K a)
+    of the K, the radius scale tan(pi r / 2) and the direction the
+    sphere_chart point of (z, phi).  The radius's 1/r^2 density core
+    matches the collision singularity of the integrand, its r^-4 tail
+    covers escapes to infinity.  Adds the new positions to pos, as views
+    into x_triv, multiplies density by the mixture density over the K
+    centres in place, and returns the (count, trivalent, 3) positions
+    x_triv.  x_triv and the scratch come from geo.work; x_triv views one
+    block per vertex, so that no copy reads another vertex's positions
+    from the block it writes (numpy would copy the source first).
     """
     count, work = len(density), geo.work
-    x_triv = work("triv.x", (count, len(geo.triv), 3))
+    x_triv = work("triv.x", (len(geo.triv), count, 3)).transpose(1, 0, 2)
     step = work("triv.step", (count, 3))
-    r, t, q = (work(name, (count,)) for name in ("triv.r", "triv.t", "triv.q"))
+    q = work("triv.q", (count,))
     pick = work("triv.pick", (count,), bool)
-    for v, anchors in geo.placement_order:
-        # x starts at the chosen centres
+    for (v, anchors), (a, r, z, phi) in zip(geo.placement_order,
+                                            u.reshape(-1, 4, count)):
+        # x starts at the centre floor(K a): the last k with a >= k / K
         x = pos[v] = x_triv[:, geo.triv_index[v]]
-        choice = rng.integers(0, len(anchors), size=count)
         np.copyto(x, pos[anchors[0]])
-        for k, a in enumerate(anchors[1:], 1):
-            np.copyto(x, pos[a], where=np.equal(choice, k, out=pick)[:, None])
-        # rng.random and rng.standard_normal give the bits of
-        # rng.uniform(0, 1) and rng.normal()
-        rng.random(out=r)
-        np.multiply(r, 0.5 * np.pi, out=r)
-        np.multiply(np.tan(r, out=r), scale, out=r)
-        rng.standard_normal(out=step)
-        np.divide(step, _norms(step, t)[:, None], out=step)
-        x += np.multiply(step, r[:, None], out=step)
+        for k, c in enumerate(anchors[1:], 1):
+            np.greater_equal(a, k / len(anchors), out=pick)
+            np.copyto(x, pos[c], where=pick[:, None])
+        np.multiply(np.tan(np.multiply(r, 0.5 * np.pi, out=r), out=r), scale,
+                    out=r)
+        x += np.multiply(sphere_chart(z, phi, step, a), r[:, None], out=step)
         q.fill(0.0)
-        for a in anchors:
-            # q += scale / (2 pi^2 ra^2 (scale^2 + ra^2)), op by op
-            ra = _norms(np.subtract(x, pos[a], out=step), r)
+        for c in anchors:
+            # q += scale / (2 pi^2 ra^2 (scale^2 + ra^2)), op by op, in the
+            # spent rows r and a
+            ra = _norms(np.subtract(x, pos[c], out=step), r)
             ra2 = np.square(np.maximum(ra, 1e-300, out=r), out=r)
-            np.multiply(ra2, 2 * np.pi ** 2, out=t)
-            np.multiply(t, np.add(ra2, scale ** 2, out=r), out=t)
-            q += np.divide(scale, t, out=t)
+            np.multiply(ra2, 2 * np.pi ** 2, out=a)
+            np.multiply(a, np.add(ra2, scale ** 2, out=r), out=a)
+            q += np.divide(scale, a, out=a)
         q /= len(anchors)
         density *= q
     return x_triv
@@ -526,7 +551,6 @@ class DiagramGeometry(KernelGeometry):
                  for e in edges]
         super().__init__(od, edges)
         self.curve = curve
-        self.univ_index = {v: i for i, v in enumerate(self.univ)}
         self.sign = (-1) ** len(edges)
         self.diameter = curve.diameter()
         self.set_entries(self.columns)
@@ -549,54 +573,46 @@ def univalent_jets(geo: DiagramGeometry, t_univ):
 
 
 class ConfigurationSampler:
-    """Importance sampler for configurations of a diagram on a curve.
+    """Importance sampler for configurations of a diagram on a curve, as a
+    map of one block of uniforms per batch: dim rows of count, one per
+    univalent vertex in geo.univ order and four per trivalent vertex.
 
-    Univalent parameters: uniform per component, sorted and rotated into the
-    placement's cyclic class (exact constant density with the multiplicity
-    factor (k-1)!/(2pi)^k); their points and velocities come from
-    univalent_jets.  Trivalent points: propose_trivalent at the scale of the
-    curve's diameter.
+    On a circle with k legs the placement's first leg sits at 2 pi u and
+    the other k - 1 at the sorted offsets 2 pi u after it, so they follow
+    the placement's cyclic order with the constant density (k-1)!/(2pi)^k;
+    their points and velocities come from univalent_jets.  Trivalent
+    points: propose_trivalent at the scale of the curve's diameter.
     """
 
     def __init__(self, geo: DiagramGeometry):
         self.geo = geo
         self.scale = max(geo.diameter, 1e-6)
-        k_total = 1.0
-        for comp in geo.d.placements:
-            k = len(comp)
-            if k:
-                k_total *= float(factorial(k - 1)) / (2 * np.pi) ** k
-        self.univ_density = k_total
+        self.dim = len(geo.univ) + 4 * len(geo.triv)
+        self.univ_density = prod(factorial(k - 1) / (2 * np.pi) ** k
+                                 for k in map(len, geo.d.placements) if k)
 
     def sample(self, rng, count):
         """(t_univ, x_univ, v_univ, x_triv, density) for count
-        configurations: the circle parameters, the univalent points and
-        signed velocities (see univalent_jets), the trivalent points and
-        the proposal density.  All of them live in geo.work until the next
-        sample in the same thread."""
-        geo, work = self.geo, self.geo.work
-        t_univ = work("sample.t", (count, len(geo.univ)))
+        configurations from one rng.random block: the circle parameters,
+        the univalent points and signed velocities (see univalent_jets),
+        the trivalent points and the proposal density.  All of them live in
+        geo.work until the next sample in the same thread."""
+        geo = self.geo
+        u = rng.random(out=geo.work("sample.u", (self.dim, count)))
+        density = geo.work("sample.density", (count,))   # scratch until filled
+        start = 0
         for comp in geo.d.placements:
-            k = len(comp)
-            if not k:
-                continue
-            # rng.random gives the bits of rng.uniform(0, 1)
-            u = rng.random(out=work("sample.u", (count, k)))
-            np.multiply(u, 2 * np.pi, out=u).sort(axis=1)
-            rot = rng.integers(0, k, size=count)
-            at = work("sample.rot", (k, count), bool)
-            for r in range(k):
-                np.equal(rot, r, out=at[r])
-            # the j-th vertex takes the sorted parameter (rot + j) mod k
-            for j, v in enumerate(comp):
-                for r in range(k):
-                    np.copyto(t_univ[:, geo.univ_index[v]], u[:, (r + j) % k],
-                              where=at[r])
-        density = work("sample.density", (count,))
+            if comp:
+                legs = np.multiply(u[start:start + len(comp)], 2 * np.pi,
+                                   out=u[start:start + len(comp)])
+                sort_rows(legs[1:], density)
+                legs[1:] += legs[0]
+                start += len(comp)
+        t_univ = u[:start].T
         density.fill(self.univ_density)
         x_univ, v_univ = univalent_jets(geo, t_univ)
-        pos = dict(zip(geo.univ, x_univ))
-        x_triv = propose_trivalent(geo, rng, pos, density, self.scale)
+        x_triv = propose_trivalent(geo, u[start:], dict(zip(geo.univ, x_univ)),
+                                   density, self.scale)
         return t_univ, x_univ, v_univ, x_triv, density
 
 

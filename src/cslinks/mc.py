@@ -3,7 +3,9 @@ every integral (Monte Carlo or quadrature).
 
 Each shard owns a counter-based random stream keyed by (seed, shard), so the
 full estimate is reproducible bit-for-bit for fixed (seed, samples, shards)
-and independent of how many worker threads execute the shards.  Batch sums
+and independent of how many worker threads execute the shards.  The
+samplers draw from it one block of uniforms per batch and map it to their
+configurations, so the points' only source is u in the unit cube.  Batch sums
 are Kahan-compensated within a shard; shard results merge in index order.
 Each shard also keeps the second moment of its weights about their mean,
 merged batch by batch (Chan, Golub and LeVeque's pairwise update of
@@ -51,14 +53,6 @@ class Workspace(threading.local):
         if buf is None or buf.size < size or buf.dtype != dtype:
             buf = self.buffers[name] = np.empty(size, dtype)
         return buf[:size].reshape(shape)
-
-    def arange(self, count):
-        """0., 1., ..., count - 1.: the front of one kept array, which
-        grows like the named buffers."""
-        ramp = self.buffers.get("arange")
-        if ramp is None or len(ramp) < count:
-            ramp = self.buffers["arange"] = np.arange(count, dtype=float)
-        return ramp[:count]
 
 
 def fresh(name, shape, dtype=float):

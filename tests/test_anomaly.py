@@ -1,6 +1,11 @@
+from math import factorial
+
 import numpy as np
 import pytest
-from test_integrate import assert_fold_matches, folded_and_full
+from test_integrate import (UnitRng, assert_fold_matches,
+                            assert_weighted_histogram, folded_and_full,
+                            half_cauchy, jacobian_density, leg_preimages,
+                            preimage_blocks, trivalent_preimages)
 
 from cslinks import anomaly
 from cslinks.algebra import ClassVector, reduction
@@ -11,11 +16,12 @@ from cslinks.anomaly import (LINE_CATALOG, WGeometry, WSampler,
                              psi_image_a3,
                              square_substitution_invariant,
                              symmetry_check_central, symmetry_check_s1_even,
-                             w_integrand_batch)
+                             w_config_positions, w_integrand_batch)
 from cslinks.curves import CATALOG_NAMES, catalog
 from cslinks.diagrams import automorphism_count, canonical_oriented
 from cslinks.errors import EmbeddingError
-from cslinks.integrate import has_trivalent_triangle
+from cslinks.integrate import (chart_frame, has_trivalent_triangle,
+                               sphere_chart)
 from cslinks.support import R1
 
 
@@ -43,6 +49,69 @@ class TestFold:
         values, full, shortest = folded_and_full(
             monkeypatch, anomaly, w_integrand_batch, geo, s, t, x)
         assert_fold_matches(values, full, shortest >= 1e-2)
+
+
+class TestSampler:
+    def test_density_is_the_maps_jacobian(self):
+        # a1's density at 300 configurations against the sum, over the
+        # blocks u that the sampler maps to each, of 1/|det| of the map's
+        # Jacobian in (z, phi, interior legs, trivalent points): both
+        # orders of the interior rows, and per trivalent vertex every
+        # anchor with weight 1/K
+        geo = WGeometry(line_diagram_catalog("a1"))
+        sampler = WSampler(geo)
+        legs = len(geo.univ)
+        u = 0.02 + 0.96 * np.random.default_rng(43).random((sampler.dim, 300))
+
+        def coords(u):
+            s, t, x, _ = sampler.sample(UnitRng(u), u.shape[1])
+            return np.hstack([s[:, 2:], np.arctan2(s[:, 1:2], s[:, :1]),
+                              t[:, 1:-1], x.reshape(len(s), -1)])
+
+        s, t, x, density = (a.copy() for a in sampler.sample(UnitRng(u), 300))
+        pos = {v: p.copy()
+               for v, p in w_config_positions(geo, s, t, x).items()}
+        interior = [(j + 1, t[:, j]) for j in range(1, legs - 1)]
+        axis = {0: (s[:, 2] + 1) / 2,
+                1: np.arctan2(s[:, 1], s[:, 0]) / (2 * np.pi) % 1}
+        options = [leg_preimages(axis, interior)]
+        options += trivalent_preimages(geo, pos, legs, 1.0)
+        preimages = list(preimage_blocks(u.shape, options))
+        assert len(preimages) == 2 * 2 * 3    # interior orders x anchors
+        for _, v in preimages:
+            assert np.allclose(coords(v), coords(u), rtol=0, atol=1e-9)
+        rows = [r for r in range(sampler.dim)
+                if r < legs or (r - legs) % 4]
+        want = jacobian_density(coords, preimages, rows, angles=(1,))
+        assert np.allclose(density, want, rtol=1e-6, atol=0)
+
+    def test_axis_histogram_matches_density(self):
+        # weighted by pi / density, for pi the uniform axis and interior
+        # legs times the half-Cauchy about each vertex's first anchor, the
+        # axis's z has pi's marginal: uniform on [-1, 1], ten bins of mass
+        # 0.1.  The weights are at most the product of the anchor counts.
+        geo = WGeometry(line_diagram_catalog("a1"))
+        sampler = WSampler(geo)
+        s, t, x, density = sampler.sample(np.random.default_rng(44), 10 ** 5)
+        pos = w_config_positions(geo, s, t, x)
+        weights = factorial(len(geo.univ) - 2) / (4 * np.pi) / density
+        for v, anchors in geo.placement_order:
+            weights *= half_cauchy(
+                np.linalg.norm(pos[v] - pos[anchors[0]], axis=1), 1.0)
+        assert_weighted_histogram(s[:, 2], weights, np.linspace(-1, 1, 11),
+                                  [0.1] * 10)
+
+    def test_chart_frame_orthonormal(self):
+        # f1 x f2 = s with no pole branch: sphere_chart points and the two
+        # poles
+        z, phi = np.random.default_rng(45).random((2, 4096))
+        s = sphere_chart(z, phi, np.empty((4096, 3)), np.empty(4096))
+        s[:2] = [[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]]
+        f1, f2 = chart_frame(s)
+        frame = np.stack([f1, f2, s], axis=1)
+        gram = np.einsum("nij,nkj->nik", frame, frame)
+        assert np.max(np.abs(gram - np.eye(3))) <= 1e-15
+        assert np.max(np.abs(np.cross(f1, f2) - s)) <= 1e-15
 
 
 class TestVanishingIntegrands:

@@ -3,7 +3,8 @@ import itertools
 
 import pytest
 
-from cslinks.diagrams import (THETA, Diagram, _graphs_with_valences,
+from cslinks.diagrams import (THETA, Diagram, _canonical_cached,
+                              _enumerate_cached, _graphs_with_valences,
                               _rotated_umaps, is_connected,
                               canonical_diagram, canonical_form,
                               canonical_maps, degree, enumerate_diagrams,
@@ -19,6 +20,13 @@ CIRCLE_LINE = Support((("0", CIRCLE), ("1", LINE)))
 
 def fs(*pairs):
     return frozenset(frozenset(p) for p in pairs)
+
+
+def connected_diagrams(support, n, connected_only=True):
+    """enumerate_diagrams(support, n), only the connected diagrams if
+    connected_only (n >= 1: the empty diagram counts as disconnected)."""
+    return [d for d in enumerate_diagrams(support, n)
+            if not connected_only or is_connected(d.vertices, d.edges)]
 
 
 def w3_wheel(support=S1):
@@ -179,9 +187,9 @@ class TestEnumeration:
             assert canonical_diagram(d) == d
 
     def test_line_support_counts(self):
-        assert len(enumerate_diagrams(R1, 2, connected_only=True)) == 1
+        assert len(connected_diagrams(R1, 2)) == 1
         # aabb, abab, abba patterns, the wheel, and two 4-trivalent graphs
-        assert len(enumerate_diagrams(R1, 3, connected_only=True)) == 6
+        assert len(connected_diagrams(R1, 3)) == 6
 
     def test_capability_bound(self):
         with pytest.raises(CapabilityError):
@@ -198,6 +206,15 @@ class TestEnumeration:
     def test_two_component_degree1(self):
         ds = enumerate_diagrams(circles(2), 1)
         assert len(ds) == 3  # theta on either circle, chord across
+
+    def test_cold_enumeration_leaves_no_canonical_forms_cached(self):
+        # the raw graphs it canonicalises are seldom met again (the returned
+        # diagrams are rebuilt from their keys), so they are not kept
+        _enumerate_cached.cache_clear()
+        _canonical_cached.cache_clear()
+        ds = enumerate_diagrams(circles(2), 3)
+        assert len(ds) > 0
+        assert _canonical_cached.cache_info().currsize == 0
 
     def test_brute_force_oracle_degree2(self):
         # independent generator: all valid graphs over explicit vertex pools
@@ -359,7 +376,7 @@ class TestOrbitSkipping:
             if key not in reference:
                 reference[key] = canonical_diagram(d)
         expected = [reference[k] for k in sorted(reference)]
-        assert enumerate_diagrams(support, n, connected_only) == expected
+        assert connected_diagrams(support, n, connected_only) == expected
 
 
 SUPPORTS = {"S1": S1, "R1": R1, "S1x2": circles(2), "S1x3": circles(3),
@@ -385,7 +402,7 @@ class TestDegree4:
     @pytest.mark.parametrize("connected_only", [False, True])
     @pytest.mark.parametrize("name", sorted(DEGREE4))
     def test_counts_and_keys_pinned(self, name, connected_only):
-        ds = enumerate_diagrams(SUPPORTS[name], 4, connected_only)
+        ds = connected_diagrams(SUPPORTS[name], 4, connected_only)
         keys = [canonical_form(d) for d in ds]
         digest = hashlib.sha256(repr(keys).encode()).hexdigest()
         assert (len(ds), digest) == DEGREE4[name][connected_only]

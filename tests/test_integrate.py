@@ -1,7 +1,7 @@
 import tracemalloc
 from fractions import Fraction
-from itertools import combinations
-from math import factorial
+from itertools import combinations, permutations, product
+from math import factorial, prod
 
 import numpy as np
 import pytest
@@ -19,7 +19,7 @@ from cslinks.integrate import (ConfigurationSampler, DiagramGeometry,
                                chord_quadrature, chord_sign, gauss_kernel,
                                has_trivalent_triangle, integrand_at,
                                integrand_batch, integrate_diagram,
-                               sphere_frames, two_chord_quadrature,
+                               sort_rows, two_chord_quadrature,
                                univalent_jets, z_n)
 from cslinks.mc import BATCH, Estimate
 from cslinks.support import circles
@@ -63,12 +63,108 @@ def reference_integrand(geo, t_univ, x_triv):
     """The integrand assembled from separate curve evaluations: eval for
     the univalent points, deriv for their velocities."""
     x_univ, v_univ = [], []
-    for v in geo.univ:
+    for i, v in enumerate(geo.univ):
         m = geo.d.component_of(v)
-        tv = t_univ[:, geo.univ_index[v]]
+        tv = t_univ[:, i]
         x_univ.append(geo.curve.eval(m, tv))
         v_univ.append(geo.curve.deriv(m, tv) * geo.univ_sign[v])
     return integrand_batch(geo, x_univ, v_univ, x_triv)
+
+
+class UnitRng:
+    """A stand-in for a numpy Generator whose random(out) returns the block
+    u: a sampler run on it is its map of u."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self, out):
+        out[...] = self.u
+        return out
+
+
+def trivalent_preimages(geo, pos, row, scale):
+    """Per trivalent vertex in placement order, the (weight, {row: values})
+    that propose_trivalent maps to its position pos[v], one per anchor:
+    the anchor's row at the middle of its 1/K range (weight 1/K) and the
+    inverse chart of the radius and direction about it."""
+    options = []
+    for v, anchors in geo.placement_order:
+        choices = []
+        for a, c in enumerate(anchors):
+            delta = pos[v] - pos[c]
+            rho = np.linalg.norm(delta, axis=1)
+            omega = delta / rho[:, None]
+            choices.append((1 / len(anchors), {
+                row: np.full(len(rho), (a + 0.5) / len(anchors)),
+                row + 1: np.arctan(rho / scale) / (np.pi / 2),
+                row + 2: (omega[:, 2] + 1) / 2,
+                row + 3: np.arctan2(omega[:, 1], omega[:, 0])
+                / (2 * np.pi) % 1}))
+        options.append(choices)
+        row += 4
+    return options
+
+
+def leg_preimages(fixed, sorted_rows):
+    """(1, {row: values}) for every order of the sorted rows, which the
+    sampler sorts back, each with the fixed {row: values}; sorted_rows
+    lists (row, values)."""
+    rows = [r for r, _ in sorted_rows]
+    return [(1.0, {**fixed, **dict(zip(rows, order))})
+            for order in permutations([values for _, values in sorted_rows])]
+
+
+def preimage_blocks(shape, options):
+    """(weight, u) of the given shape for every choice of one option per
+    group."""
+    for choice in product(*options):
+        u = np.empty(shape)
+        for _, rows in choice:
+            for r, values in rows.items():
+                u[r] = values
+        yield prod(w for w, _ in choice), u
+
+
+def jacobian_density(coords, preimages, rows, angles=(), h=1e-7):
+    """The density of coords(u) for uniform u at a batch of configurations:
+    the sum of weight / |det J| over their preimages (weight, u), J the
+    Jacobian of coords in the given rows of u by central differences.
+    Differences in the angles columns are taken modulo 2 pi."""
+    total = 0.0
+    for weight, u in preimages:
+        columns = []
+        for r in rows:
+            up, down = u.copy(), u.copy()
+            up[r] += h
+            down[r] -= h
+            diff = coords(up) - coords(down)
+            for a in angles:
+                diff[:, a] = (diff[:, a] + np.pi) % (2 * np.pi) - np.pi
+            columns.append(diff / (2 * h))
+        total = total + weight / np.abs(
+            np.linalg.det(np.stack(columns, axis=2)))
+    return total
+
+
+def half_cauchy(rho, scale):
+    """propose_trivalent's density about one anchor at distance rho."""
+    return scale / (2 * np.pi ** 2 * rho ** 2 * (scale ** 2 + rho ** 2))
+
+
+def assert_weighted_histogram(values, weights, edges, mass):
+    """The weights' sums over the bins of values, per sample, match the
+    expected masses within four standard errors."""
+    which = np.digitize(values, edges) - 1
+    for b, m in enumerate(mass):
+        w = np.where(which == b, weights, 0.0)
+        assert abs(np.mean(w) - m) <= 4 * np.std(w) / np.sqrt(len(w)), b
+
+
+def hopf_tripod():
+    """A tripod with two legs on the first circle and one on the second."""
+    return std_oriented(Diagram(circles(2), ((0, 1), (2,)), frozenset({3}),
+                                fs((0, 3), (1, 3), (2, 3))))
 
 
 def full_jacobian_values(geo, pos, tangents, tol):
@@ -78,6 +174,16 @@ def full_jacobian_values(geo, pos, tangents, tol):
     rejected = np.any(lengths < tol, axis=1)
     values = geo.sign * np.linalg.det(M) / (4 * np.pi) ** len(geo.edges)
     return np.where(rejected, 0.0, values), rejected
+
+
+def sphere_frames(d):
+    """Oriented frames f1, f2 with f1 x f2 = d at the unit vectors d:
+    Gram-Schmidt against the z-axis, against the x-axis near the poles."""
+    near_pole = np.abs(d[..., 2]) > 0.99
+    a = np.where(near_pole[..., None], (1., 0., 0.), (0., 0., 1.))
+    f1 = np.cross(a, d)
+    f1 /= np.sqrt(np.einsum("...i,...i->...", f1, f1))[..., None]
+    return f1, np.cross(d, f1)
 
 
 def frame_rows(geo, pos, tangents):
@@ -460,6 +566,73 @@ class TestSampler:
         assert geo.univ == [0, 1, 2] and geo.triv == [3]
         assert t_univ.shape == (1, 3) and x_triv.shape == (1, 1, 3)
         assert density[0] > 0
+
+    @pytest.mark.parametrize("od, name", [(tripod_positive(), "trefoil"),
+                                          (hopf_tripod(), "hopf-link")])
+    def test_density_is_the_maps_jacobian(self, od, name):
+        # the density at 300 configurations against the sum, over the
+        # blocks u that the sampler maps to each, of 1/|det| of the map's
+        # Jacobian in the continuous rows: every order of a circle's offset
+        # rows, and per trivalent vertex every anchor with weight 1/K
+        geo = DiagramGeometry(od, catalog(name))
+        sampler = ConfigurationSampler(geo)
+        u = 0.02 + 0.96 * np.random.default_rng(41).random((sampler.dim, 300))
+
+        def coords(u):
+            t, _, _, x, _ = sampler.sample(UnitRng(u), u.shape[1])
+            return np.hstack([t, x.reshape(len(t), -1)])
+
+        t, x_univ, _, x, density = sampler.sample(UnitRng(u), 300)
+        t, x, density = t.copy(), x.copy(), density.copy()
+        x_univ = [a.copy() for a in x_univ]
+        options, start = [], 0
+        for comp in geo.d.placements:
+            legs = t[:, start:start + len(comp)] / (2 * np.pi)
+            if comp:
+                options.append(leg_preimages(
+                    {start: legs[:, 0]},
+                    [(start + j, legs[:, j] - legs[:, 0])
+                     for j in range(1, len(comp))]))
+            start += len(comp)
+        pos = dict(zip(geo.univ, x_univ))
+        pos.update((v, x[:, i]) for v, i in geo.triv_index.items())
+        options += trivalent_preimages(geo, pos, start, sampler.scale)
+        preimages = list(preimage_blocks(u.shape, options))
+        assert len(preimages) == (6 if name == "trefoil" else 3)
+        for _, v in preimages:
+            assert np.allclose(coords(v), coords(u), rtol=0, atol=1e-9)
+        rows = [r for r in range(sampler.dim)
+                if r < start or (r - start) % 4]
+        want = jacobian_density(coords, preimages, rows)
+        assert np.allclose(density, want, rtol=1e-6, atol=0)
+
+    @pytest.mark.parametrize("od, name", [(tripod_positive(), "trefoil"),
+                                          (hopf_tripod(), "hopf-link")])
+    def test_radius_histogram_matches_density(self, od, name):
+        # weighted by pi / density, for pi the legs' uniform density times
+        # the half-Cauchy about the vertex's first anchor, the radius about
+        # that anchor has pi's marginal 2 scale / (pi (scale^2 + r^2)): ten
+        # bins of mass 0.1.  The weights are at most the anchor count.
+        geo = DiagramGeometry(od, catalog(name))
+        sampler = ConfigurationSampler(geo)
+        _, x_univ, _, x, density = sampler.sample(
+            np.random.default_rng(42), 10 ** 5)
+        (v, anchors), = geo.placement_order
+        rho = np.linalg.norm(x[:, 0] - x_univ[geo.univ.index(anchors[0])],
+                             axis=1)
+        legs = np.prod([factorial(len(c) - 1) / (2 * np.pi) ** len(c)
+                        for c in geo.d.placements])
+        weights = legs * half_cauchy(rho, sampler.scale) / density
+        edges = np.append(sampler.scale * np.tan(np.linspace(0, 0.45, 10)
+                                                 * np.pi), np.inf)
+        assert_weighted_histogram(rho, weights, edges, [0.1] * 10)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 5, 6])
+    def test_sort_rows_is_numpys_sort(self, k):
+        rows = np.random.default_rng(k).random((k, 1000))
+        rows[:, :10] = 0.5      # ties
+        want = np.sort(rows, axis=0)
+        assert np.array_equal(sort_rows(rows, np.empty(1000)), want)
 
     def test_chord_proposal_density_constant(self):
         geo = DiagramGeometry(std_oriented(THETA), catalog("unknot-round"))
