@@ -100,14 +100,15 @@ class WGeometry(KernelGeometry):
 
 
 def w_config_positions(geo: WGeometry, s, t_params, x_triv=None):
-    """Positions of all vertices for gauge-slice configurations: the legs'
-    t_v s in geo.work, valid until the next call on geo in the same
-    thread, and views of the trivalent points (none if x_triv is None)."""
-    pos = {v: np.multiply(t_params[:, j, None], s,
-                          out=geo.work(("w.leg", j), s.shape))
-           for j, v in enumerate(geo.univ)}
+    """Positions of all vertices for gauge-slice configurations, given the
+    (3, count) axes s, the (legs, count) leg parameters and the (trivalent,
+    3, count) points: the legs' t_v s in geo.work, valid until the next
+    call on geo in the same thread, and views of the trivalent points
+    (none if x_triv is None)."""
+    pos = {v: np.multiply(t, s, out=geo.work(("w.leg", v), s.shape))
+           for v, t in zip(geo.univ, t_params)}
     if x_triv is not None:
-        pos.update((v, x_triv[:, geo.triv_index[v], :]) for v in geo.triv)
+        pos.update((v, x_triv[geo.triv_index[v]]) for v in geo.triv)
     return pos
 
 
@@ -122,9 +123,9 @@ def w_integrand_batch(geo: WGeometry, s, t_params, x_triv):
     # s-variation columns: univalent positions move by t_v * delta, except
     # the first leg at t = 0
     for ci, delta in enumerate(chart_frame(s, work)):
-        for j, v in enumerate(geo.univ[1:], 1):
-            tangents[ci, v] = np.multiply(t_params[:, j, None], delta,
-                                          out=work(("w.s", ci, j), shape))
+        for v, t in zip(geo.univ[1:], t_params[1:]):
+            tangents[ci, v] = np.multiply(t, delta,
+                                          out=work(("w.s", ci, v), shape))
     for v in geo.univ[1:-1]:    # the interior legs' slice columns
         tangents[2 + geo.kept.index(("u", v)), v] = np.multiply(
             s, geo.univ_sign[v], out=work(("w.slice", v), shape))
@@ -147,17 +148,19 @@ class WSampler:
 
     def sample(self, rng, count):
         """(s, t_params, x_triv, density) for count configurations from one
-        rng.random block, all in geo.work until the next sample in the same
+        rng.random block: the (3, count) axes, the (legs, count) leg
+        parameters, the (trivalent, 3, count) points and the proposal
+        density, all in geo.work until the next sample in the same
         thread."""
         geo, work = self.geo, self.geo.work
         legs = len(geo.univ)
         u = rng.random(out=work("w.u", (self.dim, count)))
         density = work("w.density", (count,))     # scratch until filled
-        s = sphere_chart(u[0], u[1], work("w.s", (count, 3)), density)
-        t_params = work("w.t", (count, legs))
-        t_params[:, 0] = 0.0
-        t_params[:, -1] = 1.0
-        t_params[:, 1:-1] = sort_rows(u[2:legs], density).T
+        s = sphere_chart(u[0], u[1], work("w.s", (3, count)))
+        t_params = work("w.t", (legs, count))
+        t_params[0] = 0.0
+        t_params[-1] = 1.0
+        t_params[1:-1] = sort_rows(u[2:legs], density)
         density.fill(self.density)
         x_triv = propose_trivalent(geo, u[legs:], w_config_positions(
             geo, s, t_params), density, 1.0)
@@ -245,18 +248,17 @@ def symmetry_check_s1_even(gamma, samples=10 ** 5, seed=0, points=100):
     s, t, x, _ = sampler.sample(rng, points)
     pos = w_config_positions(geo, s, t, x)
     # transported configuration: s' = -s, params 1 - t, points shifted by -s
-    t2 = 1.0 - t[:, ::-1]
-    x2 = x - s[:, None, :]
+    t2 = 1.0 - t[::-1]
+    x2 = x - s
     pos2 = w_config_positions(geo_r, -s, t2, x2)
-    # the reversed diagram lists its legs backwards, so column j holds what
+    # the reversed diagram lists its legs backwards, so row j holds what
     # was the (u-1-j)-th leg
     for e in od.diagram.edges:
         p, q = tuple(sorted(e))
         d1 = pos[q] - pos[p]
         d2 = pos2[q] - pos2[p]
-        if not np.allclose(d1 / np.linalg.norm(d1, axis=1, keepdims=True),
-                           d2 / np.linalg.norm(d2, axis=1, keepdims=True),
-                           atol=1e-9):
+        if not np.allclose(d1 / np.linalg.norm(d1, axis=0),
+                           d2 / np.linalg.norm(d2, axis=0), atol=1e-9):
             return False
     fa = f_gamma(od, samples=samples, seed=seed)
     fb = f_gamma(rev, samples=samples, seed=seed + 1)

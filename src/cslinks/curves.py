@@ -18,6 +18,7 @@ from .mc import fresh
 
 CURVE_SCHEMA = '{"components": [{"const": [x,y,z], "cos": [[...]], "sin": [[...]]}]}'
 DIAMETER_SAMPLES = 512   # points per component of the diameter's box
+JET_BLOCK = 4096         # columns of one product in LinkCurve.jet
 
 
 class LinkCurve:
@@ -38,12 +39,12 @@ class LinkCurve:
             cos = np.vstack([cos, np.zeros((h - len(cos), 3))])
             sin = np.vstack([sin, np.zeros((h - len(sin), 3))])
             self.components.append((const, cos, sin))
-            # rows (cos h t, sin h t) interleaved, as a complex array of the
-            # powers e^{iht} views them; columns: the point, the velocity
+            # columns (cos h t, sin h t) interleaved, the rows of the jet's
+            # harmonics; rows: the point, then the velocity
             h = np.arange(1, h + 1, dtype=float)[:, None]
-            coef = np.empty((2 * len(cos), 6))
-            coef[0::2, :3], coef[0::2, 3:] = cos, h * sin
-            coef[1::2, :3], coef[1::2, 3:] = sin, -h * cos
+            coef = np.empty((6, 2 * len(cos)))
+            coef[:3, 0::2], coef[3:, 0::2] = cos.T, (h * sin).T
+            coef[:3, 1::2], coef[3:, 1::2] = sin.T, (-h * cos).T
             self._jet_coefs.append(coef)
 
     @property
@@ -52,34 +53,42 @@ class LinkCurve:
 
     def eval(self, m, t):
         """Point L_m(t); t may be an array (... , ) giving (... , 3)."""
-        return self.jet(m, t)[0]
+        return np.moveaxis(self.jet(m, t)[0], 0, -1)
 
     def deriv(self, m, t):
         """Velocity L'_m(t)."""
-        return self.jet(m, t)[1]
+        return np.moveaxis(self.jet(m, t)[1], 0, -1)
 
     def jet(self, m, t, out=None, work=fresh):
-        """(L_m(t), L'_m(t)): the powers z^h of z = e^{it}, h = 1..H, give
-        cos(ht) and sin(ht) as their real and imaginary parts, and one
-        matmul against the component's coefficients gives both.
+        """(L_m(t), L'_m(t)) as rows: the views out[:3] and out[3:] of one
+        (6, ...) block, out when given.  cos t and sin t give cos(ht) and
+        sin(ht), h = 1..H, by the angle-sum recurrence, and one product
+        with the component's (6, 2H) coefficients gives both rows.
 
-        out, when given, receives the point.  work (a mc.Workspace, or new
-        arrays by default) holds z, the powers and the matmul's (..., 6)
-        result, of which the velocity is a view: it stays valid until the
-        next jet with the same workspace in the same thread."""
+        The product runs over blocks of at most JET_BLOCK columns: a larger
+        one goes to OpenBLAS's thread pool, where it took 10-30 times as
+        long.  work (a mc.Workspace, or new arrays by default) holds the
+        2H rows of harmonics."""
         coef = self._jet_coefs[m]
         t = np.asarray(t, dtype=float)
-        z = np.multiply(t, 1j, out=work("jet.z", t.shape, complex))
-        np.exp(z, out=z)
-        powers = work("jet.powers", t.shape + (len(coef) // 2,), complex)
-        if powers.shape[-1]:
-            powers[..., 0] = z
-            for h in range(1, powers.shape[-1]):
-                np.multiply(powers[..., h - 1], z, out=powers[..., h])
-        both = np.matmul(powers.view(float), coef,
-                         out=work("jet.both", t.shape + (6,)))
-        return (np.add(self.components[m][0], both[..., :3], out=out),
-                both[..., 3:])
+        out = np.empty((6,) + t.shape) if out is None else out
+        t, both = t.reshape(-1), out.reshape(6, -1)
+        trig = work("jet.trig", (coef.shape[1], len(t)))
+        if len(trig):
+            (c1, s1), tmp = trig[:2], work("jet.tmp", (len(t),))
+            np.cos(t, out=c1)
+            np.sin(t, out=s1)
+            for h in range(2, len(trig), 2):
+                c, s = trig[h - 2], trig[h - 1]
+                np.subtract(np.multiply(c, c1, out=trig[h]),
+                            np.multiply(s, s1, out=tmp), out=trig[h])
+                np.add(np.multiply(c, s1, out=trig[h + 1]),
+                       np.multiply(s, c1, out=tmp), out=trig[h + 1])
+        for start in range(0, len(t), JET_BLOCK):
+            block = slice(start, start + JET_BLOCK)
+            np.matmul(coef, trig[:, block], out=both[:, block])
+        both[:3] += self.components[m][0][:, None]
+        return out[:3], out[3:]
 
     def tangent(self, m, t):
         """Unit tangent; raises if the immersion degenerates, with the
@@ -139,8 +148,8 @@ def validate_embedding(curve: LinkCurve, samples=4096, delta=0.05, eta=1e-3):
     ts = np.linspace(0, 2 * np.pi, samples, endpoint=False)
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
         jets = [curve.jet(m, ts) for m in range(curve.n_components)]
-        pts = [x for x, _ in jets]
-        speeds = [np.linalg.norm(v, axis=-1) for _, v in jets]
+        pts = [x.T for x, _ in jets]
+        speeds = [np.linalg.norm(v, axis=0) for _, v in jets]
         # a finite bounding-box diagonal bounds every separation found below
         extent = np.linalg.norm(np.ptp(np.concatenate(pts), axis=0))
     if not (np.isfinite(extent) and np.isfinite(np.concatenate(speeds)).all()):

@@ -71,13 +71,13 @@ def gauss_kernel(curve: LinkCurve, a, b):
 
 
 def _gauss(x, dx, y, dy, diagonal=None):
-    """gauss_kernel from the points and velocities of the two ends, which
-    broadcast against each other.  diagonal: for a block of rows of one
-    circle's kernel matrix, the column of its first row's diagonal entry;
-    r = inf there, so the diagonal reads 0."""
-    d0, d1, d2 = (y[..., k] - x[..., k] for k in range(3))
-    a0, a1, a2 = dx[..., 0], dx[..., 1], dx[..., 2]
-    b0, b1, b2 = dy[..., 0], dy[..., 1], dy[..., 2]
+    """gauss_kernel from the (3, ...) rows of the points and velocities of
+    the two ends, which broadcast against each other.  diagonal: for a
+    block of rows of one circle's kernel matrix, the column of its first
+    row's diagonal entry; r = inf there, so the diagonal reads 0."""
+    d0, d1, d2 = y - x
+    a0, a1, a2 = dx
+    b0, b1, b2 = dy
     r = np.sqrt(d0 * d0 + d1 * d1 + d2 * d2)
     if diagonal is not None:
         np.fill_diagonal(r[:, diagonal:], np.inf)
@@ -99,26 +99,38 @@ def _kernel_rows(curve: LinkCurve, m1, m2, n):
     rows = max(1, BATCH // n)
     for start in range(0, n, rows):
         stop = min(start + rows, n)
-        yield start, _gauss(x[start:stop, None], dx[start:stop, None], y, dy,
+        yield start, _gauss(x[:, start:stop, None], dx[:, start:stop, None],
+                            y[:, None], dy[:, None],
                             start if m1 == m2 else None)
 
 
 def _cross(a, b, out, tmp):
-    """np.cross over the last axis into out, bit for bit, without its axis
-    handling (which costs more than the products at batch sizes); tmp is
-    an array of out's leading shape for the second product."""
-    a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
-    b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
+    """The cross products of the columns of two (3, count) arrays into out,
+    as np.cross computes them; tmp is a (count,) row for the second
+    product."""
+    a0, a1, a2 = a
+    b0, b1, b2 = b
     for k, (p, q, r, u) in enumerate(((a1, b2, a2, b1), (a2, b0, a0, b2),
                                       (a0, b1, a1, b0))):
-        np.subtract(np.multiply(p, q, out=out[..., k]),
-                    np.multiply(r, u, out=tmp), out=out[..., k])
+        np.subtract(np.multiply(p, q, out=out[k]),
+                    np.multiply(r, u, out=tmp), out=out[k])
     return out
 
 
-def _norms(x, out):
-    """The Euclidean norms of the rows of an (..., 3) array, into out."""
-    return np.sqrt(np.einsum("...i,...i->...", x, x, out=out), out=out)
+def _dot(a, b, out, tmp):
+    """The dot products of the columns of two (3, count) arrays into out,
+    summed as (a0 b0 + a2 b2) + a1 b1, numpy's einsum order for a length-3
+    axis; tmp is a (count,) row."""
+    np.multiply(a[0], b[0], out=out)
+    out += np.multiply(a[2], b[2], out=tmp)
+    out += np.multiply(a[1], b[1], out=tmp)
+    return out
+
+
+def _norms(x, out, tmp):
+    """The Euclidean norms of the columns of a (3, count) array, into out;
+    tmp is a (count,) row."""
+    return np.sqrt(_dot(x, x, out, tmp), out=out)
 
 
 def permutation_sign(seq):
@@ -126,33 +138,33 @@ def permutation_sign(seq):
     return (-1) ** sum(a > b for a, b in combinations(seq, 2))
 
 
-def sphere_chart(z, phi, out, tmp):
+def sphere_chart(z, phi, out):
     """The (z, phi) chart of S² as a map of two uniform rows, transformed in
     place: z = 2u - 1, phi = 2 pi u and the point (r cos phi, r sin phi, z),
-    r = sqrt(1 - z^2), written into the (count, 3) out; z's row ends
-    holding r, and tmp is a (count,) scratch row.  The area element is
-    dz dphi, so the point is uniform on the sphere: density 1/(4 pi)."""
+    r = sqrt(1 - z^2), written into the (3, count) out; z's row ends
+    holding r.  The area element is dz dphi, so the point is uniform on
+    the sphere: density 1/(4 pi)."""
     np.subtract(np.multiply(z, 2, out=z), 1, out=z)
     np.multiply(phi, 2 * np.pi, out=phi)
-    out[:, 2] = z
+    out[2] = z
     r = np.sqrt(np.subtract(1, np.square(z, out=z), out=z), out=z)
-    np.multiply(np.cos(phi, out=tmp), r, out=out[:, 0])
-    np.multiply(np.sin(phi, out=tmp), r, out=out[:, 1])
+    np.multiply(np.cos(phi, out=out[0]), r, out=out[0])
+    np.multiply(np.sin(phi, out=out[1]), r, out=out[1])
     return out
 
 
 def chart_frame(s, work=fresh):
-    """The frame of the sphere_chart at the unit vectors s, (count, 3):
+    """The frame of the sphere_chart at the unit vectors s, (3, count):
     f1 = (-sin phi, cos phi, 0) and f2 = s x f1 = (-z cos phi, -z sin phi,
     r), phi = atan2(s_y, s_x).  f1 x f2 = s for every phi, so the poles
     need no branch.  The frames and their scratch come from work (a
     mc.Workspace, or new arrays by default)."""
-    count = len(s)
-    f1, f2 = work("frame.f1", (count, 3)), work("frame.f2", (count, 3))
-    phi = np.arctan2(s[:, 1], s[:, 0], out=work("frame.phi", (count,)))
-    f1[:, 1] = np.cos(phi, out=work("frame.cos", (count,)))
-    np.negative(np.sin(phi, out=phi), out=f1[:, 0])
-    f1[:, 2] = 0.0
+    shape = np.shape(s)
+    f1, f2 = work("frame.f1", shape), work("frame.f2", shape)
+    phi = np.arctan2(s[1], s[0], out=work("frame.phi", shape[1:]))
+    np.cos(phi, out=f1[1])
+    np.negative(np.sin(phi, out=phi), out=f1[0])
+    f1[2] = 0.0
     return f1, _cross(s, f1, f2, phi)
 
 
@@ -422,32 +434,30 @@ def propose_trivalent(geo: KernelGeometry, u, pos, density, scale):
     matches the collision singularity of the integrand, its r^-4 tail
     covers escapes to infinity.  Adds the new positions to pos, as views
     into x_triv, multiplies density by the mixture density over the K
-    centres in place, and returns the (count, trivalent, 3) positions
-    x_triv.  x_triv and the scratch come from geo.work; x_triv views one
-    block per vertex, so that no copy reads another vertex's positions
-    from the block it writes (numpy would copy the source first).
+    centres in place, and returns the (trivalent, 3, count) positions
+    x_triv, which come from geo.work with the scratch.
     """
     count, work = len(density), geo.work
-    x_triv = work("triv.x", (len(geo.triv), count, 3)).transpose(1, 0, 2)
-    step = work("triv.step", (count, 3))
+    x_triv = work("triv.x", (len(geo.triv), 3, count))
+    step = work("triv.step", (3, count))
     q = work("triv.q", (count,))
     pick = work("triv.pick", (count,), bool)
     for (v, anchors), (a, r, z, phi) in zip(geo.placement_order,
                                             u.reshape(-1, 4, count)):
         # x starts at the centre floor(K a): the last k with a >= k / K
-        x = pos[v] = x_triv[:, geo.triv_index[v]]
+        x = pos[v] = x_triv[geo.triv_index[v]]
         np.copyto(x, pos[anchors[0]])
         for k, c in enumerate(anchors[1:], 1):
             np.greater_equal(a, k / len(anchors), out=pick)
-            np.copyto(x, pos[c], where=pick[:, None])
+            np.copyto(x, pos[c], where=pick)
         np.multiply(np.tan(np.multiply(r, 0.5 * np.pi, out=r), out=r), scale,
                     out=r)
-        x += np.multiply(sphere_chart(z, phi, step, a), r[:, None], out=step)
+        x += np.multiply(sphere_chart(z, phi, step), r, out=step)
         q.fill(0.0)
         for c in anchors:
             # q += scale / (2 pi^2 ra^2 (scale^2 + ra^2)), op by op, in the
             # spent rows r and a
-            ra = _norms(np.subtract(x, pos[c], out=step), r)
+            ra = _norms(np.subtract(x, pos[c], out=step), r, a)
             ra2 = np.square(np.maximum(ra, 1e-300, out=r), out=r)
             np.multiply(ra2, 2 * np.pi ** 2, out=a)
             np.multiply(a, np.add(ra2, scale ** 2, out=r), out=a)
@@ -461,7 +471,7 @@ def jacobian_values(geo: KernelGeometry, pos, tangents, tol):
     """Signed densities sign * det(M) / (4pi)^E for a batch: the wedge of
     the edges' 2-forms through the plan of geo.
 
-    pos: {vertex: (count, 3)}; tangents: {(column, vertex): (count, 3)},
+    pos: {vertex: (3, count)}; tangents: {(column, vertex): (3, count)},
     the velocity of the vertex along the column's coordinate, for every
     column but the trivalent coordinates (whose velocity is a unit axis).
     Returns (values, rejected_mask), the batch's only new arrays: the
@@ -470,17 +480,17 @@ def jacobian_values(geo: KernelGeometry, pos, tangents, tol):
     and valued 0.
     """
     work = geo.work
-    count = len(pos[geo.univ[0]])
+    count = np.shape(pos[geo.univ[0]])[1]
     E = len(geo.edges)
     rows = iter(work("jv.minors", (sum(len({key for *_, key in pairs})
                                        for pairs in geo.plan.pairs), count)))
-    diff = work("jv.diff", (count, 3))
+    diff = work("jv.diff", (3, count))
     r, r3 = work("jv.r", (count,)), work("jv.r3", (count,))
     short = work("jv.short", (count,), bool)
     rejected = np.zeros(count, bool)
     minors = []
     for ei, (p, q) in enumerate(geo.edges):
-        r = _norms(np.subtract(pos[q], pos[p], out=diff), r)
+        r = _norms(np.subtract(pos[q], pos[p], out=diff), r, r3)
         rejected |= np.less(r, tol, out=short)
         np.power(np.maximum(r, 1e-300, out=r3), 3, out=r3)
         crossed, minor = {}, {}
@@ -490,15 +500,14 @@ def jacobian_values(geo: KernelGeometry, pos, tangents, tol):
             kind, a, b = key
             row = next(rows)
             if kind == "w":
-                top = diff[:, a]
+                top = diff[a]
             else:
                 if a not in crossed:     # r is free once r3 is taken
                     crossed[a] = _cross(
                         diff, _velocity(geo, tangents, ei, a),
-                        work(("jv.crossed", len(crossed)), (count, 3)), r)
-                top = (crossed[a][:, b] if kind == "x" else np.einsum(
-                    "ij,ij->i", crossed[a], _velocity(geo, tangents, ei, b),
-                    out=row))
+                        work(("jv.crossed", len(crossed)), (3, count)), r)
+                top = (crossed[a][b] if kind == "x" else _dot(
+                    crossed[a], _velocity(geo, tangents, ei, b), row, r))
             minor[key] = np.divide(top, r3, out=row)
         minors.append([minor[key] for *_, key in geo.plan.pairs[ei]])
     values = np.multiply(geo.plan.wedge(minors), geo.sign / (4 * np.pi) ** E)
@@ -557,18 +566,18 @@ class DiagramGeometry(KernelGeometry):
 
 
 def univalent_jets(geo: DiagramGeometry, t_univ):
-    """Points and signed velocities of the univalent vertices: two lists of
-    (count, 3) arrays in geo.univ order, from one curve jet per vertex; the
-    velocity carries the vertex's orientation sign.  The arrays live in
-    geo.work until the next univalent_jets on geo in the same thread."""
-    work, count = geo.work, len(t_univ)
+    """Points and signed velocities of the univalent vertices, given their
+    parameters as (univalent, count) rows: two lists of (3, count) arrays
+    in geo.univ order, from one curve jet per vertex; the velocity carries
+    the vertex's orientation sign.  The arrays live in geo.work until the
+    next univalent_jets on geo in the same thread."""
+    work, count = geo.work, np.shape(t_univ)[1]
     x_univ, v_univ = [], []
-    for i, v in enumerate(geo.univ):
-        x, dx = geo.curve.jet(geo.d.component_of(v), t_univ[:, i],
-                              work(("univ.x", i), (count, 3)), work)
+    for v, t in zip(geo.univ, t_univ):
+        x, dx = geo.curve.jet(geo.d.component_of(v), t,
+                              work(("univ.jet", v), (6, count)), work)
         x_univ.append(x)
-        v_univ.append(np.multiply(dx, geo.univ_sign[v],
-                                  out=work(("univ.v", i), (count, 3))))
+        v_univ.append(np.multiply(dx, geo.univ_sign[v], out=dx))
     return x_univ, v_univ
 
 
@@ -593,10 +602,11 @@ class ConfigurationSampler:
 
     def sample(self, rng, count):
         """(t_univ, x_univ, v_univ, x_triv, density) for count
-        configurations from one rng.random block: the circle parameters,
-        the univalent points and signed velocities (see univalent_jets),
-        the trivalent points and the proposal density.  All of them live in
-        geo.work until the next sample in the same thread."""
+        configurations from one rng.random block: the circle parameters as
+        (univalent, count) rows, the univalent points and signed velocities
+        (see univalent_jets), the (trivalent, 3, count) points and the
+        proposal density.  All of them live in geo.work until the next
+        sample in the same thread."""
         geo = self.geo
         u = rng.random(out=geo.work("sample.u", (self.dim, count)))
         density = geo.work("sample.density", (count,))   # scratch until filled
@@ -608,7 +618,7 @@ class ConfigurationSampler:
                 sort_rows(legs[1:], density)
                 legs[1:] += legs[0]
                 start += len(comp)
-        t_univ = u[:start].T
+        t_univ = u[:start]
         density.fill(self.univ_density)
         x_univ, v_univ = univalent_jets(geo, t_univ)
         x_triv = propose_trivalent(geo, u[start:], dict(zip(geo.univ, x_univ)),
@@ -619,7 +629,7 @@ class ConfigurationSampler:
 def integrand_batch(geo: DiagramGeometry, x_univ, v_univ, x_triv):
     """Signed density values for a batch of configurations, given the
     univalent points and signed velocities (as univalent_jets returns them)
-    and the trivalent points.
+    and the (trivalent, 3, count) points.
 
     Returns (values, rejected_mask), new arrays (jacobian_values);
     configurations with an edge shorter than the collision tolerance are
@@ -627,7 +637,7 @@ def integrand_batch(geo: DiagramGeometry, x_univ, v_univ, x_triv):
     """
     pos = dict(zip(geo.univ, x_univ))
     for v in geo.triv:
-        pos[v] = x_triv[:, geo.triv_index[v], :]
+        pos[v] = x_triv[geo.triv_index[v]]
     tangents = {(geo.columns.index(("u", v)), v): dv
                 for v, dv in zip(geo.univ, v_univ)}
     return jacobian_values(geo, pos, tangents, COLLISION_TOL * geo.diameter)
@@ -640,11 +650,9 @@ def integrand_at(od: OrientedDiagram, curve: LinkCurve, univ_params,
     univ_params: {vertex: parameter}; triv_points: {vertex: (x, y, z)}.
     """
     geo = DiagramGeometry(od, curve)
-    t = np.array([[univ_params[v] for v in geo.univ]], dtype=float)
-    if geo.triv:
-        x = np.array([[triv_points[v] for v in geo.triv]], dtype=float)
-    else:
-        x = np.zeros((1, 0, 3))
+    t = np.array([[univ_params[v]] for v in geo.univ], dtype=float)
+    x = np.array([triv_points[v] for v in geo.triv], dtype=float)
+    x = x.reshape(len(geo.triv), 3, 1)
     values, rejected = integrand_batch(geo, *univalent_jets(geo, t), x)
     if rejected[0]:
         raise SamplingError("configuration within the collision tolerance")

@@ -5,7 +5,8 @@ import pytest
 from test_integrate import (UnitRng, assert_fold_matches,
                             assert_weighted_histogram, folded_and_full,
                             half_cauchy, jacobian_density, leg_preimages,
-                            preimage_blocks, trivalent_preimages)
+                            preimage_blocks, samples_first,
+                            trivalent_preimages)
 
 from cslinks import anomaly
 from cslinks.algebra import ClassVector, reduction
@@ -64,13 +65,15 @@ class TestSampler:
         u = 0.02 + 0.96 * np.random.default_rng(43).random((sampler.dim, 300))
 
         def coords(u):
-            s, t, x, _ = sampler.sample(UnitRng(u), u.shape[1])
+            s, t, x = (samples_first(a) for a in
+                       sampler.sample(UnitRng(u), u.shape[1])[:3])
             return np.hstack([s[:, 2:], np.arctan2(s[:, 1:2], s[:, :1]),
                               t[:, 1:-1], x.reshape(len(s), -1)])
 
         s, t, x, density = (a.copy() for a in sampler.sample(UnitRng(u), 300))
-        pos = {v: p.copy()
+        pos = {v: samples_first(p).copy()
                for v, p in w_config_positions(geo, s, t, x).items()}
+        s, t, x = (samples_first(a) for a in (s, t, x))
         interior = [(j + 1, t[:, j]) for j in range(1, legs - 1)]
         axis = {0: (s[:, 2] + 1) / 2,
                 1: np.arctan2(s[:, 1], s[:, 0]) / (2 * np.pi) % 1}
@@ -93,7 +96,9 @@ class TestSampler:
         geo = WGeometry(line_diagram_catalog("a1"))
         sampler = WSampler(geo)
         s, t, x, density = sampler.sample(np.random.default_rng(44), 10 ** 5)
-        pos = w_config_positions(geo, s, t, x)
+        pos = {v: samples_first(p)
+               for v, p in w_config_positions(geo, s, t, x).items()}
+        s = samples_first(s)
         weights = factorial(len(geo.univ) - 2) / (4 * np.pi) / density
         for v, anchors in geo.placement_order:
             weights *= half_cauchy(
@@ -105,9 +110,10 @@ class TestSampler:
         # f1 x f2 = s with no pole branch: sphere_chart points and the two
         # poles
         z, phi = np.random.default_rng(45).random((2, 4096))
-        s = sphere_chart(z, phi, np.empty((4096, 3)), np.empty(4096))
+        rows = sphere_chart(z, phi, np.empty((3, 4096)))
+        s = samples_first(rows)
         s[:2] = [[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]]
-        f1, f2 = chart_frame(s)
+        f1, f2 = (samples_first(f) for f in chart_frame(rows))
         frame = np.stack([f1, f2, s], axis=1)
         gram = np.einsum("nij,nkj->nik", frame, frame)
         assert np.max(np.abs(gram - np.eye(3))) <= 1e-15
@@ -139,7 +145,7 @@ class TestSymmetries:
 
         def broken(geo, s, t_params, x_triv):
             values, rejected = kernel(geo, s, t_params, x_triv)
-            values *= 1 + s[:, 2]
+            values *= 1 + s[2]
             return values, rejected
 
         monkeypatch.setattr(anomaly, "w_integrand_batch", broken)

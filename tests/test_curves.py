@@ -6,6 +6,11 @@ from cslinks.curves import (CATALOG_NAMES, LinkCurve, catalog,
 from cslinks.errors import EmbeddingError
 
 
+def points_last(rows):
+    """A jet's (3, ...) point and velocity rows as (..., 3) arrays."""
+    return [np.moveaxis(a, 0, -1) for a in rows]
+
+
 class TestEvaluation:
     def test_periodicity(self):
         c = catalog("trefoil")
@@ -35,7 +40,7 @@ class TestEvaluation:
         for t in (1.3, rng.uniform(0, 2 * np.pi, 50),
                   rng.uniform(-7, 7, (20, 3))):
             for m in range(c.n_components):
-                x, v = c.jet(m, t)
+                x, v = points_last(c.jet(m, t))
                 assert np.array_equal(x, c.eval(m, t))
                 assert np.array_equal(v, c.deriv(m, t))
                 assert x.shape == v.shape == np.shape(t) + (3,)
@@ -57,7 +62,7 @@ class TestEvaluation:
                 x = const + np.cos(ht) @ cos + np.sin(ht) @ sin
                 v = (h * np.cos(ht)) @ sin - (h * np.sin(ht)) @ cos
                 scale = np.max(np.abs(const) + h @ (np.abs(cos) + np.abs(sin)))
-                jx, jv = c.jet(m, t)
+                jx, jv = points_last(c.jet(m, t))
                 assert jx.shape == jv.shape == np.shape(t) + (3,)
                 assert np.max(np.abs(jx - x)) <= 1e-13 * scale
                 assert np.max(np.abs(jv - v)) <= 1e-13 * scale
@@ -66,7 +71,7 @@ class TestEvaluation:
         # no harmonics (H = 0): the point is the constant, the velocity 0
         c = LinkCurve([([1.0, -2.0, 0.5], [], [])])
         for t in (0.7, np.linspace(-3, 3, 20).reshape(4, 5)):
-            x, v = c.jet(0, t)
+            x, v = points_last(c.jet(0, t))
             assert x.shape == v.shape == np.shape(t) + (3,)
             assert np.array_equal(x, np.broadcast_to([1.0, -2.0, 0.5],
                                                      x.shape))

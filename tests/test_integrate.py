@@ -29,6 +29,12 @@ def fs(*pairs):
     return frozenset(frozenset(p) for p in pairs)
 
 
+def samples_first(a):
+    """A sampler's or the kernel's rows, (..., count), as a (count, ...)
+    view: the layout of the tests' oracles."""
+    return np.moveaxis(a, -1, 0)
+
+
 def gaussian_bump_integral(sampler, seed=2):
     """Importance estimate of the integral of a Gaussian bump in every
     trivalent point over the sampler's configuration space."""
@@ -38,6 +44,7 @@ def gaussian_bump_integral(sampler, seed=2):
     center = np.array([0.5, -0.3, 0.4])
     for _ in range(10):
         *_, x, density = sampler.sample(rng, 10 ** 5)
+        x = samples_first(x)
         g = np.exp(-0.5 * np.sum((x - center) ** 2, axis=(1, 2)))
         total += float(np.sum(g / density))
         n += 10 ** 5
@@ -65,9 +72,9 @@ def reference_integrand(geo, t_univ, x_triv):
     x_univ, v_univ = [], []
     for i, v in enumerate(geo.univ):
         m = geo.d.component_of(v)
-        tv = t_univ[:, i]
-        x_univ.append(geo.curve.eval(m, tv))
-        v_univ.append(geo.curve.deriv(m, tv) * geo.univ_sign[v])
+        tv = t_univ[i]
+        x_univ.append(geo.curve.eval(m, tv).T)
+        v_univ.append(geo.curve.deriv(m, tv).T * geo.univ_sign[v])
     return integrand_batch(geo, x_univ, v_univ, x_triv)
 
 
@@ -230,11 +237,17 @@ def folded_and_full(monkeypatch, module, integrand, *args):
     monkeypatch.setattr(module, "jacobian_values", spy)
     values, rejected = integrand(*args)
     (geo, pos, tangents, tol), = seen
+    pos, tangents = samples_first_dicts(pos, tangents)
     full, full_rejected = full_jacobian_values(geo, pos, tangents, tol)
     assert np.array_equal(rejected, full_rejected)
     shortest = np.min([np.linalg.norm(pos[q] - pos[p], axis=1)
                        for p, q in geo.edges], axis=0)
     return values, full, shortest
+
+
+def samples_first_dicts(*dicts):
+    """The kernel's dicts of (3, count) rows with (count, 3) values."""
+    return [{k: samples_first(a) for k, a in d.items()} for d in dicts]
 
 
 def assert_fold_matches(values, full, keep):
@@ -324,7 +337,8 @@ class TestPointwise:
         x = np.array([[[0.2, -0.1, 0.6]]])
 
         def value(geo):
-            return integrand_batch(geo, *univalent_jets(geo, t), x)[0][0]
+            return integrand_batch(geo, *univalent_jets(geo, t.T),
+                                   x.transpose(1, 2, 0))[0][0]
 
         base = value(DiagramGeometry(od, c))
         for flip in [frozenset({frozenset((0, 3))}),
@@ -542,6 +556,7 @@ class TestDeterminant:
                     rng, 512)
                 integrand_batch(geo, x_univ, v_univ, x)
             (pos, tangents), = inputs
+            pos, tangents = samples_first_dicts(pos, tangents)
             minors, = handed
             M, lengths = frame_rows(geo, pos, tangents)
             keep = np.min(lengths, axis=1) >= 1e-2 * (
@@ -563,6 +578,7 @@ class TestSampler:
         rng = np.random.default_rng(0)
         geo = DiagramGeometry(std_oriented(tripod()), catalog("unknot-round"))
         t_univ, _, _, x_triv, density = ConfigurationSampler(geo).sample(rng, 1)
+        t_univ, x_triv = samples_first(t_univ), samples_first(x_triv)
         assert geo.univ == [0, 1, 2] and geo.triv == [3]
         assert t_univ.shape == (1, 3) and x_triv.shape == (1, 1, 3)
         assert density[0] > 0
@@ -580,11 +596,13 @@ class TestSampler:
 
         def coords(u):
             t, _, _, x, _ = sampler.sample(UnitRng(u), u.shape[1])
+            t, x = samples_first(t), samples_first(x)
             return np.hstack([t, x.reshape(len(t), -1)])
 
         t, x_univ, _, x, density = sampler.sample(UnitRng(u), 300)
-        t, x, density = t.copy(), x.copy(), density.copy()
-        x_univ = [a.copy() for a in x_univ]
+        t, x, density = (samples_first(t).copy(), samples_first(x).copy(),
+                         density.copy())
+        x_univ = [samples_first(a).copy() for a in x_univ]
         options, start = [], 0
         for comp in geo.d.placements:
             legs = t[:, start:start + len(comp)] / (2 * np.pi)
@@ -617,6 +635,7 @@ class TestSampler:
         sampler = ConfigurationSampler(geo)
         _, x_univ, _, x, density = sampler.sample(
             np.random.default_rng(42), 10 ** 5)
+        x_univ, x = [samples_first(a) for a in x_univ], samples_first(x)
         (v, anchors), = geo.placement_order
         rho = np.linalg.norm(x[:, 0] - x_univ[geo.univ.index(anchors[0])],
                              axis=1)
@@ -808,7 +827,7 @@ class TestChordQuadrature:
         s_idx, t_idx = np.nonzero(~np.eye(64, dtype=bool))
         pairs = np.stack([t[s_idx], t[t_idx]], axis=1)
         values, rejected = integrand_batch(
-            geo, *univalent_jets(geo, pairs), np.empty((len(pairs), 0, 3)))
+            geo, *univalent_jets(geo, pairs.T), np.empty((0, 3, len(pairs))))
         a, b = (geo.d.component_of(v) for v in geo.univ)
         gauss = gauss_kernel(curve, (a, pairs[:, 0]), (b, pairs[:, 1]))
         assert not np.any(rejected)
@@ -983,8 +1002,8 @@ class TestTwoChordQuadrature:
         rng = np.random.default_rng(5)
         idx = np.array([rng.choice(n, 4, replace=False) for _ in range(2000)])
         values, rejected = integrand_batch(
-            geo, *univalent_jets(geo, idx * (2 * np.pi / n)),
-            np.empty((len(idx), 0, 3)))
+            geo, *univalent_jets(geo, idx.T * (2 * np.pi / n)),
+            np.empty((0, 3, len(idx))))
         product = sign * np.prod(
             [kernel[idx[:, geo.univ.index(p)], idx[:, geo.univ.index(q)]]
              for p, q in geo.edges], axis=0)
