@@ -88,20 +88,22 @@ def _gauss(x, dx, y, dy, diagonal=None):
     return num / (4 * np.pi * r ** 3)
 
 
-def _kernel_rows(curve: LinkCurve, m1, m2, n):
+def _kernel_rows(curve: LinkCurve, m1, m2, n, upper=False):
     """The Gauss kernel matrix G[i, j] = gauss_kernel((m1, t_i), (m2, t_j))
     on the n-point grid t_i = 2 pi i / n, in blocks of whole rows of at
     most BATCH entries: yields (first row, block).  On one circle
-    (m1 == m2) the diagonal reads 0."""
+    (m1 == m2) the diagonal reads 0, and upper=True takes each block only
+    from its first row's diagonal column on: block[i, j] is then
+    G[first + i, first + j]."""
     t = np.arange(n) * (2 * np.pi / n)
     x, dx = curve.jet(m1, t)
     y, dy = (x, dx) if m1 == m2 else curve.jet(m2, t)
     rows = max(1, BATCH // n)
     for start in range(0, n, rows):
-        stop = min(start + rows, n)
+        stop, first = min(start + rows, n), start if upper else 0
         yield start, _gauss(x[:, start:stop, None], dx[:, start:stop, None],
-                            y[:, None], dy[:, None],
-                            start if m1 == m2 else None)
+                            y[:, None, first:], dy[:, None, first:],
+                            start - first if m1 == m2 else None)
 
 
 def _cross(a, b, out, tmp):
@@ -730,13 +732,14 @@ def two_chords_on_one_circle(d) -> bool:
 def _kernel_triangle(curve: LinkCurve, m, n):
     """The Gauss kernel of component m on the n-point grid t_i = 2 pi i / n:
     the n x n matrix of gauss_kernel((m, t_i), (m, t_j)) for i < j, zero on
-    and below the diagonal, written from the blocks of _kernel_rows."""
+    and below the diagonal, written from the blocks of _kernel_rows, each
+    evaluated from its first row's diagonal on."""
     upper = np.zeros((n, n))
     columns = np.arange(n)
-    for start, block in _kernel_rows(curve, m, m, n):
-        rows = np.arange(start, start + len(block))[:, None]
-        np.copyto(upper[start:start + len(block)], block,
-                  where=columns > rows)
+    for start, block in _kernel_rows(curve, m, m, n, upper=True):
+        rows = columns[:len(block), None]
+        np.copyto(upper[start:start + len(block), start:], block,
+                  where=columns[:n - start] > rows)
     return upper
 
 

@@ -948,6 +948,17 @@ class TestKernelRows:
             assert strided == pytest.approx(
                 sum(np.sum(block) for _, block in coarse), rel=1e-12)
 
+    @pytest.mark.parametrize("name", ["trefoil", "trefoil-alt",
+                                      "unknot-round"])
+    def test_triangle_is_the_upper_part_of_whole_rows(self, name):
+        # the triangle evaluates each block from its first row's diagonal
+        # on, and every entry keeps the bits of the whole rows
+        curve, n = catalog(name), 384
+        whole = np.concatenate(
+            [block for _, block in integrate._kernel_rows(curve, 0, 0, n)])
+        assert np.array_equal(integrate._kernel_triangle(curve, 0, n),
+                              np.triu(whole, 1))
+
 
 TWO_CHORD_CASES = [
     pytest.param(chords(), name, id=f"{chords.__name__[:-6]}-{name}")
