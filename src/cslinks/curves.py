@@ -19,6 +19,8 @@ from .mc import fresh
 CURVE_SCHEMA = '{"components": [{"const": [x,y,z], "cos": [[...]], "sin": [[...]]}]}'
 DIAMETER_SAMPLES = 512   # points per component of the diameter's box
 JET_BLOCK = 4096         # columns of one product in LinkCurve.jet
+TWO_PI_HEAD = float(np.float32(2 * np.pi))   # 24 bits: k times it is exact
+TWO_PI_TAIL = 2 * np.pi - TWO_PI_HEAD
 
 
 class LinkCurve:
@@ -61,9 +63,11 @@ class LinkCurve:
 
     def jet(self, m, t, out=None, work=fresh):
         """(L_m(t), L'_m(t)) as rows: the views out[:3] and out[3:] of one
-        (6, ...) block, out when given.  cos t and sin t give cos(ht) and
-        sin(ht), h = 1..H, by the angle-sum recurrence, and one product
-        with the component's (6, 2H) coefficients gives both rows.
+        (6, ...) block, out when given.  cos t and sin t, taken at t
+        reduced to [-pi, pi] (where they cost a third less than on the
+        samplers' [0, 4 pi)), give cos(ht) and sin(ht), h = 1..H, by the
+        angle-sum recurrence, and one product with the component's (6, 2H)
+        coefficients gives both rows.
 
         The product runs over blocks of at most JET_BLOCK columns: a larger
         one goes to OpenBLAS's thread pool, where it took 10-30 times as
@@ -76,8 +80,13 @@ class LinkCurve:
         trig = work("jet.trig", (coef.shape[1], len(t)))
         if len(trig):
             (c1, s1), tmp = trig[:2], work("jet.tmp", (len(t),))
-            np.cos(t, out=c1)
-            np.sin(t, out=s1)
+            # t - 2 pi k in two steps (Cody and Waite): k times the head
+            # of 2 pi is exact, and the tail's product is small
+            turns = np.rint(np.multiply(t, 0.5 / np.pi, out=c1), out=c1)
+            np.subtract(t, np.multiply(turns, TWO_PI_HEAD, out=tmp), out=s1)
+            np.subtract(s1, np.multiply(turns, TWO_PI_TAIL, out=tmp), out=tmp)
+            np.cos(tmp, out=c1)
+            np.sin(tmp, out=s1)
             for h in range(2, len(trig), 2):
                 c, s = trig[h - 2], trig[h - 1]
                 np.subtract(np.multiply(c, c1, out=trig[h]),

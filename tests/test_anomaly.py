@@ -106,6 +106,17 @@ class TestSampler:
         assert_weighted_histogram(s[:, 2], weights, np.linspace(-1, 1, 11),
                                   [0.1] * 10)
 
+    def test_sphere_chart_is_the_z_phi_chart(self):
+        # cos and sin taken at phi - pi and negated give the point at
+        # phi = 2 pi u, on the unit sphere
+        z, phi = np.random.default_rng(46).random((2, 4096))
+        r = np.sqrt(1 - (2 * z - 1) ** 2)
+        want = [r * np.cos(2 * np.pi * phi), r * np.sin(2 * np.pi * phi),
+                2 * z - 1]
+        s = sphere_chart(z.copy(), phi.copy(), np.empty((3, 4096)))
+        assert np.max(np.abs(s - want)) <= 1e-15
+        assert np.max(np.abs(np.sum(s * s, axis=0) - 1)) <= 1e-15
+
     def test_chart_frame_orthonormal(self):
         # f1 x f2 = s with no pole branch: sphere_chart points and the two
         # poles

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cslinks.curves import (CATALOG_NAMES, LinkCurve, catalog,
+from cslinks.curves import (CATALOG_NAMES, JET_BLOCK, LinkCurve, catalog,
                             validate_embedding)
 from cslinks.errors import EmbeddingError
 
@@ -66,6 +66,23 @@ class TestEvaluation:
                 assert jx.shape == jv.shape == np.shape(t) + (3,)
                 assert np.max(np.abs(jx - x)) <= 1e-13 * scale
                 assert np.max(np.abs(jv - v)) <= 1e-13 * scale
+
+    @pytest.mark.parametrize("name", ["trefoil", "trefoil-framed",
+                                      "hopf-link"])
+    def test_jet_over_column_blocks(self, name):
+        # the product runs in column blocks: a jet over several of them is
+        # the jets of its blocks, bit for bit, and its rows are eval and
+        # deriv
+        c = catalog(name)
+        t = np.random.default_rng(6).uniform(0, 4 * np.pi, 3 * JET_BLOCK + 5)
+        for m in range(c.n_components):
+            x, v = c.jet(m, t)
+            pieces = [c.jet(m, t[start:start + JET_BLOCK])
+                      for start in range(0, len(t), JET_BLOCK)]
+            assert np.array_equal(x, np.hstack([p for p, _ in pieces]))
+            assert np.array_equal(v, np.hstack([q for _, q in pieces]))
+            assert np.array_equal(x.T, c.eval(m, t))
+            assert np.array_equal(v.T, c.deriv(m, t))
 
     def test_jet_of_constant_component(self):
         # no harmonics (H = 0): the point is the constant, the velocity 0
