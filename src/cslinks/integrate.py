@@ -738,11 +738,8 @@ def _kernel_triangle(curve: LinkCurve, m, n):
     and below the diagonal, written from the blocks of _kernel_rows, each
     evaluated from its first row's diagonal on."""
     upper = np.zeros((n, n))
-    columns = np.arange(n)
     for start, block in _kernel_rows(curve, m, m, n, upper=True):
-        rows = columns[:len(block), None]
-        np.copyto(upper[start:start + len(block), start:], block,
-                  where=columns[:n - start] > rows)
+        upper[start:start + len(block), start:] = np.triu(block, 1)
     return upper
 
 
