@@ -7,16 +7,18 @@ quotient by STU is realised by exact Gaussian elimination with
 high-trivalent pivots, so the surviving basis consists of chord diagram
 classes.  The IHX relators are not eliminated: every diagram meets the
 support, so IHX follows from STU (Bar-Natan, Topology 34, 1995) and an
-IHX row could never add a pivot; the tests check both facts.
+IHX row could never add a pivot; the tests check both facts.  Each quotient
+A_n^k extends the one STU echelon of (support, n) by unit rows.
 """
 
+import copy
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
 from .diagrams import (Diagram, OrientedDiagram, canonical_oriented,
-                       check_degree, degree, diagram_from_key,
+                       check_degree, check_k, degree, diagram_from_key,
                        enumerate_diagrams, is_principal, is_subprincipal,
                        std_oriented)
 from .errors import DiagramError
@@ -27,10 +29,6 @@ from .support import R1
 def representative(key) -> OrientedDiagram:
     """The standard-oriented normal-form diagram of a class key."""
     return std_oriented(diagram_from_key(key))
-
-
-def key_trivalent_count(key):
-    return key[2]
 
 
 class ClassVector:
@@ -245,9 +243,9 @@ def stu_relators(support, n):
     return out
 
 
-def ihx_relators(support, n):
-    """One IHX relator per (diagram class, internal edge)."""
-    out = []
+def _ihx_instances(support, n):
+    """(I, H, X) for each (diagram class, internal edge) whose H and X
+    terms need no double edge; I is the class's standard orientation."""
     for d in enumerate_diagrams(support, n):
         od = std_oriented(d)
         for e in sorted(d.internal_edges(), key=lambda e: tuple(sorted(e))):
@@ -255,46 +253,46 @@ def ihx_relators(support, n):
                 h, xterm = ihx_replacements(od, e)
             except DiagramError:
                 continue    # replacement would need a double edge
-            vec = (ClassVector.of(od) - ClassVector.of(h)
-                   + ClassVector.of(xterm))
-            out.append(vec)
-    return out
+            yield od, h, xterm
+
+
+def ihx_relators(support, n):
+    """One IHX relator per (diagram class, internal edge)."""
+    return [ClassVector.of(od) - ClassVector.of(h) + ClassVector.of(xterm)
+            for od, h, xterm in _ihx_instances(support, n)]
 
 
 class Reduction:
-    """Echelon form of the degree-n STU relators; reduces vectors to a
-    deterministic basis of chord diagram classes.
+    """Echelon form of the degree-n STU relators (the space A_n), which
+    reduces vectors to a deterministic basis of chord diagram classes;
+    quotient(k) extends it to A_n^k.  Immutable once built."""
 
-    With k set, additionally quotients by the subprincipal classes with
-    u_Γ = k - 1 (the space A_n^k).  Builds a private matrix; immutable
-    afterwards.
-    """
-
-    def __init__(self, support, n, k=None):
+    def __init__(self, support, n):
         check_degree(n)
-        if k is not None and k > 2 * n:
-            raise DiagramError("k must be at most 2n")
         self.support = support
         self.n = n
-        self.k = k
-        rows = [dict(v.terms) for v in stu_relators(support, n)]
-        all_keys = set()
+        keys = []    # every class that AS leaves alive; relators hold no other
         for d in enumerate_diagrams(support, n):
-            key, sign = canonical_oriented(std_oriented(d))
-            if not sign:
-                continue
-            all_keys.add(key)
-            if (k is not None and len(d.univalent) == k - 1
-                    and is_subprincipal(d)):
-                rows.append({key: Fraction(sign)})
-        for r in rows:
-            all_keys.update(r)
-        # eliminate high-trivalent classes first so chord diagrams survive
-        self.order = sorted(all_keys, key=lambda key: (-key_trivalent_count(key), key))
+            keys.extend(ClassVector.of(std_oriented(d)).terms)
+        # high-trivalent classes (key[2]) go first so chord diagrams survive
+        self.order = sorted(keys, key=lambda key: (-key[2], key))
         self.pivots = {}
-        for row in rows:
-            self._insert(row)
+        for vec in stu_relators(support, n):
+            self._insert(vec.terms)
         self.basis = tuple(key for key in self.order if key not in self.pivots)
+
+    def quotient(self, k):
+        """A_n^k: this echelon with the subprincipal classes of u_Γ = k - 1
+        set to 0.  Shares `order` and the pivot rows (_insert never changes
+        a stored row) and inserts only those classes' unit rows."""
+        check_k(self.n, k)
+        q = copy.copy(self)
+        q.pivots = dict(self.pivots)
+        for d in enumerate_diagrams(self.support, self.n):
+            if len(d.univalent) == k - 1 and is_subprincipal(d):
+                q._insert(ClassVector.of(std_oriented(d)).terms)
+        q.basis = tuple(key for key in q.order if key not in q.pivots)
+        return q
 
     def _insert(self, row):
         row = dict(row)
@@ -335,9 +333,21 @@ def _eliminate(row, lead, pivot):
             row.pop(key, None)
 
 
-@lru_cache(maxsize=None)
 def reduction(support, n, k=None) -> Reduction:
-    return Reduction(support, n, k)
+    """A_n (k None) or A_n^k of (support, n), memoised under one key
+    whether or not k = None is passed; every k extends one STU echelon."""
+    return _reduction(support, n, k)
+
+
+@lru_cache(maxsize=None)
+def _reduction(support, n, k):
+    if k is None:
+        return Reduction(support, n)
+    return _reduction(support, n, None).quotient(k)
+
+
+reduction.cache_info = _reduction.cache_info
+reduction.cache_clear = _reduction.cache_clear
 
 
 def reduce_to_basis(vec: ClassVector):
@@ -549,8 +559,7 @@ class LabelledDiagram:
         d = self.oriented.diagram
         if degree(d) != self.n:
             raise DiagramError("degree mismatch")
-        if self.k > 2 * self.n:
-            raise DiagramError("k must be at most 2n")
+        check_k(self.n, self.k)
         if len(d.edges) > self.N:
             raise DiagramError("more visible edges than labels")
         if len(d.univalent) != self.absent_count + self.k:
@@ -616,23 +625,17 @@ def check_ihx_prime(support, n, k):
     i.e. 2c([I] - [H] + [X]) = 0 in A_n^k.  Instances involving a
     non-subprincipal diagram are skipped (their faces are degenerate)."""
     red = reduction(support, n, k)
-    for d in enumerate_diagrams(support, n):
-        od = std_oriented(d)
-        for e in sorted(d.internal_edges(), key=lambda e: tuple(sorted(e))):
-            try:
-                h, xterm = ihx_replacements(od, e)
-            except DiagramError:
-                continue
-            if not all(is_subprincipal(t.diagram) for t in (od, h, xterm)):
-                continue
-            e_count = len(d.edges)
-            if e_count > 3 * n - k:
-                continue    # not realisable with N labels
-            c = beta_coefficient(n, k, e_count)
-            lhs = ClassVector.of(od, 2 * c)
-            rhs = (ClassVector.of(h, 2 * c) - ClassVector.of(xterm, 2 * c))
-            if not red.reduce(lhs - rhs).is_zero():
-                return False
+    for od, h, xterm in _ihx_instances(support, n):
+        if not all(is_subprincipal(t.diagram) for t in (od, h, xterm)):
+            continue
+        e_count = len(od.diagram.edges)
+        if e_count > 3 * n - k:
+            continue    # not realisable with N labels
+        c = beta_coefficient(n, k, e_count)
+        lhs = ClassVector.of(od, 2 * c)
+        rhs = (ClassVector.of(h, 2 * c) - ClassVector.of(xterm, 2 * c))
+        if not red.reduce(lhs - rhs).is_zero():
+            return False
     return True
 
 

@@ -477,6 +477,14 @@ def check_degree(n):
         raise CapabilityError("degree must be nonnegative")
 
 
+def check_k(n, k):
+    """Refuse a k outside 0..2n, where A_n^k's N = 3n - k labels live."""
+    if k > 2 * n:
+        raise DiagramError("k must be at most 2n")
+    if k < 0:
+        raise DiagramError("k must be nonnegative")
+
+
 def _least_rotations(support, placements, neighbours):
     """Whether on every circle the legs' descriptors read least among their
     rotations.  A leg's descriptor is the component its partner lies on and,

@@ -8,7 +8,7 @@ from .algebra import (ClassVector, Series, exp_action, lattice_generators,
                       reduction)
 from .curves import LinkCurve, check_component
 from .diagrams import (THETA, Diagram, canonical_oriented, check_degree,
-                       std_oriented)
+                       check_k, std_oriented)
 from .errors import ConvergenceError, DiagramError
 from .integrate import chord_quadrature, z_n
 from .projection import linking_oracle
@@ -183,8 +183,7 @@ def lattice_check(curve: LinkCurve, n, k, samples=10 ** 6, seed=0,
     Requires every component's self-linking integral to sit within 0.05 of
     an integer (the rationality hypothesis)."""
     check_degree(n)
-    if k > 2 * n:
-        raise DiagramError("k must be at most 2n")
+    check_k(n, k)
     framings = []
     for m in range(curve.n_components):
         est = self_linking(curve, m)

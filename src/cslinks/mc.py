@@ -5,8 +5,8 @@ Each shard owns a counter-based random stream keyed by (seed, shard), so the
 full estimate is reproducible bit-for-bit for fixed (seed, samples, shards)
 and independent of how many worker threads execute the shards.  The
 samplers draw from it one block of uniforms per batch and map it to their
-configurations, so the points' only source is u in the unit cube.  Batch sums
-are Kahan-compensated within a shard; shard results merge in index order.
+configurations, so the points' only source is u in the unit cube.  A shard
+adds its batch sums in order; shard results merge in index order.
 Each shard also keeps the second moment of its weights about their mean,
 merged batch by batch (Chan, Golub and LeVeque's pairwise update of
 Welford's), so the error bar sees the spread of the weights themselves and
@@ -90,20 +90,6 @@ class Estimate:
                 "stderr": self.stderr, **self.diagnostics}
 
 
-class _Kahan:
-    __slots__ = ("total", "comp")
-
-    def __init__(self):
-        self.total = 0.0
-        self.comp = 0.0
-
-    def add(self, x):
-        y = x - self.comp
-        t = self.total + y
-        self.comp = (t - self.total) - y
-        self.total = t
-
-
 def check_counts(samples, shards, workers):
     """Raise ValueError unless the counts make a run: at least one sample,
     two shards (the error comes from the spread of the shard means) and
@@ -144,7 +130,7 @@ def run_sharded(batch_fn, samples, seed, shards=None,
 
     def run_shard(idx):
         rng = shard_stream(seed, idx)
-        acc = _Kahan()
+        acc = 0.0
         rejected = 0
         done = 0
         mean = m2 = 0.0     # running mean and sum of squared deviations
@@ -154,7 +140,7 @@ def run_sharded(batch_fn, samples, seed, shards=None,
             if len(w) != b:
                 raise ValueError("batch_fn returned a wrong-sized batch")
             total = float(np.sum(w))
-            acc.add(total)
+            acc += total
             delta = total / b - mean
             dev = np.subtract(w, total / b, out=work("deviation", (b,)))
             m2 += (float(np.sum(np.square(dev, out=dev)))
@@ -162,7 +148,7 @@ def run_sharded(batch_fn, samples, seed, shards=None,
             mean += delta * b / (done + b)
             rejected += int(rej)
             done += b
-        return acc.total / per_shard, m2, rejected
+        return acc / per_shard, m2, rejected
 
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:

@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -15,7 +16,70 @@ from cslinks.diagrams import (THETA, Diagram, canonical_oriented,
                               enumerate_diagrams, is_principal, std_oriented,
                               tripod)
 from cslinks.errors import DiagramError
-from cslinks.support import R1, S1
+from cslinks.support import R1, S1, circles
+
+# sha256 of (order, sorted pivots, basis) of reduction(support, n, k), k "-"
+# for None, for S1 and R1 at n <= 3, S1 ⊔ S1 at n <= 2 and S1 at n = 4
+ECHELON_DIGESTS = """
+S1 0 - cb767c6b04c23d8308fb9eeb40dea0334d3ddc6addba9a77faf0c619dcc18379
+S1 0 0 cb767c6b04c23d8308fb9eeb40dea0334d3ddc6addba9a77faf0c619dcc18379
+S1 1 - f947dfea0acfb4d0508a789f1c77931dab150bb7b3f219274a713e4904b193b1
+S1 1 0 f947dfea0acfb4d0508a789f1c77931dab150bb7b3f219274a713e4904b193b1
+S1 1 1 f947dfea0acfb4d0508a789f1c77931dab150bb7b3f219274a713e4904b193b1
+S1 1 2 f947dfea0acfb4d0508a789f1c77931dab150bb7b3f219274a713e4904b193b1
+S1 2 - 90a27400a749208cb68cd09367fd4b7deb01abfaaab0e64c9f3de7adf39dab55
+S1 2 0 90a27400a749208cb68cd09367fd4b7deb01abfaaab0e64c9f3de7adf39dab55
+S1 2 1 90a27400a749208cb68cd09367fd4b7deb01abfaaab0e64c9f3de7adf39dab55
+S1 2 2 90a27400a749208cb68cd09367fd4b7deb01abfaaab0e64c9f3de7adf39dab55
+S1 2 3 90a27400a749208cb68cd09367fd4b7deb01abfaaab0e64c9f3de7adf39dab55
+S1 2 4 406f322c769baf2f5393d3ea9ad3358a3811667d1b6ecb543caacf0c01e8c3e9
+S1 3 - 901224ea10294d0d1b72ac6466e2d74bece9d6178c8997065377147581cfaf74
+S1 3 0 901224ea10294d0d1b72ac6466e2d74bece9d6178c8997065377147581cfaf74
+S1 3 1 901224ea10294d0d1b72ac6466e2d74bece9d6178c8997065377147581cfaf74
+S1 3 2 901224ea10294d0d1b72ac6466e2d74bece9d6178c8997065377147581cfaf74
+S1 3 3 901224ea10294d0d1b72ac6466e2d74bece9d6178c8997065377147581cfaf74
+S1 3 4 fed595a9f41b004751edfb26e2b97e89cd4e2205b383d5c883e2be6985f10d1a
+S1 3 5 fed595a9f41b004751edfb26e2b97e89cd4e2205b383d5c883e2be6985f10d1a
+S1 3 6 0bafdb26bf6675bcc06751b164281921098e5ea3d6da8b3d40302277f339a014
+S1 4 3 049564123d3461a474fa98787d5d7bffc5986e647e437d87e006aea21181b235
+S1 4 4 bb2fe3daae7789b507f33e88151d614c1b22643f6fc4260d5e670aaf0d1e4875
+S1 4 5 69887a77cbfc2792de5e4e907bd71451a870299adefb6cd64af16dfafc4228d0
+S1 4 6 581211854d5a034beae0ae2a876b7778ddf05e8e3e255758e4548d6f126c55bd
+S1 4 7 e2939adfb461a4b04e52199b42e634a96fb75c5682c50db1e6a9f51728892eba
+S1 4 8 29a60f6b63d1227f9fb844b689dd293bb472988fde34cd2614dae87edf51dafa
+R1 0 - ecbe760cc92e0922505f47a93cb76088048fdfabd5c1dae6e06e8b7ff07c8c51
+R1 0 0 ecbe760cc92e0922505f47a93cb76088048fdfabd5c1dae6e06e8b7ff07c8c51
+R1 1 - 6a504b23a7d90fe7de84d299d13250533f44ccbad9eb06f6114cc07b034e59a8
+R1 1 0 6a504b23a7d90fe7de84d299d13250533f44ccbad9eb06f6114cc07b034e59a8
+R1 1 1 6a504b23a7d90fe7de84d299d13250533f44ccbad9eb06f6114cc07b034e59a8
+R1 1 2 6a504b23a7d90fe7de84d299d13250533f44ccbad9eb06f6114cc07b034e59a8
+R1 2 - bbf590df7d10788349b0c1f405706e6770dbb0749e6bfe5f1d7329bbac9142a4
+R1 2 0 bbf590df7d10788349b0c1f405706e6770dbb0749e6bfe5f1d7329bbac9142a4
+R1 2 1 bbf590df7d10788349b0c1f405706e6770dbb0749e6bfe5f1d7329bbac9142a4
+R1 2 2 bbf590df7d10788349b0c1f405706e6770dbb0749e6bfe5f1d7329bbac9142a4
+R1 2 3 bbf590df7d10788349b0c1f405706e6770dbb0749e6bfe5f1d7329bbac9142a4
+R1 2 4 24a0a8a04a5e08736ac0f7d4252082a80ad4a2ba1f206727687379250ad176bb
+R1 3 - f925a9fb1df95989ff6986826383f2a95134ff924a97f79e6cea4810ea871dd2
+R1 3 0 f925a9fb1df95989ff6986826383f2a95134ff924a97f79e6cea4810ea871dd2
+R1 3 1 f925a9fb1df95989ff6986826383f2a95134ff924a97f79e6cea4810ea871dd2
+R1 3 2 f925a9fb1df95989ff6986826383f2a95134ff924a97f79e6cea4810ea871dd2
+R1 3 3 f925a9fb1df95989ff6986826383f2a95134ff924a97f79e6cea4810ea871dd2
+R1 3 4 262ee274e8d19b5d7eaa2089185936735054e53d324295827bb214032f78f614
+R1 3 5 262ee274e8d19b5d7eaa2089185936735054e53d324295827bb214032f78f614
+R1 3 6 fdfc310072a40189ab3c0b64f135da335f697d8593eee704c0a0c2685aa05c89
+S1S1 0 - ee8d2b74bfebb6901fcd92029b7fded9d527fe18b304608808f2a048f7182d65
+S1S1 0 0 ee8d2b74bfebb6901fcd92029b7fded9d527fe18b304608808f2a048f7182d65
+S1S1 1 - 8d91c48503979a022f0062b6c80049fed2017b11e98574ff2559a10f2997b0fe
+S1S1 1 0 8d91c48503979a022f0062b6c80049fed2017b11e98574ff2559a10f2997b0fe
+S1S1 1 1 8d91c48503979a022f0062b6c80049fed2017b11e98574ff2559a10f2997b0fe
+S1S1 1 2 8d91c48503979a022f0062b6c80049fed2017b11e98574ff2559a10f2997b0fe
+S1S1 2 - b3710527a054707bba859d28f537214d194c896a95d99491430d67c6b2c51362
+S1S1 2 0 b3710527a054707bba859d28f537214d194c896a95d99491430d67c6b2c51362
+S1S1 2 1 b3710527a054707bba859d28f537214d194c896a95d99491430d67c6b2c51362
+S1S1 2 2 b3710527a054707bba859d28f537214d194c896a95d99491430d67c6b2c51362
+S1S1 2 3 b3710527a054707bba859d28f537214d194c896a95d99491430d67c6b2c51362
+S1S1 2 4 373a9a11fedd559212ef41eac1c27516b39fea75a47eb023979f321340ac64d5
+"""
 
 
 def fs(*pairs):
@@ -63,12 +127,15 @@ class TestRelations:
     def test_ihx_rows_add_no_pivot(self, n, monkeypatch):
         # eliminating the IHX relators as well leaves every quotient as is
         ks = [None] + list(range(2 * n + 1))
-        stu_only = [Reduction(S1, n, k) for k in ks]
+
+        def quotients(base):
+            return [base if k is None else base.quotient(k) for k in ks]
+
+        stu_only = quotients(Reduction(S1, n))
         stu = algebra.stu_relators
         monkeypatch.setattr(algebra, "stu_relators",
                             lambda s, m: stu(s, m) + ihx_relators(s, m))
-        for k, red in zip(ks, stu_only):
-            both = Reduction(S1, n, k)
+        for both, red in zip(quotients(Reduction(S1, n)), stu_only):
             assert (both.order, both.pivots, both.basis) == (
                 red.order, red.pivots, red.basis)
 
@@ -121,12 +188,41 @@ class TestQuotients:
         assert dim_A_n(S1, 1, 2) == 1
 
     def test_k_bound(self):
-        with pytest.raises(DiagramError):
-            quotient_A_n_k(ClassVector.of(std_oriented(THETA)), 3)
+        theta = ClassVector.of(std_oriented(THETA))
+        for k, message in ((3, "k must be at most 2n"),
+                           (-1, "k must be nonnegative")):
+            with pytest.raises(DiagramError, match=message):
+                quotient_A_n_k(theta, k)
 
     def test_quotient_identity_on_vector(self):
         v = ClassVector.of(std_oriented(tripod()))
         assert quotient_A_n_k(v, 2) == reduce_to_basis(v)
+
+    @pytest.mark.parametrize("name, n, k, digest", [
+        line.split() for line in ECHELON_DIGESTS.strip().splitlines()])
+    def test_echelon_pinned(self, name, n, k, digest):
+        # the echelons of the construction that eliminated every STU
+        # relator anew for each k, pinned bit for bit
+        support = {"S1": S1, "R1": R1, "S1S1": circles(2)}[name]
+        red = reduction(support, int(n), None if k == "-" else int(k))
+        pivots = sorted((lead, sorted(row.items()))
+                        for lead, row in red.pivots.items())
+        assert hashlib.sha256(repr((red.order, pivots, red.basis)).encode()
+                              ).hexdigest() == digest
+
+    def test_one_stu_echelon_per_degree(self, monkeypatch):
+        calls = []
+        stu = algebra.stu_relators
+        monkeypatch.setattr(algebra, "stu_relators",
+                            lambda s, m: calls.append((s, m)) or stu(s, m))
+        reduction.cache_clear()
+        try:
+            reds = [reduction(S1, 3, k) for k in (None, 0, 2, 4, 6)]
+            assert reduction(S1, 3) is reduction(S1, 3, None) is reds[0]
+            assert calls == [(S1, 3)]
+            assert all(red.order is reds[0].order for red in reds)
+        finally:
+            reduction.cache_clear()
 
 
 class TestProductInsert:
@@ -216,8 +312,10 @@ class TestBeta:
             beta_coefficient(2, 4, 3)   # N = 2 < 3 edges
 
     def test_labelled_diagram_validation(self):
-        with pytest.raises(DiagramError):
-            LabelledDiagram(std_oriented(THETA), 1, 4)  # k > 2n
+        for k, message in ((4, "k must be at most 2n"),
+                           (-1, "k must be nonnegative")):
+            with pytest.raises(DiagramError, match=message):
+                LabelledDiagram(std_oriented(THETA), 1, k)
 
 
 def _crossed(d):

@@ -375,15 +375,17 @@ class TestBadDegree:
 
     def test_lattice_k_checked_before_framing(self, monkeypatch, capsys):
         def refused(*args, **kwargs):
-            raise AssertionError("a framing integral ran for k > 2n")
+            raise AssertionError("a framing integral ran for k outside 0..2n")
 
         monkeypatch.setattr(invariants, "self_linking", refused)
-        assert cli.main(["invariant", "lattice", "--curve", "unknot-round",
-                         "--degree", "1", "--k", "9",
-                         "--samples", "1e5"]) == 2
-        out, err = capsys.readouterr()
-        assert out == ""
-        assert err == "input error: k must be at most 2n\n"
+        for k, message in (("9", "k must be at most 2n"),
+                           ("-3", "k must be nonnegative")):
+            assert cli.main(["invariant", "lattice", "--curve",
+                             "unknot-round", "--degree", "1", "--k", k,
+                             "--samples", "1e5"]) == 2
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err == f"input error: {message}\n"
 
     @pytest.mark.parametrize("which,module,attr", [
         ("z0", integrate, "integrate_diagram"),
@@ -401,6 +403,20 @@ class TestBadDegree:
         assert out == ""
         assert err == ("input error: diagram enumeration supports "
                        "degree <= 4\n")
+
+    @pytest.mark.parametrize("k, message", [("-1", "k must be nonnegative"),
+                                            ("5", "k must be at most 2n")])
+    def test_algebra_k_out_of_range(self, k, message, tmp_path, capsys):
+        from cslinks.diagram_io import serialize_class_vector
+        f = tmp_path / "vec.txt"
+        f.write_text(serialize_class_vector(
+            [(1, std_oriented(tripod_positive().diagram))]))
+        for args in (["algebra", "check-gluings", "--n", "2", "--k", k],
+                     ["algebra", "reduce", str(f), "--k", k]):
+            assert cli.main(args) == 2
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err == f"input error: {message}\n"
 
     @pytest.mark.parametrize("k", ["2", "-5"])
     def test_check_gluings_negative_degree(self, k, capsys):
