@@ -8,7 +8,9 @@ high-trivalent pivots, so the surviving basis consists of chord diagram
 classes.  The IHX relators are not eliminated: every diagram meets the
 support, so IHX follows from STU (Bar-Natan, Topology 34, 1995) and an
 IHX row could never add a pivot; the tests check both facts.  Each quotient
-A_n^k extends the one STU echelon of (support, n) by unit rows.
+A_n^k extends the one STU echelon of (support, n) by unit rows.  The IHX'
+and STU' gluing faces of each class are built once; a k adds only the beta
+weights and the quotient.
 """
 
 import copy
@@ -243,23 +245,23 @@ def stu_relators(support, n):
     return out
 
 
-def _ihx_instances(support, n):
-    """(I, H, X) for each (diagram class, internal edge) whose H and X
-    terms need no double edge; I is the class's standard orientation."""
-    for d in enumerate_diagrams(support, n):
-        od = std_oriented(d)
-        for e in sorted(d.internal_edges(), key=lambda e: tuple(sorted(e))):
-            try:
-                h, xterm = ihx_replacements(od, e)
-            except DiagramError:
-                continue    # replacement would need a double edge
-            yield od, h, xterm
+def _ihx_instances(d):
+    """(I, H, X) for each internal edge of the class d whose H and X terms
+    need no double edge; I is the class's standard orientation."""
+    od = std_oriented(d)
+    for e in sorted(d.internal_edges(), key=lambda e: tuple(sorted(e))):
+        try:
+            h, xterm = ihx_replacements(od, e)
+        except DiagramError:
+            continue    # replacement would need a double edge
+        yield od, h, xterm
 
 
 def ihx_relators(support, n):
     """One IHX relator per (diagram class, internal edge)."""
     return [ClassVector.of(od) - ClassVector.of(h) + ClassVector.of(xterm)
-            for od, h, xterm in _ihx_instances(support, n)]
+            for d in enumerate_diagrams(support, n)
+            for od, h, xterm in _ihx_instances(d)]
 
 
 class Reduction:
@@ -624,32 +626,7 @@ def check_ihx_prime(support, n, k):
     beta(ih) + beta(ib) = beta(hd) + beta(hg) - beta(xd) - beta(xg),
     i.e. 2c([I] - [H] + [X]) = 0 in A_n^k.  Instances involving a
     non-subprincipal diagram are skipped (their faces are degenerate)."""
-    red = reduction(support, n, k)
-    for od, h, xterm in _ihx_instances(support, n):
-        if not all(is_subprincipal(t.diagram) for t in (od, h, xterm)):
-            continue
-        e_count = len(od.diagram.edges)
-        if e_count > 3 * n - k:
-            continue    # not realisable with N labels
-        c = beta_coefficient(n, k, e_count)
-        lhs = ClassVector.of(od, 2 * c)
-        rhs = (ClassVector.of(h, 2 * c) - ClassVector.of(xterm, 2 * c))
-        if not red.reduce(lhs - rhs).is_zero():
-            return False
-    return True
-
-
-def _consecutive_univalent_pairs(d: Diagram):
-    for ci, comp in enumerate(d.placements):
-        k = len(comp)
-        if k < 2:
-            continue
-        if d.support.is_circle(ci):
-            idx_pairs = [(i, (i + 1) % k) for i in range(k)] if k > 2 else [(0, 1)]
-        else:
-            idx_pairs = [(i, i + 1) for i in range(k - 1)]
-        for i, j in idx_pairs:
-            yield ci, comp[i], comp[j]
+    return _glued(support, n, k, "ihx")
 
 
 def check_stu_prime(support, n, k):
@@ -660,34 +637,56 @@ def check_stu_prime(support, n, k):
     consecutive univalent vertices (no edge between them).  Skipped when any
     of the three STU diagrams is non-subprincipal or the trivalent expansion
     would need a double edge (such faces are self-glued)."""
+    return _glued(support, n, k, "stu")
+
+
+def _glued(support, n, k, kind):
+    """Whether c(e)·a - 2(N - e)·c(e + 1)·b reduces to 0 in A_n^k for each
+    `kind` face (a, b) of each class with e <= N = 3n - k edges, c being
+    beta_coefficient; the second term is dropped when e = N."""
     red = reduction(support, n, k)
     N = 3 * n - k
     for d in enumerate_diagrams(support, n):
-        if len(d.edges) > N:
-            continue
-        od = std_oriented(d)
-        for ci, p, q in _consecutive_univalent_pairs(d):
-            if frozenset((p, q)) in d.edges:
-                continue
-            u_od = od
-            s_od = _swap_consecutive(od, ci, p, q)
-            t_od = _contract_pair(od, ci, p, q)
-            if t_od is None:
-                continue    # double edge: self-glued face
-            if not all(is_subprincipal(x.diagram) for x in (u_od, s_od, t_od)):
-                continue
-            e_u = len(d.edges)
-            c_u = beta_coefficient(n, k, e_u)
-            lhs = ClassVector.of(u_od, c_u) - ClassVector.of(s_od, c_u)
-            absent = N - e_u
-            if absent:
-                c_t = beta_coefficient(n, k, e_u + 1)
-                rhs = ClassVector.of(t_od, 2 * absent * c_t)
-            else:
-                rhs = ClassVector.zero(support, n)
-            if not red.reduce(lhs - rhs).is_zero():
+        e = len(d.edges)
+        if e > N:
+            continue    # not realisable with N labels
+        c = beta_coefficient(n, k, e)
+        c_t = 2 * (N - e) * beta_coefficient(n, k, e + 1) if e < N else 0
+        for a, b in _faces(d)[kind]:
+            if not red.reduce(a.scale(c) - b.scale(c_t)).is_zero():
                 return False
     return True
+
+
+@lru_cache(maxsize=None)
+def _faces(d: Diagram):
+    """The k-independent gluing faces (a, b) of the class d: "ihx" has
+    (2([I] - [H] + [X]), 0) per internal edge, "stu" ([u] - [s], [t]) per
+    chordless pair of consecutive feet, u being d.  No face has a
+    non-subprincipal diagram (degenerate) or a double edge (self-glued)."""
+    if not is_subprincipal(d):
+        return {"ihx": [], "stu": []}
+    od = std_oriented(d)
+    u = ClassVector.of(od)
+    zero = ClassVector.zero(d.support, degree(d))
+    ihx = [((u - ClassVector.of(h) + ClassVector.of(xterm)).scale(2), zero)
+           for _, h, xterm in _ihx_instances(d)
+           if is_subprincipal(h.diagram) and is_subprincipal(xterm.diagram)]
+    stu = []
+    for ci, comp in enumerate(d.placements):
+        m = len(comp)
+        # pairs wrap round a circle, but a two-leg circle keeps one arc: its
+        # other arc gives the same identity with the sign of [t] flipped
+        for i in range(m if d.support.is_circle(ci) and m > 2 else m - 1):
+            p, q = comp[i], comp[(i + 1) % m]
+            if frozenset((p, q)) in d.edges:
+                continue
+            s_od = _swap_consecutive(od, ci, p, q)
+            t_od = _contract_pair(od, ci, p, q)    # None: a double edge
+            if (t_od is not None and is_subprincipal(s_od.diagram)
+                    and is_subprincipal(t_od.diagram)):
+                stu.append((u - ClassVector.of(s_od), ClassVector.of(t_od)))
+    return {"ihx": ihx, "stu": stu}
 
 
 def _swap_consecutive(od: OrientedDiagram, ci, p, q):

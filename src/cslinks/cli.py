@@ -60,12 +60,12 @@ def _load_curve(spec):
 
 
 def _support(name):
-    name = name.upper()
-    if name == "S1":
+    upper = name.upper()
+    if upper == "S1":
         return S1
-    if name.startswith("S1X"):
-        return circles(int(name[3:]))
-    raise DiagramError(f"unknown support {name!r} (use S1 or S1xN)")
+    if upper[:3] == "S1X" and upper[3:].isdecimal() and int(upper[3:]) >= 1:
+        return circles(int(upper[3:]))
+    raise DiagramError(f"unknown support {name!r} (use S1 or S1xN, N >= 1)")
 
 
 def _print_table(report, indent=0):

@@ -1,4 +1,5 @@
 import hashlib
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -12,8 +13,9 @@ from cslinks.algebra import (ClassVector, LabelledDiagram, Reduction, beta,
                              lattice_generators, line_unit, product,
                              quotient_A_n_k, reduce_to_basis, reduction,
                              stu_relators, representative)
-from cslinks.diagrams import (THETA, Diagram, canonical_oriented,
-                              enumerate_diagrams, is_principal, std_oriented,
+from cslinks.diagrams import (THETA, Diagram, OrientedDiagram,
+                              canonical_oriented, enumerate_diagrams,
+                              is_principal, is_subprincipal, std_oriented,
                               tripod)
 from cslinks.errors import DiagramError
 from cslinks.support import R1, S1, circles
@@ -327,26 +329,86 @@ def _crossed(d):
     return False
 
 
+@pytest.fixture
+def fresh_faces():
+    """An empty gluing-face memo, emptied again afterwards, so that faces
+    built under a mutation never reach another test."""
+    algebra._faces.cache_clear()
+    yield
+    algebra._faces.cache_clear()
+
+
+GLUING_CASES = [(n, k) for n in (1, 2, 3) for k in range(2, 2 * n + 1)]
+
+
 class TestGluings:
-    @pytest.mark.parametrize("n,k", [(n, k) for n in (1, 2, 3)
-                                     for k in range(2, 2 * n + 1)])
+    @pytest.mark.parametrize("n,k", GLUING_CASES)
     def test_ihx_prime(self, n, k):
         assert check_ihx_prime(S1, n, k)
 
-    @pytest.mark.parametrize("n,k", [(n, k) for n in (1, 2, 3)
-                                     for k in range(2, 2 * n + 1)])
+    @pytest.mark.parametrize("n,k", GLUING_CASES)
     def test_stu_prime(self, n, k):
         assert check_stu_prime(S1, n, k)
 
-    def test_perturbed_beta_fails(self, monkeypatch):
+    def test_perturbed_beta_fails(self, monkeypatch, fresh_faces):
         ihx = algebra.ihx_replacements
         monkeypatch.setattr(algebra, "ihx_replacements",
                             lambda od, e: ihx(od, e)[::-1])
         assert not check_ihx_prime(S1, 3, 3)
         monkeypatch.undo()
+        algebra._faces.cache_clear()
         monkeypatch.setattr(algebra, "beta_coefficient",
                             lambda n, k, e_count: Fraction(1))
         assert not check_stu_prime(S1, 2, 3)
+
+    def test_flipped_contraction_fails(self, monkeypatch, fresh_faces):
+        contract = algebra._contract_pair
+
+        def flipped(od, ci, p, q):
+            t_od = contract(od, ci, p, q)
+            if t_od is None:
+                return None
+            # the new trivalent vertex has the highest id of the diagram
+            t_new = max(t_od.diagram.trivalent)
+            to = tuple((v, (c[0], c[2], c[1]) if v == t_new else c)
+                       for v, c in t_od.triv_orient)
+            return OrientedDiagram(t_od.diagram, to, t_od.univ_orient)
+
+        monkeypatch.setattr(algebra, "_contract_pair", flipped)
+        failing = {(n, k) for n, k in GLUING_CASES
+                   if not check_stu_prime(S1, n, k)}
+        assert failing == {(2, 2), (2, 3), (3, 2), (3, 3), (3, 4), (3, 5)}
+
+    def test_doubled_full_label_beta_fails(self, monkeypatch):
+        # beta is applied per k, outside the face memo: no clearing needed
+        coefficient = algebra.beta_coefficient
+        monkeypatch.setattr(
+            algebra, "beta_coefficient", lambda n, k, e_count:
+            coefficient(n, k, e_count) * (2 if e_count == 3 * n - k else 1))
+        failing = {(n, k) for n, k in GLUING_CASES
+                   if not check_stu_prime(S1, n, k)}
+        assert failing == {(2, 3), (3, 3), (3, 5)}
+
+    def test_faces_built_once_per_class(self, monkeypatch, fresh_faces):
+        built = Counter()
+        instances, contract = algebra._ihx_instances, algebra._contract_pair
+
+        def counted_instances(d):
+            built[d] += 1
+            return instances(d)
+
+        def counted_contract(od, ci, p, q):
+            built[od.diagram, ci, p, q] += 1
+            return contract(od, ci, p, q)
+
+        monkeypatch.setattr(algebra, "_ihx_instances", counted_instances)
+        monkeypatch.setattr(algebra, "_contract_pair", counted_contract)
+        for k in range(7):
+            assert check_ihx_prime(S1, 3, k) and check_stu_prime(S1, 3, k)
+        # a class that is not subprincipal has only degenerate faces
+        classes = {d for d in enumerate_diagrams(S1, 3) if is_subprincipal(d)}
+        assert classes == {key for key in built if isinstance(key, Diagram)}
+        assert set(built.values()) == {1}
 
 
 class TestLattice:

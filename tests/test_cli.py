@@ -70,6 +70,21 @@ class TestDiagramCommands:
                     "--degree", "9")
         assert r.returncode == 2
 
+    @pytest.mark.parametrize("support",
+                             ["S1xabc", "S1x0", "S1x-1", "S1x", "foo"])
+    def test_bad_support_is_input_error(self, support, capsys):
+        assert cli.main(["diagrams", "enumerate", "--support", support,
+                         "--degree", "1"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (f"input error: unknown support {support!r} "
+                       "(use S1 or S1xN, N >= 1)\n")
+
+    def test_support_in_any_case(self, capsys):
+        assert cli.main(["diagrams", "enumerate", "--support", "s1x2",
+                         "--degree", "1"]) == 0
+        assert json.loads(capsys.readouterr().out)["count"] == 3
+
     def test_classify_empty_head_is_input_error(self, tmp_path):
         f = tmp_path / "y.diagram"
         f.write_text(": a b\n")
