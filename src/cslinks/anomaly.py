@@ -327,16 +327,15 @@ def disc_integral(curve: LinkCurve, m=0, base_point=None) -> Estimate:
             "tangent indicatrix approaches the antipode of the base point; "
             "choose another base point", witness=q)
 
-    def cone_area(t_arr):
-        a = curve.tangent(m, t_arr)
+    def cone_area(a):
         b = np.roll(a, -1, axis=0)
         # signed solid angle of the geodesic triangle (q, a, b)
         num = np.sum(q * np.cross(a, b), axis=1)
         den = 1 + a @ q + np.sum(a * b, axis=1) + b @ q
         return float(np.sum(2 * np.arctan2(num, den)))
 
-    area = cone_area(ts)
-    area_half = cone_area(ts[::2])
+    area = cone_area(tang)
+    area_half = cone_area(tang[::2])
     # the disc orientation (boundary tangent followed by outward normal
     # direct) resolves to this sign; it is pinned by the framing-integer
     # checks: every catalog knot lands on an odd integer

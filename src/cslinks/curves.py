@@ -132,7 +132,7 @@ class LinkCurve:
                      for c in data["components"]]
             if comps:
                 return cls(comps)
-        except (TypeError, KeyError):
+        except (TypeError, KeyError, ValueError):
             pass
         raise ValueError(f"a curve file must hold {CURVE_SCHEMA} with at "
                          "least one component")

@@ -138,8 +138,8 @@ def is_connected(vertices, edges):
     return len(graph_components(vertices, edges)) == 1
 
 
-def connected_subsets(vertices, edges, min_size=1):
-    """All subsets of `vertices` that are connected in the induced subgraph."""
+def connected_subsets(vertices, edges):
+    """All subsets of 2+ `vertices` that are connected in the induced subgraph."""
     vertices = sorted(vertices)
     adj = {v: set() for v in vertices}
     vset = set(vertices)
@@ -155,7 +155,7 @@ def connected_subsets(vertices, edges, min_size=1):
         seen = {frozenset([seed])}
         while frontier:
             cur = frontier.pop()
-            if len(cur) >= min_size:
+            if len(cur) >= 2:
                 found.add(cur)
             ext = set()
             for v in cur:
@@ -168,18 +168,15 @@ def connected_subsets(vertices, edges, min_size=1):
     return sorted(found, key=lambda s: (len(s), sorted(s)))
 
 
-def is_principal(d: Diagram, connected_only=True) -> bool:
+def is_principal(d: Diagram) -> bool:
     """Every A ⊆ T with #A > 1 has #E'_A >= 4 (connected A suffice)."""
-    for A in _trivalent_subsets(d, connected_only):
-        if edge_counts(d, A)[1] < 4:
-            return False
-    return True
+    return all(edge_counts(d, A)[1] >= 4 for A in _trivalent_subsets(d))
 
 
-def is_subprincipal(d: Diagram, connected_only=True) -> bool:
+def is_subprincipal(d: Diagram) -> bool:
     """#E'_A >= 3 for all A ⊆ T, #A > 1; minimal (=3) subsets pairwise meet."""
     minimal = []
-    for A in _trivalent_subsets(d, connected_only):
+    for A in _trivalent_subsets(d):
         e_half = edge_counts(d, A)[1]
         if e_half < 3:
             return False
@@ -191,12 +188,9 @@ def is_subprincipal(d: Diagram, connected_only=True) -> bool:
     return True
 
 
-def _trivalent_subsets(d, connected_only):
+def _trivalent_subsets(d):
     t_edges = [e for e in d.edges if e <= d.trivalent]
-    if connected_only:
-        return [A for A in connected_subsets(d.trivalent, t_edges, min_size=2)]
-    return [frozenset(c) for r in range(2, len(d.trivalent) + 1)
-            for c in itertools.combinations(sorted(d.trivalent), r)]
+    return connected_subsets(d.trivalent, t_edges)
 
 
 def augmented_edges(d: Diagram):

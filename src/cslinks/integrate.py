@@ -18,10 +18,11 @@ single term, the product of its chords' Gauss kernels.
 
 A diagram of chords has the integrand chord_sign times the product of its
 chords' Gauss kernels, so its quadrature reads the kernel matrix of the
-grid, evaluated in blocks of rows (_kernel_rows): chord_quadrature sums it
-over the torus of one chord's circle parameters, two_chord_quadrature over
-the ordered grid quadruples of one circle.  integrate_diagram samples the
-integrand and stays the oracle for every diagram, chord diagrams included.
+grid in blocks of rows (_kernel_rows; on one circle its upper triangle):
+chord_quadrature sums it over the torus of one chord's circle parameters,
+two_chord_quadrature over the ordered grid quadruples of one circle.
+integrate_diagram samples the integrand and stays the oracle for every
+diagram, chord diagrams included.
 
 The kernel has three parts, used by both the closed-link integrals here and
 the anomaly integrals over W(γ): KernelGeometry (columns, placement order,
@@ -70,17 +71,17 @@ def gauss_kernel(curve: LinkCurve, a, b):
     return _gauss(*curve.jet(m1, s), *curve.jet(m2, t))
 
 
-def _gauss(x, dx, y, dy, diagonal=None):
+def _gauss(x, dx, y, dy, diagonal=False):
     """gauss_kernel from the (3, ...) rows of the points and velocities of
-    the two ends, which broadcast against each other.  diagonal: for a
-    block of rows of one circle's kernel matrix, the column of its first
-    row's diagonal entry; r = inf there, so the diagonal reads 0."""
+    the two ends, which broadcast against each other.  diagonal: the rows
+    and columns start at the same point of one circle; r = inf on the
+    main diagonal, so it reads 0."""
     d0, d1, d2 = y - x
     a0, a1, a2 = dx
     b0, b1, b2 = dy
     r = np.sqrt(d0 * d0 + d1 * d1 + d2 * d2)
-    if diagonal is not None:
-        np.fill_diagonal(r[:, diagonal:], np.inf)
+    if diagonal:
+        np.fill_diagonal(r, np.inf)
     if np.any(r < 1e-12):
         raise SamplingError("coincident curve points in gauss_kernel")
     num = ((a1 * b2 - a2 * b1) * d0 + (a2 * b0 - a0 * b2) * d1
@@ -88,22 +89,24 @@ def _gauss(x, dx, y, dy, diagonal=None):
     return num / (4 * np.pi * r ** 3)
 
 
-def _kernel_rows(curve: LinkCurve, m1, m2, n, upper=False):
+def _kernel_rows(curve: LinkCurve, m1, m2, n):
     """The Gauss kernel matrix G[i, j] = gauss_kernel((m1, t_i), (m2, t_j))
-    on the n-point grid t_i = 2 pi i / n, in blocks of whole rows of at
-    most BATCH entries: yields (first row, block).  On one circle
-    (m1 == m2) the diagonal reads 0, and upper=True takes each block only
-    from its first row's diagonal column on: block[i, j] is then
-    G[first + i, first + j]."""
+    on the n-point grid t_i = 2 pi i / n, in blocks of rows of at most
+    BATCH entries: yields (first row, block).  Between two circles a block
+    is whole rows, block[i, j] = G[start + i, j].  On one circle (m1 == m2)
+    G is symmetric bit for bit (swapping the ends negates both the cross
+    product and the difference), so a block starts at its first row's
+    diagonal column, block[i, j] = G[start + i, start + j], and reads 0 on
+    and below the diagonal."""
     t = np.arange(n) * (2 * np.pi / n)
     x, dx = curve.jet(m1, t)
     y, dy = (x, dx) if m1 == m2 else curve.jet(m2, t)
     rows = max(1, BATCH // n)
     for start in range(0, n, rows):
-        stop, first = min(start + rows, n), start if upper else 0
-        yield start, _gauss(x[:, start:stop, None], dx[:, start:stop, None],
-                            y[:, None, first:], dy[:, None, first:],
-                            start - first if m1 == m2 else None)
+        stop, first = min(start + rows, n), start if m1 == m2 else 0
+        block = _gauss(x[:, start:stop, None], dx[:, start:stop, None],
+                       y[:, None, first:], dy[:, None, first:], m1 == m2)
+        yield start, np.triu(block, 1) if m1 == m2 else block
 
 
 def _cross(a, b, out, tmp):
@@ -314,10 +317,9 @@ class KernelGeometry:
 
     columns: the half-edge coordinate order, ('u', v) for a univalent vertex
     or ('t', v, axis) for a trivalent one; placement_order: the trivalent
-    vertices, each with its already placed neighbours; jacobian_columns and
-    entries: the Jacobian's column labels and the (column, vertex, edge,
-    sign) of each of its contributions, set by the subclass through
-    set_entries.
+    vertices, each with its already placed neighbours.  The subclass hands
+    the Jacobian's column labels to set_entries, which sets moves and plan
+    (below).
 
     The wedge plan.  Edge e's 2-form on the columns j < k is
     D . (B_j x B_k) / r^3 (times 1/4pi, which jacobian_values applies
@@ -395,13 +397,12 @@ class KernelGeometry:
         as in self.columns or ('s', k), which moves the univalent vertices
         s_legs; the tail of an edge enters with sign -1.  Then the edges'
         2-form pairs and their wedge plan."""
-        self.jacobian_columns = columns
-        self.entries = [(ci, v, ei, -1 if v == p else 1)
-                        for ci, col in enumerate(columns)
-                        for v in (s_legs if col[0] == "s" else (col[1],))
-                        for ei, (p, q) in enumerate(self.edges) if v in (p, q)]
+        entries = [(ci, v, ei, -1 if v == p else 1)
+                   for ci, col in enumerate(columns)
+                   for v in (s_legs if col[0] == "s" else (col[1],))
+                   for ei, (p, q) in enumerate(self.edges) if v in (p, q)]
         moved = [{} for _ in self.edges]
-        for ci, v, ei, s in self.entries:
+        for ci, v, ei, s in entries:
             moved[ei].setdefault(ci, []).append((v, s))
         self.moves = {(ei, ci): ends for ei, on in enumerate(moved)
                       for ci, ends in on.items() if columns[ci][0] != "t"}
@@ -694,8 +695,9 @@ def chord_quadrature(od: OrientedDiagram, curve: LinkCurve) -> Estimate:
     rule T(N) converges spectrally.  On one component the integrand is
     symmetric with an |s - t| kink on the diagonal, so T(N) is O(h^2) and
     the estimate is R(N) = (4 T(N) - T(N/2)) / 3, O(h^4).  One pass over
-    the rows of the N-grid gives T(N), and T(N/2) and T(N/4) from its
-    every 2nd and 4th row and column.  N doubles from QUADRATURE_GRID
+    the blocks of the N-grid gives T(N), and T(N/2) and T(N/4) from its
+    every 2nd and 4th row and column; on one circle the blocks hold the
+    upper triangle, which counts twice.  N doubles from QUADRATURE_GRID
     while the estimate moves by more than QUADRATURE_TOL, up to
     QUADRATURE_MAX_GRID; stderr is the last move, or the rounding error of
     the sum where that is larger; the record's grid is the final N.
@@ -709,8 +711,11 @@ def chord_quadrature(od: OrientedDiagram, curve: LinkCurve) -> Estimate:
     while True:
         sums, magnitude = np.zeros(3), 0.0
         for start, block in _kernel_rows(curve, m1, m2, n):
+            j0 = start if m1 == m2 else 0    # G's column of block[:, 0]
             magnitude += np.sum(np.abs(block))
-            sums += [np.sum(block[-start % s::s, ::s]) for s in strides]
+            sums += [np.sum(block[-start % s::s, -j0 % s::s]) for s in strides]
+        if m1 == m2:    # the upper triangle of G = G^T, zero diagonal
+            sums, magnitude = 2 * sums, 2 * magnitude
         rules = sums * (2 * np.pi * strides / n) ** 2    # T(N), T(N/2), T(N/4)
         # R(N) and R(N/2) on one circle, T(N) and T(N/2) between two
         estimate, previous = ((4 * rules[:2] - rules[1:]) / 3 if m1 == m2
@@ -735,11 +740,10 @@ def two_chords_on_one_circle(d) -> bool:
 def _kernel_triangle(curve: LinkCurve, m, n):
     """The Gauss kernel of component m on the n-point grid t_i = 2 pi i / n:
     the n x n matrix of gauss_kernel((m, t_i), (m, t_j)) for i < j, zero on
-    and below the diagonal, written from the blocks of _kernel_rows, each
-    evaluated from its first row's diagonal on."""
+    and below the diagonal, written from the blocks of _kernel_rows."""
     upper = np.zeros((n, n))
-    for start, block in _kernel_rows(curve, m, m, n, upper=True):
-        upper[start:start + len(block), start:] = np.triu(block, 1)
+    for start, block in _kernel_rows(curve, m, m, n):
+        upper[start:start + len(block), start:] = block
     return upper
 
 

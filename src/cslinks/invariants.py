@@ -7,8 +7,8 @@ from math import gcd
 from .algebra import (ClassVector, Series, exp_action, lattice_generators,
                       reduction)
 from .curves import LinkCurve, check_component
-from .diagrams import (THETA, Diagram, canonical_oriented, check_degree,
-                       check_k, std_oriented)
+from .diagrams import (Diagram, canonical_oriented, check_degree, check_k,
+                       std_oriented)
 from .errors import ConvergenceError, DiagramError
 from .integrate import chord_quadrature, z_n
 from .projection import linking_oracle
@@ -26,6 +26,14 @@ def alpha_exact() -> ClassVector:
     return _theta_line_vector().scale(Fraction(1, 2))
 
 
+def _chord_integral(curve: LinkCurve, m1, m2):
+    placements = tuple(tuple(v for v, m in enumerate((m1, m2)) if m == i)
+                       for i in range(curve.n_components))
+    chord = Diagram(circles(curve.n_components), placements, frozenset(),
+                    frozenset({frozenset((0, 1))}))
+    return chord_quadrature(std_oriented(chord), curve)
+
+
 def linking_number(curve: LinkCurve, m1, m2):
     """Gauss double integral between two components (by chord_quadrature),
     its rounding, and the projection crossing-sign oracle."""
@@ -33,12 +41,7 @@ def linking_number(curve: LinkCurve, m1, m2):
     check_component(curve, m2)
     if m1 == m2:
         raise DiagramError("linking number needs two distinct components")
-    support = circles(curve.n_components)
-    placements = tuple((0,) if i == m1 else (1,) if i == m2 else ()
-                       for i in range(curve.n_components))
-    chord = Diagram(support, placements, frozenset(),
-                    frozenset({frozenset((0, 1))}))
-    est = chord_quadrature(std_oriented(chord), curve)
+    est = _chord_integral(curve, m1, m2)
     nearest = round(est.value)
     residual = abs(est.value - nearest)
     oracle = linking_oracle(curve, m1, m2)
@@ -53,8 +56,7 @@ def self_linking(curve: LinkCurve, m=0):
     """The Gauss self-integral of one component (framing / writhe): the
     Estimate of chord_quadrature."""
     check_component(curve, m)
-    sub = LinkCurve([curve.components[m]])
-    return chord_quadrature(std_oriented(THETA), sub)
+    return _chord_integral(curve, m, m)
 
 
 def z_series(curve: LinkCurve, max_degree, samples=10 ** 6, seed=0,

@@ -51,7 +51,7 @@ def enumerate_strata(vertices, edges):
     edges = frozenset(frozenset(e) for e in edges)
     if len(vertices) < 2 or not is_connected(vertices, edges):
         raise DiagramError("graph must be connected with at least 2 vertices")
-    R = [A for A in connected_subsets(vertices, edges, min_size=2) if A != vertices]
+    R = [A for A in connected_subsets(vertices, edges) if A != vertices]
     families = []
 
     def rec(idx, chosen):
@@ -160,7 +160,7 @@ def enumerate_faces(d: Diagram):
     the type (a) face plus every admissible F(Γ, A)."""
     faces = [classify_face(d, None)]
     aug = augmented_edges(d)
-    for A in connected_subsets(d.vertices, aug, min_size=2):
+    for A in connected_subsets(d.vertices, aug):
         if A == d.vertices:
             continue
         try:

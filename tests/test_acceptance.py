@@ -25,6 +25,7 @@ from cslinks.invariants import (lattice_check, linking_number,
 from cslinks.mc import combined_stderr
 from cslinks.projection import v2_oracle
 from cslinks.support import R1, S1
+from test_diagrams import principal_by_all_subsets, subprincipal_by_all_subsets
 
 
 def report(num, ok, text):
@@ -42,9 +43,8 @@ def test_01_combinatorics():
             for r in range(1, len(verts) + 1):
                 for A in itertools.combinations(verts, r):
                     half_edge_count_check(d, A)
-            ok &= is_principal(d) == is_principal(d, connected_only=False)
-            ok &= is_subprincipal(d) == is_subprincipal(d,
-                                                        connected_only=False)
+            ok &= is_principal(d) == principal_by_all_subsets(d)
+            ok &= is_subprincipal(d) == subprincipal_by_all_subsets(d)
     elapsed = time.time() - t0
     report(1, ok and elapsed < 1.0,
            f"diagram counts, half-edge identity, principality oracles "

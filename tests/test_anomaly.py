@@ -2,7 +2,7 @@ from math import factorial
 
 import numpy as np
 import pytest
-from test_integrate import (UnitRng, assert_fold_matches,
+from test_integrate import (CountingCurve, UnitRng, assert_fold_matches,
                             assert_weighted_histogram, folded_and_full,
                             half_cauchy, jacobian_density, leg_preimages,
                             preimage_blocks, samples_first,
@@ -247,6 +247,14 @@ class TestDisc:
         assert d.value == pytest.approx(0.5, abs=1e-9)
         assert d.stderr < 1e-9
         assert d.diagnostics["grid"] == anomaly.DISC_SAMPLES == 20000
+
+    def test_one_tangent_indicatrix(self):
+        # the grid's tangents once, the half grid read from them, and the
+        # default base point's own samples
+        curve = CountingCurve(catalog("trefoil").components)
+        disc_integral(curve)
+        assert curve.points == (anomaly.DISC_SAMPLES
+                                + anomaly.BASE_POINT_SAMPLES)
 
     def test_base_point_changes_by_integer(self):
         c = catalog("unknot-round")

@@ -361,7 +361,10 @@ class TestCurveFiles:
     @pytest.mark.parametrize("text", [
         "[1, 2]", '{"components": {}}',
         '{"components": [{"const": {"x": 1}}]}',
-        '{"components": [{"const": [0, 0, 0], "sin": {"a": 1}}]}'])
+        '{"components": [{"const": [0, 0, 0], "sin": {"a": 1}}]}',
+        '{"components": [{"const": [0, 0], "cos": [[1, 0, 0]]}]}',
+        '{"components": [{"const": [0, 0, 0], "cos": [[1, 0]]}]}',
+        '{"components": [{"const": [0, "x", 0], "cos": [[1, 0, 0]]}]}'])
     def test_wrong_schema_is_input_error(self, tmp_path, text):
         f = tmp_path / "curve.json"
         f.write_text(text)

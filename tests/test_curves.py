@@ -193,7 +193,12 @@ class TestJson:
 
     @pytest.mark.parametrize("text", ['[1, 2]', '{"components": 5}',
                                       '{"components": []}',
-                                      '{"components": [{"cos": []}]}'])
+                                      '{"components": [{"cos": []}]}',
+                                      '{"components": [{"const": [0, 0]}]}',
+                                      '{"components": [{"const": [0, 0, 0], '
+                                      '"cos": [[1, 0]]}]}',
+                                      '{"components": [{"const": '
+                                      '[0, "x", 0]}]}'])
     def test_wrong_schema(self, text):
         with pytest.raises(ValueError, match="components"):
             LinkCurve.from_json(text)

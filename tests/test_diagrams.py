@@ -7,8 +7,8 @@ from cslinks.diagrams import (THETA, Diagram, _canonical_cached,
                               _enumerate_cached, _graphs_with_valences,
                               _rotated_umaps, is_connected,
                               canonical_diagram, canonical_form,
-                              canonical_maps, degree, enumerate_diagrams,
-                              automorphism_count,
+                              canonical_maps, degree, edge_counts,
+                              enumerate_diagrams, automorphism_count,
                               half_edge_count_check, is_principal,
                               is_subprincipal, quotient_diagram, std_oriented,
                               canonical_oriented, tripod)
@@ -27,6 +27,25 @@ def connected_diagrams(support, n, connected_only=True):
     connected_only (n >= 1: the empty diagram counts as disconnected)."""
     return [d for d in enumerate_diagrams(support, n)
             if not connected_only or is_connected(d.vertices, d.edges)]
+
+
+def trivalent_subsets(d):
+    """Every set of two or more trivalent vertices, connected or not."""
+    return [frozenset(c) for r in range(2, len(d.trivalent) + 1)
+            for c in itertools.combinations(sorted(d.trivalent), r)]
+
+
+def principal_by_all_subsets(d):
+    """is_principal's definition read over every subset of T (oracle)."""
+    return all(edge_counts(d, A)[1] >= 4 for A in trivalent_subsets(d))
+
+
+def subprincipal_by_all_subsets(d):
+    """is_subprincipal's definition read over every subset of T (oracle)."""
+    half_edges = {A: edge_counts(d, A)[1] for A in trivalent_subsets(d)}
+    minimal = [A for A, e in half_edges.items() if e == 3]
+    return (all(e >= 3 for e in half_edges.values())
+            and all(A & B for A, B in itertools.combinations(minimal, 2)))
 
 
 def w3_wheel(support=S1):
@@ -120,8 +139,8 @@ class TestPrincipality:
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_connected_matches_full_enumeration(self, n):
         for d in enumerate_diagrams(S1, n):
-            assert is_principal(d) == is_principal(d, connected_only=False)
-            assert is_subprincipal(d) == is_subprincipal(d, connected_only=False)
+            assert is_principal(d) == principal_by_all_subsets(d)
+            assert is_subprincipal(d) == subprincipal_by_all_subsets(d)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_principal_implies_subprincipal(self, n):

@@ -9,7 +9,7 @@ import pytest
 from cslinks import anomaly, integrate
 from cslinks.algebra import ClassVector, reduction
 from cslinks.anomaly import WGeometry, WSampler, f_gamma, line_diagram_catalog
-from cslinks.curves import LinkCurve, catalog
+from cslinks.curves import CATALOG_NAMES, LinkCurve, catalog
 from cslinks.diagrams import (THETA, Diagram, automorphism_count,
                               canonical_oriented, enumerate_diagrams,
                               is_subprincipal, std_oriented, tripod,
@@ -193,6 +193,21 @@ def sphere_frames(d):
     return f1, np.cross(d, f1)
 
 
+def jacobian_entries(geo):
+    """The Jacobian's column labels and the (column, vertex, edge, sign) of
+    each of its contributions, as set_entries reads them: a W geometry's
+    two s columns move every leg but the first, and the tail of an edge
+    enters with sign -1."""
+    if isinstance(geo, WGeometry):
+        columns, s_legs = [("s", 0), ("s", 1)] + geo.kept, geo.univ[1:]
+    else:
+        columns, s_legs = geo.columns, ()
+    return columns, [(ci, v, ei, -1 if v == p else 1)
+                     for ci, col in enumerate(columns)
+                     for v in (s_legs if col[0] == "s" else (col[1],))
+                     for ei, (p, q) in enumerate(geo.edges) if v in (p, q)]
+
+
 def frame_rows(geo, pos, tangents):
     """The full Jacobian, two frame rows per edge and one column per
     coordinate, and the (count, E) edge lengths.  A trivalent coordinate's
@@ -209,8 +224,9 @@ def frame_rows(geo, pos, tangents):
         dvec = diff / safe
         edge.append((dvec, *sphere_frames(dvec), safe))
     M = np.zeros((count, geo.dim, geo.dim))
-    for ci, v, ei, sign in geo.entries:
-        col = geo.jacobian_columns[ci]
+    columns, entries = jacobian_entries(geo)
+    for ci, v, ei, sign in entries:
+        col = columns[ci]
         if col[0] == "t":
             tangent = np.zeros((count, 3))
             tangent[:, col[2]] = 1.0
@@ -256,6 +272,15 @@ def assert_fold_matches(values, full, keep):
     assert np.count_nonzero(keep) > len(keep) // 2
     err = np.max(np.abs(values - full)[keep])
     assert err <= 1e-12 * np.max(np.abs(full[keep]))
+
+
+def full_kernel(curve, m1, m2, n):
+    """The whole n x n Gauss kernel matrix of the n-point grid from one
+    _gauss call; on one circle (m1 == m2) its diagonal reads 0."""
+    t = np.arange(n) * (2 * np.pi / n)
+    (x, dx), (y, dy) = curve.jet(m1, t), curve.jet(m2, t)
+    return integrate._gauss(x[:, :, None], dx[:, :, None], y[:, None],
+                            dy[:, None], m1 == m2)
 
 
 class CountingCurve(LinkCurve):
@@ -454,13 +479,14 @@ def edge_matrices(geo, rng, count):
     the columns of one axis at both trivalent ends of e are opposite there.
     Returns them with {(edge, column): its opposite column}."""
     a = np.zeros((count, geo.dim, geo.dim))
-    for ci, v, ei, _ in geo.entries:
+    columns, entries = jacobian_entries(geo)
+    for ci, v, ei, _ in entries:
         a[:, 2 * ei:2 * ei + 2, ci] = rng.normal(size=(count, 2))
     opposite = {}
     for ei, (p, q) in enumerate(geo.edges):
         if p in geo.triv_index and q in geo.triv_index:
             for axis in range(3):
-                cp, cq = (geo.jacobian_columns.index(("t", v, axis))
+                cp, cq = (columns.index(("t", v, axis))
                           for v in (p, q))
                 a[:, 2 * ei:2 * ei + 2, cq] = -a[:, 2 * ei:2 * ei + 2, cp]
                 opposite[ei, cp], opposite[ei, cq] = cq, cp
@@ -847,7 +873,7 @@ class TestChordQuadrature:
 
         def spy(curve, m1, m2, n):
             for start, block in kernel_rows(curve, m1, m2, n):
-                blocks.append((n, block.size))
+                blocks.append((n, start, block.shape))
                 yield start, block
 
         monkeypatch.setattr(integrate, "integrand_batch", forbidden)
@@ -862,9 +888,21 @@ class TestChordQuadrature:
             grids.append(2 * grids[-1])
         comps = len({od.diagram.component_of(v) for v in od.diagram.univalent})
         assert curve.points == diameter_points + comps * sum(grids)
-        assert [sum(size for m, size in blocks if m == n) for n in grids] \
-            == [n * n for n in grids]
-        assert max(size for _, size in blocks) <= BATCH
+        # per grid, consecutive blocks of BATCH // n rows; on one circle
+        # each block's columns run from its first row's diagonal on
+        expected = []
+        for n in grids:
+            rows = BATCH // n
+            expected += [(n, start, (min(rows, n - start),
+                                     n - start if comps == 1 else n))
+                         for start in range(0, n, rows)]
+        assert blocks == expected
+        entries = [sum(r * c for m, _, (r, c) in blocks if m == n)
+                   for n in grids]
+        # trefoil-framed stops at 512: 163 840 entries there, not 512^2
+        assert entries == {"trefoil-framed": [65536, 163840],
+                           "hopf-link": [65536]}[name]
+        assert max(r * c for _, _, (r, c) in blocks) <= BATCH
 
     def test_finest_grid_holds_no_full_matrix(self, monkeypatch):
         # a 4096^2 kernel matrix would take 128 MiB
@@ -892,15 +930,15 @@ class TestChordQuadrature:
 
     def test_strided_sums_are_coarse_grids(self, monkeypatch):
         # at N = 384 the row blocks (170, 170, 44) start off the coarse
-        # grids, so the N/2 and N/4 rules read rows 2 and 4 apart from an
-        # offset; they equal the sums of the coarse grids' own matrices
+        # grids, so the N/2 and N/4 rules read rows and columns 2 and 4
+        # apart from an offset; they equal the sums of the coarse grids'
+        # whole matrices
         monkeypatch.setattr(integrate, "QUADRATURE_GRID", 384)
         monkeypatch.setattr(integrate, "QUADRATURE_TOL", np.inf)
         od, curve = std_oriented(THETA), catalog("trefoil")
         est = chord_quadrature(od, curve)
-        rule = {n: (2 * np.pi / n) ** 2 * sum(
-            np.sum(b) for _, b in integrate._kernel_rows(curve, 0, 0, n))
-            for n in (96, 192, 384)}
+        rule = {n: (2 * np.pi / n) ** 2 * np.sum(full_kernel(curve, 0, 0, n))
+                for n in (96, 192, 384)}
         richardson = [(4 * rule[2 * n] - rule[n]) / 3 for n in (192, 96)]
         sign = chord_sign(DiagramGeometry(od, curve))
         assert est.diagnostics["grid"] == 384
@@ -927,23 +965,30 @@ class TestChordQuadrature:
 class TestKernelRows:
     @pytest.mark.parametrize("name, m2", [("trefoil", 0), ("hopf-link", 1)])
     def test_blocks_are_gauss_kernel(self, name, m2):
-        # n = 384 leaves a partial last block; on one circle the diagonal
-        # reads exactly 0
+        # n = 384 leaves a partial last block; on one circle each block
+        # starts at its first row's diagonal column and reads exactly 0 on
+        # and below the diagonal
         curve, n = catalog(name), 384
         blocks = list(integrate._kernel_rows(curve, 0, m2, n))
         assert [(start, len(block)) for start, block in blocks] \
             == [(0, 170), (170, 170), (340, 44)]
-        g = np.concatenate([block for _, block in blocks])
+        first = [start if m2 == 0 else 0 for start, _ in blocks]
+        g = np.zeros((n, n))
+        for (start, block), col in zip(blocks, first):
+            assert block.shape[1] == n - col
+            g[start:start + len(block), col:] = block
         t = np.arange(n) * (2 * np.pi / n)
-        off = ~np.eye(n, dtype=bool) if m2 == 0 else np.ones((n, n), bool)
-        i, j = np.nonzero(off)
+        kept = np.ones((n, n), bool)
+        if m2 == 0:
+            kept = np.triu(kept, 1)
+        i, j = np.nonzero(kept)
         gauss = gauss_kernel(curve, (0, t[i]), (m2, t[j]))
         assert np.max(np.abs(g[i, j] - gauss)) \
             <= 1e-12 * np.max(np.abs(gauss))
-        assert np.all(g[~off] == 0.0)
+        assert np.all(g[~kept] == 0.0)
         for s in (2, 4):
-            strided = sum(np.sum(block[-start % s::s, ::s])
-                          for start, block in blocks)
+            strided = sum(np.sum(block[-start % s::s, -col % s::s])
+                          for (start, block), col in zip(blocks, first))
             coarse = integrate._kernel_rows(curve, 0, m2, n // s)
             assert strided == pytest.approx(
                 sum(np.sum(block) for _, block in coarse), rel=1e-12)
@@ -951,13 +996,19 @@ class TestKernelRows:
     @pytest.mark.parametrize("name", ["trefoil", "trefoil-alt",
                                       "unknot-round"])
     def test_triangle_is_the_upper_part_of_whole_rows(self, name):
-        # the triangle evaluates each block from its first row's diagonal
-        # on, and every entry keeps the bits of the whole rows
+        # the triangle's blocks keep the bits of the whole matrix
         curve, n = catalog(name), 384
-        whole = np.concatenate(
-            [block for _, block in integrate._kernel_rows(curve, 0, 0, n)])
         assert np.array_equal(integrate._kernel_triangle(curve, 0, n),
-                              np.triu(whole, 1))
+                              np.triu(full_kernel(curve, 0, 0, n), 1))
+
+    @pytest.mark.parametrize("name, m", [
+        (name, m) for name in CATALOG_NAMES
+        for m in range(catalog(name).n_components)])
+    def test_one_circle_kernel_is_symmetric(self, name, m):
+        # swapping the ends negates both the cross product and the
+        # difference, so the upper triangle holds every bit of G
+        g = full_kernel(catalog(name), m, m, 384)
+        assert np.all(g == g.T)
 
 
 TWO_CHORD_CASES = [

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from test_integrate import curve_named
 
 from cslinks.curves import LinkCurve, catalog
-from cslinks.diagrams import Diagram, canonical_oriented, std_oriented
+from cslinks.diagrams import THETA, Diagram, canonical_oriented, std_oriented
 from cslinks.errors import ConvergenceError, DiagramError
+from cslinks.integrate import chord_quadrature
 from cslinks.invariants import (alpha_exact, lattice_check, linking_number,
                                 self_linking, v2, z0_series,
                                 z_roundtrip_residual)
@@ -42,6 +44,17 @@ class TestSelfLinking:
         c = catalog("unknot-planar-perturbed")
         est = self_linking(c)
         assert abs(est.value - writhe_oracle(c)) < 0.1
+
+    @pytest.mark.parametrize("name, m", [
+        (name, m) for name in ("hopf-link", "unlink-2", "circle+trefoil")
+        for m in (0, 1)])
+    def test_chord_on_own_component(self, name, m):
+        # the chord on component m of the link itself, bit for bit the
+        # theta of that component copied out as a knot
+        curve = curve_named(name)
+        est = self_linking(curve, m)
+        knot = LinkCurve([curve.components[m]])
+        assert est == chord_quadrature(std_oriented(THETA), knot)
 
     def test_continuity_under_perturbation(self):
         base = catalog("unknot-planar-perturbed")

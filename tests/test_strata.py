@@ -17,7 +17,7 @@ def brute_force_families(vertices, edges):
     """Filter all subsets of R by the nesting predicate (oracle)."""
     from cslinks.diagrams import connected_subsets
     vertices = frozenset(vertices)
-    R = [a for a in connected_subsets(vertices, fs(*edges), min_size=2)
+    R = [a for a in connected_subsets(vertices, fs(*edges))
          if a != vertices]
     out = []
     for r in range(len(R) + 1):
