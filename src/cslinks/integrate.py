@@ -45,7 +45,7 @@ from operator import or_
 import numpy as np
 
 from .algebra import ClassVector, reduction
-from .curves import LinkCurve
+from .curves import LinkCurve, sincos
 from .diagrams import OrientedDiagram, automorphism_count, \
     canonical_oriented, enumerate_diagrams, is_subprincipal, std_oriented
 from .errors import DiagramError, SamplingError
@@ -97,11 +97,12 @@ def _kernel_rows(curve: LinkCurve, m1, m2, n):
     G is symmetric bit for bit (swapping the ends negates both the cross
     product and the difference), so a block starts at its first row's
     diagonal column, block[i, j] = G[start + i, start + j], and reads 0 on
-    and below the diagonal."""
+    and below the diagonal; there a block is at most n // 4 rows, so that
+    a small grid's blocks skip most of the lower triangle."""
     t = np.arange(n) * (2 * np.pi / n)
     x, dx = curve.jet(m1, t)
     y, dy = (x, dx) if m1 == m2 else curve.jet(m2, t)
-    rows = max(1, BATCH // n)
+    rows = max(1, BATCH // n if m1 != m2 else min(BATCH // n, n // 4))
     for start in range(0, n, rows):
         stop, first = min(start + rows, n), start if m1 == m2 else 0
         block = _gauss(x[:, start:stop, None], dx[:, start:stop, None],
@@ -146,32 +147,29 @@ def permutation_sign(seq):
 def sphere_chart(z, phi, out):
     """The (z, phi) chart of S² as a map of two uniform rows, transformed in
     place: z = 2u - 1, phi = 2 pi u and the point (r cos phi, r sin phi, z),
-    r = sqrt(1 - z^2), written into the (3, count) out.  cos and sin are
-    taken at phi - pi = 2 pi (u - 1/2) in [-pi, pi), where they cost a
-    third less, and negated; the rows end holding -r and phi - pi.  The
-    area element is dz dphi, so the point is uniform on the sphere:
-    density 1/(4 pi)."""
+    r = sqrt(1 - z^2), written into the (3, count) out, with cos and sin
+    from sincos; the rows end holding r and sincos's scratch.  The area
+    element is dz dphi, so the point is uniform on the sphere: density
+    1/(4 pi)."""
     np.subtract(np.multiply(z, 2, out=z), 1, out=z)
-    np.multiply(np.subtract(phi, 0.5, out=phi), 2 * np.pi, out=phi)
     out[2] = z
     r = np.sqrt(np.subtract(1, np.square(z, out=z), out=z), out=z)
-    np.negative(r, out=r)
-    np.multiply(np.cos(phi, out=out[0]), r, out=out[0])
-    np.multiply(np.sin(phi, out=out[1]), r, out=out[1])
+    sincos(np.multiply(phi, 2 * np.pi, out=phi), out[0], out[1], phi)
+    out[:2] *= r
     return out
 
 
 def chart_frame(s, work=fresh):
     """The frame of the sphere_chart at the unit vectors s, (3, count):
     f1 = (-sin phi, cos phi, 0) and f2 = s x f1 = (-z cos phi, -z sin phi,
-    r), phi = atan2(s_y, s_x).  f1 x f2 = s for every phi, so the poles
-    need no branch.  The frames and their scratch come from work (a
-    mc.Workspace, or new arrays by default)."""
+    r), phi = atan2(s_y, s_x), with cos and sin from sincos.  f1 x f2 = s
+    for every phi, so the poles need no branch.  The frames and their
+    scratch come from work (a mc.Workspace, or new arrays by default)."""
     shape = np.shape(s)
     f1, f2 = work("frame.f1", shape), work("frame.f2", shape)
     phi = np.arctan2(s[1], s[0], out=work("frame.phi", shape[1:]))
-    np.cos(phi, out=f1[1])
-    np.negative(np.sin(phi, out=phi), out=f1[0])
+    sincos(phi, f1[1], f1[0], phi)
+    np.negative(f1[0], out=f1[0])
     f1[2] = 0.0
     return f1, _cross(s, f1, f2, phi)
 
@@ -431,6 +429,21 @@ class KernelGeometry:
         self.plan = WedgePlan(pairs)
 
 
+def pick_centre(a, centres, x, m, tmp):
+    """The centre floor(K a) of the K (3, count) centres for the uniform
+    row a, column by column, into the (3, count) x: the last k with
+    a >= k / K.  Each later centre enters by the blend x - m x + m c of
+    the 0/1 row m, which is x or c exactly where they are finite (a masked
+    copy costs about 19 ns a sample); m, (count,), and tmp, (3, count),
+    are scratch."""
+    np.copyto(x, centres[0])
+    for k, c in enumerate(centres[1:], 1):
+        np.greater_equal(a, k / len(centres), out=m)
+        x -= np.multiply(x, m, out=tmp)
+        x += np.multiply(c, m, out=tmp)
+    return x
+
+
 def propose_trivalent(geo: KernelGeometry, u, pos, density, scale):
     """Radial half-Cauchy proposals for the trivalent vertices, as a map of
     the uniform rows u, (a, r, z, phi) per vertex in placement order, which
@@ -447,15 +460,11 @@ def propose_trivalent(geo: KernelGeometry, u, pos, density, scale):
     x_triv = work("triv.x", (len(geo.triv), 3, count))
     step = work("triv.step", (3, count))
     q = work("triv.q", (count,))
-    pick = work("triv.pick", (count,), bool)
+    pick = work("triv.pick", (count,))
     for (v, anchors), (a, r, z, phi) in zip(geo.placement_order,
                                             u.reshape(-1, 4, count)):
-        # x starts at the centre floor(K a): the last k with a >= k / K
-        x = pos[v] = x_triv[geo.triv_index[v]]
-        np.copyto(x, pos[anchors[0]])
-        for k, c in enumerate(anchors[1:], 1):
-            np.greater_equal(a, k / len(anchors), out=pick)
-            np.copyto(x, pos[c], where=pick)
+        x = pos[v] = pick_centre(a, [pos[c] for c in anchors],
+                                 x_triv[geo.triv_index[v]], pick, step)
         np.multiply(np.tan(np.multiply(r, 0.5 * np.pi, out=r), out=r), scale,
                     out=r)
         x += np.multiply(sphere_chart(z, phi, step), r, out=step)
@@ -498,7 +507,8 @@ def jacobian_values(geo: KernelGeometry, pos, tangents, tol):
     for ei, (p, q) in enumerate(geo.edges):
         r = _norms(np.subtract(pos[q], pos[p], out=diff), r, r3)
         rejected |= np.less(r, tol, out=short)
-        np.power(np.maximum(r, 1e-300, out=r3), 3, out=r3)
+        np.maximum(r, 1e-300, out=r3)
+        np.multiply(r3, np.square(r3, out=r), out=r3)
         crossed, minor = {}, {}
         for *_, key in geo.plan.pairs[ei]:
             if key in minor:
@@ -517,7 +527,8 @@ def jacobian_values(geo: KernelGeometry, pos, tangents, tol):
             minor[key] = np.divide(top, r3, out=row)
         minors.append([minor[key] for *_, key in geo.plan.pairs[ei]])
     values = np.multiply(geo.plan.wedge(minors), geo.sign / (4 * np.pi) ** E)
-    np.copyto(values, 0.0, where=rejected)
+    if rejected.any():
+        values[rejected] = 0.0
     return values, rejected
 
 

@@ -107,7 +107,7 @@ class TestSampler:
                                   [0.1] * 10)
 
     def test_sphere_chart_is_the_z_phi_chart(self):
-        # cos and sin taken at phi - pi and negated give the point at
+        # cos and sin from sincos's half-angle tangent give the point at
         # phi = 2 pi u, on the unit sphere
         z, phi = np.random.default_rng(46).random((2, 4096))
         r = np.sqrt(1 - (2 * z - 1) ** 2)

@@ -317,10 +317,23 @@ class TestBadComponent:
 
 class TestCurveFiles:
     def test_doubled_segment_rejected(self, tmp_path):
-        # a segment traced back and forth: not an embedding
+        # a segment traced back and forth, (cos t + sin t, 0, 0): its
+        # velocity vanishes at t = pi / 4, a grid point, where the sampled
+        # speed is 0 or rounding noise
         f = tmp_path / "segment.json"
         f.write_text(json.dumps({"components": [
             {"const": [0, 0, 0], "cos": [[1, 0, 0]], "sin": [[1, 0, 0]]}]}))
+        r = run_cli("invariant", "selflink", "--curve", str(f),
+                    "--samples", "1e4")
+        one_line_input_error(r, "zero velocity")
+
+    def test_double_point_rejected(self, tmp_path):
+        # (cos t, sin 2t, 0) is immersed and passes through the origin at
+        # t = pi / 2 and t = 3 pi / 2
+        f = tmp_path / "figure-eight.json"
+        f.write_text(json.dumps({"components": [
+            {"const": [0, 0, 0], "cos": [[1, 0, 0]],
+             "sin": [[0, 0, 0], [0, 1, 0]]}]}))
         r = run_cli("invariant", "selflink", "--curve", str(f),
                     "--samples", "1e4")
         one_line_input_error(r, "separation")
@@ -364,11 +377,24 @@ class TestCurveFiles:
         '{"components": [{"const": [0, 0, 0], "sin": {"a": 1}}]}',
         '{"components": [{"const": [0, 0], "cos": [[1, 0, 0]]}]}',
         '{"components": [{"const": [0, 0, 0], "cos": [[1, 0]]}]}',
-        '{"components": [{"const": [0, "x", 0], "cos": [[1, 0, 0]]}]}'])
+        '{"components": [{"const": [0, "x", 0], "cos": [[1, 0, 0]]}]}',
+        '{"components": [{"const": [0, "0", 0], "cos": [[1, 0, 0]]}]}',
+        '{"components": [{"const": [0, 0, 0], "cos": [[true, 0, 0]]}]}'])
     def test_wrong_schema_is_input_error(self, tmp_path, text):
         f = tmp_path / "curve.json"
         f.write_text(text)
         r = run_cli("curve", "validate", "--curve", str(f))
+        one_line_input_error(r, '{"components": [{"const"')
+
+    @pytest.mark.parametrize("command", [
+        ("curve", "validate"), ("invariant", "selflink", "--samples", "1e3"),
+        ("anomaly", "framing", "--samples", "1e3")],
+        ids=["validate", "selflink", "framing"])
+    def test_deep_nesting_is_input_error(self, tmp_path, command):
+        # json.loads raises RecursionError on this nesting
+        f = tmp_path / "curve.json"
+        f.write_text("[" * 10 ** 5 + "]" * 10 ** 5)
+        r = run_cli(*command, "--curve", str(f))
         one_line_input_error(r, '{"components": [{"const"')
 
 

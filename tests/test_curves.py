@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from cslinks.curves import (CATALOG_NAMES, JET_BLOCK, LinkCurve, catalog,
-                            validate_embedding)
+                            sincos, validate_embedding)
 from cslinks.errors import EmbeddingError
 
 
@@ -32,6 +32,26 @@ class TestEvaluation:
             assert np.linalg.norm(fd - v) < 1e-4 * max(1, np.linalg.norm(v))
             assert abs(np.linalg.norm(c.tangent(0, t)) - 1) < 1e-12
 
+    def test_sincos_is_cos_and_sin(self):
+        # on [-4 pi, 4 pi] with the poles of tan(t / 2), 0 and tiny t,
+        # where sin t = t and cos t = 1 in floating point
+        tiny = np.array([0.0, 1e-300, -1e-300, 1e-9])
+        t = np.concatenate([np.linspace(-4 * np.pi, 4 * np.pi, 10 ** 6),
+                            np.pi * np.array([-3.0, -1.0, 1.0, 3.0]),
+                            [5e-324], tiny])
+        c, s = sincos(t, *np.empty((3, len(t))))
+        assert np.max(np.abs(c - np.cos(t))) <= 2.3e-16
+        assert np.max(np.abs(s - np.sin(t))) <= 2.3e-16
+        assert np.array_equal(s[-4:], tiny) and np.all(c[-4:] == 1.0)
+
+    @pytest.mark.parametrize("alias", [0, 1, 2])
+    def test_sincos_argument_may_be_a_row(self, alias):
+        t = np.random.default_rng(alias).uniform(-7, 7, 1000)
+        want = sincos(t, *np.empty((3, 1000)))
+        rows = np.empty((3, 1000))
+        rows[alias] = t
+        assert np.array_equal(sincos(rows[alias], *rows), want)
+
     @pytest.mark.parametrize("name", CATALOG_NAMES)
     def test_jet_is_eval_and_deriv(self, name):
         # one jet gives the same bits as the two evaluations
@@ -47,9 +67,10 @@ class TestEvaluation:
 
     @pytest.mark.parametrize("name", CATALOG_NAMES)
     def test_jet_matches_direct_table(self, name):
-        # the powers of e^{it} against cos(ht), sin(ht) evaluated directly,
-        # to 1e-13 of the coefficient scale, which bounds every coordinate
-        # of the point and of the velocity
+        # the powers of e^{it}, from sincos's half-angle tangent, against
+        # cos(ht), sin(ht) evaluated directly, to 1e-13 of the coefficient
+        # scale, which bounds every coordinate of the point and of the
+        # velocity
         c = catalog(name)
         rng = np.random.default_rng(5)
         for t in (1.3, -99.7, rng.uniform(-7, 7, 50),
@@ -198,7 +219,14 @@ class TestJson:
                                       '{"components": [{"const": [0, 0, 0], '
                                       '"cos": [[1, 0]]}]}',
                                       '{"components": [{"const": '
-                                      '[0, "x", 0]}]}'])
+                                      '[0, "x", 0]}]}',
+                                      '{"components": [{"const": '
+                                      '[0, "0", 0]}]}',
+                                      '{"components": [{"const": '
+                                      '[0, 0, false]}]}',
+                                      pytest.param('[' * 10 ** 5
+                                                   + ']' * 10 ** 5,
+                                                   id="deep-nesting")])
     def test_wrong_schema(self, text):
         with pytest.raises(ValueError, match="components"):
             LinkCurve.from_json(text)

@@ -19,7 +19,7 @@ from cslinks.integrate import (ConfigurationSampler, DiagramGeometry,
                                chord_quadrature, chord_sign, gauss_kernel,
                                has_trivalent_triangle, integrand_at,
                                integrand_batch, integrate_diagram,
-                               sort_rows, two_chord_quadrature,
+                               pick_centre, sort_rows, two_chord_quadrature,
                                univalent_jets, z_n)
 from cslinks.mc import BATCH, Estimate
 from cslinks.support import circles
@@ -672,6 +672,57 @@ class TestSampler:
                                                  * np.pi), np.inf)
         assert_weighted_histogram(rho, weights, edges, [0.1] * 10)
 
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_pick_centre_is_masked_copy(self, k):
+        # the blend picks the same centre bit for bit as the masked copies
+        # of the last k with a >= k / K
+        rng = np.random.default_rng(k)
+        a = rng.random(10 ** 4)
+        centres = rng.normal(size=(k, 3, 10 ** 4)) * 10.0 ** rng.integers(
+            -8, 8, (k, 3, 10 ** 4))
+        want = centres[0].copy()
+        for j in range(1, k):
+            np.copyto(want, centres[j], where=a >= j / k)
+        x = pick_centre(a, list(centres), np.empty((3, 10 ** 4)),
+                        np.empty(10 ** 4), np.empty((3, 10 ** 4)))
+        assert np.array_equal(x.view(np.uint64), want.view(np.uint64))
+
+    @pytest.mark.parametrize("sampled", ["tripod", "a1"])
+    def test_no_scalar_ufunc_loop_per_sample(self, monkeypatch, sampled):
+        # numpy's float64 cos, sin and power run scalar loops, and so does
+        # a masked copy: one batch of the sampler and the integrand uses
+        # none of them
+        if sampled == "tripod":
+            geo = DiagramGeometry(tripod_positive(), catalog("trefoil"))
+            sampler = ConfigurationSampler(geo)
+
+            def batch(rng):
+                _, x_univ, v_univ, x, _ = sampler.sample(rng, 4096)
+                return integrand_batch(geo, x_univ, v_univ, x)
+        else:
+            geo = WGeometry(line_diagram_catalog("a1"))
+            sampler = WSampler(geo)
+
+            def batch(rng):
+                s, t, x, _ = sampler.sample(rng, 4096)
+                return anomaly.w_integrand_batch(geo, s, t, x)
+
+        def refused(*args, **kwargs):
+            raise AssertionError("a scalar ufunc loop on the sampled path")
+
+        copyto = np.copyto
+
+        def unmasked_copyto(dst, src, *args, **kwargs):
+            if args[1:] or "where" in kwargs:
+                refused()
+            return copyto(dst, src, *args, **kwargs)
+
+        for name in ("cos", "sin", "power"):
+            monkeypatch.setattr(np, name, refused)
+        monkeypatch.setattr(np, "copyto", unmasked_copyto)
+        values, rejected = batch(np.random.default_rng(3))
+        assert np.all(np.isfinite(values)) and np.any(values != 0)
+
     @pytest.mark.parametrize("k", [1, 2, 3, 5, 6])
     def test_sort_rows_is_numpys_sort(self, k):
         rows = np.random.default_rng(k).random((k, 1000))
@@ -889,18 +940,20 @@ class TestChordQuadrature:
         comps = len({od.diagram.component_of(v) for v in od.diagram.univalent})
         assert curve.points == diameter_points + comps * sum(grids)
         # per grid, consecutive blocks of BATCH // n rows; on one circle
-        # each block's columns run from its first row's diagonal on
+        # at most n // 4, and each block's columns run from its first row's
+        # diagonal on
         expected = []
         for n in grids:
-            rows = BATCH // n
+            rows = BATCH // n if comps == 2 else min(BATCH // n, n // 4)
             expected += [(n, start, (min(rows, n - start),
                                      n - start if comps == 1 else n))
                          for start in range(0, n, rows)]
         assert blocks == expected
         entries = [sum(r * c for m, _, (r, c) in blocks if m == n)
                    for n in grids]
-        # trefoil-framed stops at 512: 163 840 entries there, not 512^2
-        assert entries == {"trefoil-framed": [65536, 163840],
+        # trefoil-framed stops at 512: 40 960 entries at 256, not 256^2,
+        # and 163 840 at 512, not 512^2
+        assert entries == {"trefoil-framed": [40960, 163840],
                            "hopf-link": [65536]}[name]
         assert max(r * c for _, _, (r, c) in blocks) <= BATCH
 
@@ -965,13 +1018,14 @@ class TestChordQuadrature:
 class TestKernelRows:
     @pytest.mark.parametrize("name, m2", [("trefoil", 0), ("hopf-link", 1)])
     def test_blocks_are_gauss_kernel(self, name, m2):
-        # n = 384 leaves a partial last block; on one circle each block
-        # starts at its first row's diagonal column and reads exactly 0 on
-        # and below the diagonal
+        # n = 384 leaves a partial last block between two circles; on one
+        # circle the blocks are n // 4 rows, each starts at its first row's
+        # diagonal column and reads exactly 0 on and below the diagonal
         curve, n = catalog(name), 384
         blocks = list(integrate._kernel_rows(curve, 0, m2, n))
         assert [(start, len(block)) for start, block in blocks] \
-            == [(0, 170), (170, 170), (340, 44)]
+            == ([(0, 96), (96, 96), (192, 96), (288, 96)] if m2 == 0
+                else [(0, 170), (170, 170), (340, 44)])
         first = [start if m2 == 0 else 0 for start, _ in blocks]
         g = np.zeros((n, n))
         for (start, block), col in zip(blocks, first):
