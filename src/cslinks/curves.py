@@ -135,8 +135,9 @@ class LinkCurve:
     @classmethod
     def from_json(cls, text):
         """The curve of a JSON text of CURVE_SCHEMA, whose coordinates are
-        JSON numbers; anything else, nesting too deep to parse included,
-        raises ValueError with the schema."""
+        JSON numbers that a float holds; anything else, nesting too deep to
+        parse and integers too large for a float included, raises
+        ValueError with the schema."""
         try:
             data = json.loads(text)
             comps = [tuple(_numbers(x) for x in
@@ -144,7 +145,8 @@ class LinkCurve:
                      for c in data["components"]]
             if comps:
                 return cls(comps)
-        except (TypeError, KeyError, ValueError, RecursionError):
+        except (TypeError, KeyError, ValueError, OverflowError,
+                RecursionError):
             pass
         raise ValueError(f"a curve file must hold {CURVE_SCHEMA} with at "
                          "least one component")

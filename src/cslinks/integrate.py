@@ -434,8 +434,8 @@ def pick_centre(a, centres, x, m, tmp):
     row a, column by column, into the (3, count) x: the last k with
     a >= k / K.  Each later centre enters by the blend x - m x + m c of
     the 0/1 row m, which is x or c exactly where they are finite (a masked
-    copy costs about 19 ns a sample); m, (count,), and tmp, (3, count),
-    are scratch."""
+    copy costs about 19 ns a sample); m, a (count,) float row, and tmp,
+    (3, count), are scratch."""
     np.copyto(x, centres[0])
     for k, c in enumerate(centres[1:], 1):
         np.greater_equal(a, k / len(centres), out=m)
@@ -460,11 +460,11 @@ def propose_trivalent(geo: KernelGeometry, u, pos, density, scale):
     x_triv = work("triv.x", (len(geo.triv), 3, count))
     step = work("triv.step", (3, count))
     q = work("triv.q", (count,))
-    pick = work("triv.pick", (count,))
     for (v, anchors), (a, r, z, phi) in zip(geo.placement_order,
                                             u.reshape(-1, 4, count)):
+        # q holds the pick's 0/1 row until the mixture density below
         x = pos[v] = pick_centre(a, [pos[c] for c in anchors],
-                                 x_triv[geo.triv_index[v]], pick, step)
+                                 x_triv[geo.triv_index[v]], q, step)
         np.multiply(np.tan(np.multiply(r, 0.5 * np.pi, out=r), out=r), scale,
                     out=r)
         x += np.multiply(sphere_chart(z, phi, step), r, out=step)
@@ -527,8 +527,7 @@ def jacobian_values(geo: KernelGeometry, pos, tangents, tol):
             minor[key] = np.divide(top, r3, out=row)
         minors.append([minor[key] for *_, key in geo.plan.pairs[ei]])
     values = np.multiply(geo.plan.wedge(minors), geo.sign / (4 * np.pi) ** E)
-    if rejected.any():
-        values[rejected] = 0.0
+    values[rejected] = 0.0
     return values, rejected
 
 

@@ -379,7 +379,9 @@ class TestCurveFiles:
         '{"components": [{"const": [0, 0, 0], "cos": [[1, 0]]}]}',
         '{"components": [{"const": [0, "x", 0], "cos": [[1, 0, 0]]}]}',
         '{"components": [{"const": [0, "0", 0], "cos": [[1, 0, 0]]}]}',
-        '{"components": [{"const": [0, 0, 0], "cos": [[true, 0, 0]]}]}'])
+        '{"components": [{"const": [0, 0, 0], "cos": [[true, 0, 0]]}]}',
+        pytest.param('{"components": [{"const": [0, 0, 0], "cos": [[1'
+                     + '0' * 400 + ', 0, 0]]}]}', id="int-overflow")])
     def test_wrong_schema_is_input_error(self, tmp_path, text):
         f = tmp_path / "curve.json"
         f.write_text(text)

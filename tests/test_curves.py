@@ -224,6 +224,10 @@ class TestJson:
                                       '[0, "0", 0]}]}',
                                       '{"components": [{"const": '
                                       '[0, 0, false]}]}',
+                                      pytest.param('{"components": [{"const": '
+                                                   '[0, 1' + '0' * 400
+                                                   + ', 0]}]}',
+                                                   id="int-overflow"),
                                       pytest.param('[' * 10 ** 5
                                                    + ']' * 10 ** 5,
                                                    id="deep-nesting")])

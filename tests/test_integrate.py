@@ -982,19 +982,19 @@ class TestChordQuadrature:
             assert flipped.diagnostics == est.diagnostics
 
     def test_strided_sums_are_coarse_grids(self, monkeypatch):
-        # at N = 384 the row blocks (170, 170, 44) start off the coarse
-        # grids, so the N/2 and N/4 rules read rows and columns 2 and 4
-        # apart from an offset; they equal the sums of the coarse grids'
-        # whole matrices
-        monkeypatch.setattr(integrate, "QUADRATURE_GRID", 384)
+        # at N = 768 the one-circle row blocks are 85 rows (the last 3)
+        # and start at 85, 170, 255, ..., off the coarse grids, so the N/2
+        # and N/4 rules read rows and columns 2 and 4 apart from an
+        # offset; they equal the sums of the coarse grids' whole matrices
+        monkeypatch.setattr(integrate, "QUADRATURE_GRID", 768)
         monkeypatch.setattr(integrate, "QUADRATURE_TOL", np.inf)
         od, curve = std_oriented(THETA), catalog("trefoil")
         est = chord_quadrature(od, curve)
         rule = {n: (2 * np.pi / n) ** 2 * np.sum(full_kernel(curve, 0, 0, n))
-                for n in (96, 192, 384)}
-        richardson = [(4 * rule[2 * n] - rule[n]) / 3 for n in (192, 96)]
+                for n in (192, 384, 768)}
+        richardson = [(4 * rule[2 * n] - rule[n]) / 3 for n in (384, 192)]
         sign = chord_sign(DiagramGeometry(od, curve))
-        assert est.diagnostics["grid"] == 384
+        assert est.diagnostics["grid"] == 768
         assert est.value == pytest.approx(sign * richardson[0], rel=1e-13)
         assert est.stderr == pytest.approx(
             abs(richardson[0] - richardson[1]), rel=1e-6)
@@ -1018,13 +1018,15 @@ class TestChordQuadrature:
 class TestKernelRows:
     @pytest.mark.parametrize("name, m2", [("trefoil", 0), ("hopf-link", 1)])
     def test_blocks_are_gauss_kernel(self, name, m2):
-        # n = 384 leaves a partial last block between two circles; on one
-        # circle the blocks are n // 4 rows, each starts at its first row's
-        # diagonal column and reads exactly 0 on and below the diagonal
-        curve, n = catalog(name), 384
+        # both grids leave a partial last block, and the starts fall off
+        # the coarse grids: n = 384 between two circles, n = 768 on one,
+        # where BATCH // n = 85 is below n // 4; on one circle each block
+        # starts at its first row's diagonal column and reads exactly 0 on
+        # and below the diagonal
+        curve, n = catalog(name), 768 if m2 == 0 else 384
         blocks = list(integrate._kernel_rows(curve, 0, m2, n))
         assert [(start, len(block)) for start, block in blocks] \
-            == ([(0, 96), (96, 96), (192, 96), (288, 96)] if m2 == 0
+            == ([(k, 85) for k in range(0, 765, 85)] + [(765, 3)] if m2 == 0
                 else [(0, 170), (170, 170), (340, 44)])
         first = [start if m2 == 0 else 0 for start, _ in blocks]
         g = np.zeros((n, n))
