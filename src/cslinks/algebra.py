@@ -5,9 +5,13 @@ relation is applied eagerly (orientation normalisation carries a sign, and
 classes killed by an orientation-reversing automorphism are dropped).  The
 quotient by STU is realised by exact Gaussian elimination with
 high-trivalent pivots, so the surviving basis consists of chord diagram
-classes.  The IHX relators are not eliminated: every diagram meets the
-support, so IHX follows from STU (Bar-Natan, Topology 34, 1995) and an
-IHX row could never add a pivot; the tests check both facts.  Each quotient
+classes.  Classes are ranked by their position in the elimination order: a
+row's lead is its least-ranked class, and a pivot's tail holds only classes
+ranked after its lead.  Reducing a vector substitutes each pivot's expansion
+in basis coordinates, which is built on demand from the pivot tails and
+memoised per echelon.  The IHX relators are not eliminated: every diagram
+meets the support, so IHX follows from STU (Bar-Natan, Topology 34, 1995)
+and an IHX row could never add a pivot; the tests check both facts.  Each quotient
 A_n^k extends the one STU echelon of (support, n) by unit rows.  The IHX'
 and STU' gluing faces of each class are built once; a k adds only the beta
 weights and the quotient.
@@ -19,10 +23,10 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
-from .diagrams import (Diagram, OrientedDiagram, canonical_oriented,
-                       check_degree, check_k, degree, diagram_from_key,
-                       enumerate_diagrams, is_principal, is_subprincipal,
-                       std_oriented)
+from .diagrams import (Diagram, OrientedDiagram, adjacency,
+                       canonical_oriented, check_degree, check_k, degree,
+                       diagram_from_key, enumerate_diagrams, is_principal,
+                       is_subprincipal, std_oriented)
 from .errors import DiagramError
 from .support import R1
 
@@ -234,9 +238,10 @@ def stu_relators(support, n):
     out = []
     for d in enumerate_diagrams(support, n):
         od = std_oriented(d)
+        adj, univalent = adjacency(d, d.trivalent), d.univalent
         for t in sorted(d.trivalent):
-            for u0 in d.neighbors(t):
-                if u0 not in d.univalent:
+            for u0 in adj[t]:
+                if u0 not in univalent:
                     continue
                 u_res, s_res = stu_resolutions(od, t, u0)
                 vec = (ClassVector.of(od) - ClassVector.of(u_res)
@@ -267,7 +272,9 @@ def ihx_relators(support, n):
 class Reduction:
     """Echelon form of the degree-n STU relators (the space A_n), which
     reduces vectors to a deterministic basis of chord diagram classes;
-    quotient(k) extends it to A_n^k.  Immutable once built."""
+    quotient(k) extends it to A_n^k.  `rank` gives each class its position
+    in `order`.  Immutable once built, apart from the memo of pivot
+    expansions that reduce fills."""
 
     def __init__(self, support, n):
         check_degree(n)
@@ -278,18 +285,22 @@ class Reduction:
             keys.extend(ClassVector.of(std_oriented(d)).terms)
         # high-trivalent classes (key[2]) go first so chord diagrams survive
         self.order = sorted(keys, key=lambda key: (-key[2], key))
+        self.rank = {key: i for i, key in enumerate(self.order)}
         self.pivots = {}
+        self._expansions = {}
         for vec in stu_relators(support, n):
             self._insert(vec.terms)
         self.basis = tuple(key for key in self.order if key not in self.pivots)
 
     def quotient(self, k):
         """A_n^k: this echelon with the subprincipal classes of u_Γ = k - 1
-        set to 0.  Shares `order` and the pivot rows (_insert never changes
-        a stored row) and inserts only those classes' unit rows."""
+        set to 0.  Shares `order`, `rank` and the pivot rows (_insert never
+        changes a stored row) and inserts only those classes' unit rows.
+        The unit rows change the pivots' expansions, so the memo is new."""
         check_k(self.n, k)
         q = copy.copy(self)
         q.pivots = dict(self.pivots)
+        q._expansions = {}
         for d in enumerate_diagrams(self.support, self.n):
             if len(d.univalent) == k - 1 and is_subprincipal(d):
                 q._insert(ClassVector.of(std_oriented(d)).terms)
@@ -298,8 +309,9 @@ class Reduction:
 
     def _insert(self, row):
         row = dict(row)
+        rank = self.rank.__getitem__
         while row:
-            lead = next(key for key in self.order if key in row)
+            lead = min(row, key=rank)
             if lead in self.pivots:
                 _eliminate(row, lead, self.pivots[lead])
             else:
@@ -307,15 +319,43 @@ class Reduction:
                 self.pivots[lead] = {key: v / c for key, v in row.items()}
                 return
 
+    def _expansion(self, lead):
+        """The basis coordinates of the pivot class lead: minus its tail,
+        each tail class that is itself a pivot replaced by its expansion.
+        Tail classes rank after their lead, so the depth-first walk below
+        ends; every expansion it builds is memoised."""
+        memo, pivots = self._expansions, self.pivots
+        stack = [lead]
+        while stack:
+            top = stack[-1]
+            missing = [key for key in pivots[top]
+                       if key in pivots and key not in memo]
+            if missing:
+                stack.extend(missing)
+                continue
+            stack.pop()
+            if top in memo:
+                continue
+            out = {}
+            for key, v in pivots[top].items():
+                for b, w in (memo[key].items() if key in pivots
+                             else ((key, 1),)):
+                    out[b] = out.get(b, 0) - v * w
+            memo[top] = {b: c for b, c in out.items() if c}
+        return memo[lead]
+
     def reduce(self, vec: ClassVector):
-        """Coordinates of [vec] in the chord-diagram basis, as a ClassVector."""
+        """Coordinates of [vec] in the chord-diagram basis, as a ClassVector:
+        each pivot class of vec is replaced by its memoised expansion."""
         if vec.degree != self.n or vec.support != self.support:
             raise DiagramError("vector degree/support does not match the reduction")
-        out = dict(vec.terms)
-        # substitute pivots from the top of the order down
-        for lead in self.order:
-            if lead in out and lead in self.pivots:
-                _eliminate(out, lead, self.pivots[lead])
+        out = {}
+        for key, c in vec.terms.items():
+            if key in self.pivots:
+                for b, w in self._expansion(key).items():
+                    out[b] = out.get(b, 0) + c * w
+            else:
+                out[key] = out.get(key, 0) + c
         return ClassVector(self.support, self.n, out)
 
     @property
@@ -707,8 +747,7 @@ def _contract_pair(od: OrientedDiagram, ci, p, q):
     oriented so that resolving it returns (u, s) in that order.  None when
     the expansion would create a double edge."""
     d = od.diagram
-    wp = d.neighbors(p)[0]
-    wq = d.neighbors(q)[0]
+    (wp,), (wq,) = adjacency(d, (p, q)).values()
     if wp == wq:
         return None
     t_new, foot = _fresh_ids(d, 2)

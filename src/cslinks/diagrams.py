@@ -37,25 +37,33 @@ class Diagram:
         uset = frozenset(univ)
         if uset & self.trivalent:
             raise DiagramError("univalent and trivalent vertex sets must be disjoint")
-        deg = {v: 0 for v in uset | self.trivalent}
+        adj = {v: [] for v in uset | self.trivalent}
         for e in self.edges:
             if len(e) != 2:
                 raise DiagramError(f"loop or malformed edge {set(e)}")
             for v in e:
-                if v not in deg:
+                if v not in adj:
                     raise DiagramError(f"edge endpoint {v} is not a vertex")
-                deg[v] += 1
-        if len(self.edges) != sum(deg.values()) // 2:
+            a, b = e
+            adj[a].append(b)
+            adj[b].append(a)
+        if 2 * len(self.edges) != sum(map(len, adj.values())):
             raise DiagramError("double edges are excluded")
         for v in univ:
-            if deg[v] != 1:
-                raise DiagramError(f"univalent vertex {v!r} lies in {deg[v]} edges")
+            if len(adj[v]) != 1:
+                raise DiagramError(f"univalent vertex {v!r} lies in {len(adj[v])} edges")
         for v in sorted(self.trivalent):
-            if deg[v] != 3:
-                raise DiagramError(f"trivalent vertex {v!r} lies in {deg[v]} edges")
-        for comp in graph_components(frozenset(deg), self.edges):
-            if not comp & uset:
-                raise DiagramError("a connected component misses the support")
+            if len(adj[v]) != 3:
+                raise DiagramError(f"trivalent vertex {v!r} lies in {len(adj[v])} edges")
+        # every component reaches the support: the support's vertices reach all
+        reached, stack = set(uset), list(uset)
+        while stack:
+            for w in adj[stack.pop()]:
+                if w not in reached:
+                    reached.add(w)
+                    stack.append(w)
+        if len(reached) != len(adj):
+            raise DiagramError("a connected component misses the support")
 
     @property
     def univalent(self):
@@ -72,18 +80,33 @@ class Diagram:
         raise KeyError(v)
 
     def neighbors(self, v):
-        return sorted(next(iter(e - {v})) for e in self.edges if v in e)
+        return adjacency(self, (v,))[v]
 
     def internal_edges(self):
         """Edges with both endpoints trivalent."""
         return [e for e in self.edges if e <= self.trivalent]
 
 
+def adjacency(d: Diagram, vertices):
+    """{v: sorted list of v's neighbours} for each of `vertices`, from one
+    pass over the edges."""
+    adj = {v: [] for v in vertices}
+    for a, b in d.edges:
+        if a in adj:
+            adj[a].append(b)
+        if b in adj:
+            adj[b].append(a)
+    for nbrs in adj.values():
+        nbrs.sort()
+    return adj
+
+
 def degree(d: Diagram) -> int:
     """Half the vertex count; the two other paper formulas must agree."""
-    n2 = len(d.vertices)
+    u = sum(map(len, d.placements))    # validation keeps U and T disjoint
+    n2 = u + len(d.trivalent)
     by_vertices, by_edges = n2 // 2, len(d.edges) - len(d.trivalent)
-    by_count = (len(d.edges) + len(d.univalent)) // 3
+    by_count = (len(d.edges) + u) // 3
     if n2 % 2 or by_vertices != by_edges or by_vertices != by_count:
         raise DiagramError("degree formulas disagree; malformed diagram")
     return by_vertices
@@ -224,8 +247,9 @@ class OrientedDiagram:
         uo = dict(self.univ_orient)
         if set(to) != set(d.trivalent) or set(uo) != set(d.univalent):
             raise DiagramError("orientation data must cover exactly the vertex set")
+        adj = adjacency(d, to)
         for t, cyc in to.items():
-            if sorted(cyc) != d.neighbors(t):
+            if sorted(cyc) != adj[t]:
                 raise DiagramError(f"cyclic order at {t!r} does not list its neighbours")
         if any(s not in (1, -1) for s in uo.values()):
             raise DiagramError("univalent orientations are ±1")
@@ -247,7 +271,8 @@ class OrientedDiagram:
 
 def std_oriented(d: Diagram) -> OrientedDiagram:
     """The standard orientation: all univalent +1, cyclic orders sorted."""
-    to = tuple(sorted((t, tuple(d.neighbors(t))) for t in d.trivalent))
+    adj = adjacency(d, d.trivalent)
+    to = tuple(sorted((t, tuple(adj[t])) for t in d.trivalent))
     uo = tuple(sorted((u, 1) for u in d.univalent))
     return OrientedDiagram(d, to, uo)
 
@@ -264,28 +289,15 @@ def _cyclic_sign(cyc):
 # ---------------------------------------------------------------------------
 # Canonical form, isomorphism, automorphisms
 
-def _rotated_umaps(support, placements):
-    """Univalent relabelings onto normal-form names: every rotation per circle
-    component (total orders on lines are kept).  Components never permute."""
-    bases = []
-    acc = 0
-    for comp in placements:
-        bases.append(acc)
-        acc += len(comp)
-    rot_choices = []
-    for i, comp in enumerate(placements):
-        k = len(comp)
-        if k and support.is_circle(i):
-            rot_choices.append(range(k))
-        else:
-            rot_choices.append(range(1))
-    for rots in itertools.product(*rot_choices):
-        umap = {}
-        for i, comp in enumerate(placements):
-            k = len(comp)
-            for j in range(k):
-                umap[comp[(j + rots[i]) % k]] = bases[i] + j
-        yield umap
+def _rotated_orders(support, placements):
+    """The univalent vertices in normal-form label order, once per rotation
+    of every circle component (total orders on lines are kept), rotations
+    in itertools.product order.  Components never permute."""
+    choices = [[comp[r:] + comp[:r] for r in range(len(comp))]
+               if comp and support.is_circle(i) else [comp]
+               for i, comp in enumerate(placements)]
+    for parts in itertools.product(*choices):
+        yield [v for part in parts for v in part]
 
 
 def _encode(d: Diagram, vmap):
@@ -300,34 +312,30 @@ def _canonical_cached(d: Diagram):
 
     A labeling gives each vertex a segment: its adjacency bits against the
     vertices labeled before it, kept as an int built by seg << 1 | adjacent
-    (for equal lengths ints order like the bit tuples).  For a fixed
-    univalent rotation, trivalent slots are filled one at a time, only by
+    (for equal lengths ints order like the bit tuples).  The univalent
+    vertices take the first labels, in the order of one rotation per
+    circle, so their segments (the head) cost O(u): the leg at position k
+    reads 1 << (k - 1 - j) when its partner is the leg at an earlier
+    position j, else 0.  Only rotations whose head is least can start the
+    minimal labeling, so only they are searched, in rotation order.  For
+    such a rotation, trivalent slots are filled one at a time, only by
     vertices whose segment is the least available (any other choice gives a
     larger labeling), and a prefix above the best one found is cut.
-    Returns the minimal encoding and every vertex map achieving it, in
-    search order (needed for automorphisms and orientation-sign transport).
+    Returns the minimal encoding and the vertex order of every labeling
+    achieving it, in search order (canonical_maps turns them into the
+    vertex maps that automorphisms and orientation-sign transport need).
     """
-    adj = {v: set() for v in d.vertices}
-    for a, b in map(tuple, d.edges):
-        adj[a].add(b)
-        adj[b].add(a)
-    u_total = len(d.univalent)
-    best = {"segs": None, "maps": []}
-
-    def segment(v, order):
-        seg = 0
-        for w in order:
-            seg = seg << 1 | (w in adj[v])
-        return seg
+    adj = adjacency(d, d.vertices)
+    best = {"segs": None, "orders": []}
 
     def dfs(order, segs, prefix):
         # segs: the segment of every unlabeled vertex against order
         if not segs:
             if best["segs"] is None or prefix < best["segs"]:
                 best["segs"] = prefix
-                best["maps"] = [order]
+                best["orders"] = [order]
             elif prefix == best["segs"]:
-                best["maps"].append(order)
+                best["orders"].append(order)
             return
         least = min(segs.values())
         prefix = prefix + [least]
@@ -340,15 +348,32 @@ def _canonical_cached(d: Diagram):
             dfs(order + [v], {w: s << 1 | (w in adj[v])
                               for w, s in segs.items() if w != v}, prefix)
 
-    for umap in _rotated_umaps(d.support, d.placements):
-        inv = sorted(umap, key=umap.get)
-        head = [segment(v, inv[:k]) for k, v in enumerate(inv)]
-        if best["segs"] is not None and head > best["segs"][:u_total]:
-            continue
-        dfs(inv, {t: segment(t, inv) for t in d.trivalent}, head)
+    chords = [(a, b) for a, b in d.edges
+              if a not in d.trivalent and b not in d.trivalent]
+    rotations = []
+    for order in _rotated_orders(d.support, d.placements):
+        pos = {v: k for k, v in enumerate(order)}
+        head = [0] * len(order)    # a leg on a trivalent vertex reads 0
+        for a, b in chords:
+            j, k = pos[a], pos[b]
+            if j > k:
+                j, k = k, j
+            head[k] = 1 << (k - 1 - j)
+        rotations.append((head, order, pos))
+    least = min(head for head, _, _ in rotations)
+    top = len(least) - 1
+    for head, order, pos in rotations:
+        if head == least:
+            dfs(order, {t: sum(1 << (top - pos[w]) for w in adj[t] if w in pos)
+                        for t in d.trivalent}, head)
 
-    maps = [{v: k for k, v in enumerate(order)} for order in best["maps"]]
-    return _encode(d, maps[0]), tuple(tuple(sorted(m.items())) for m in maps)
+    orders = tuple(map(tuple, best["orders"]))
+    return _encode(d, _labels(orders[0])), orders
+
+
+def _labels(order):
+    """The vertex map {vertex: label} of a labeling's vertex order."""
+    return {v: k for k, v in enumerate(order)}
 
 
 def canonical_form(d: Diagram):
@@ -358,8 +383,8 @@ def canonical_form(d: Diagram):
 
 
 def canonical_maps(d: Diagram):
-    enc, maps = _canonical_cached(d)
-    return (d.support,) + enc, [dict(m) for m in maps]
+    enc, orders = _canonical_cached(d)
+    return (d.support,) + enc, [_labels(order) for order in orders]
 
 
 def _normal_placements(sizes):

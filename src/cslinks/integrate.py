@@ -86,7 +86,11 @@ def _gauss(x, dx, y, dy, diagonal=False):
         raise SamplingError("coincident curve points in gauss_kernel")
     num = ((a1 * b2 - a2 * b1) * d0 + (a2 * b0 - a0 * b2) * d1
            + (a0 * b1 - a1 * b0) * d2)
-    return num / (4 * np.pi * r ** 3)
+    # 4 pi r^3: numpy's power is a scalar loop; in place, one temporary
+    denominator = r * r
+    denominator *= r
+    denominator *= 4 * np.pi
+    return num / denominator
 
 
 def _kernel_rows(curve: LinkCurve, m1, m2, n):
@@ -787,6 +791,18 @@ def _ordered_pair_sums(upper):
     return {1: adjacent, 2: interleaved, 3: nested}
 
 
+PAIR_SUM_STEPS = (8, 4, 2, 1)    # the nested grids N/8, N/4, N/2, N
+
+
+def _circle_pair_sums(curve: LinkCurve, m):
+    """What two_chord_quadrature reads of component m: _ordered_pair_sums
+    of its kernel triangle on every PAIR_SUM_STEPS-th grid point, and the
+    sum of |G| over i < j.  The crossed and parallel classes share it."""
+    upper = _kernel_triangle(curve, m, TWO_CHORD_GRID)
+    return ([_ordered_pair_sums(upper[::step, ::step])
+             for step in PAIR_SUM_STEPS], np.sum(np.abs(upper)))
+
+
 def two_chord_quadrature(od: OrientedDiagram, curve: LinkCurve,
                          kernels=None) -> Estimate:
     """The integral of a diagram of two chords on one circle by quadrature
@@ -805,8 +821,9 @@ def two_chord_quadrature(od: OrientedDiagram, curve: LinkCurve,
     |R2(N) - R2(N/2)|, or the sum's rounding error where that is larger;
     the record's grid is N.
 
-    kernels, when given, is a dict {component: kernel triangle} of the
-    curve that calls share, so that each circle's G is built once.
+    kernels, when given, is a dict {component: _circle_pair_sums} of the
+    curve that calls share, so that each circle's G and its pair sums are
+    built once.
     """
     d = od.diagram
     if not two_chords_on_one_circle(d):
@@ -820,17 +837,15 @@ def two_chord_quadrature(od: OrientedDiagram, curve: LinkCurve,
     kernels = {} if kernels is None else kernels
     m = d.component_of(comp[0])
     if m not in kernels:
-        kernels[m] = _kernel_triangle(curve, m, TWO_CHORD_GRID)
-    upper = kernels[m]
+        kernels[m] = _circle_pair_sums(curve, m)
+    grids, total = kernels[m]
     h = 2 * np.pi / TWO_CHORD_GRID
-    rules = []
-    for step in (8, 4, 2, 1):
-        sums = _ordered_pair_sums(upper[::step, ::step])
-        rules.append((step * h) ** 4 * sum(sums[p] for p in patterns))
+    rules = [(step * h) ** 4 * sum(sums[p] for p in patterns)
+             for step, sums in zip(PAIR_SUM_STEPS, grids)]
     first = [2 * b - a for a, b in zip(rules, rules[1:])]
     second = [(4 * b - a) / 3 for a, b in zip(first, first[1:])]
     # the four rotations' sums of |G G| are at most 4 (sum of |G|, i < j)^2
-    rounding = np.finfo(float).eps * 4 * (h ** 2 * np.sum(np.abs(upper))) ** 2
+    rounding = np.finfo(float).eps * 4 * (h ** 2 * total) ** 2
     return Estimate(float(sign * second[-1]),
                     float(max(abs(second[-1] - second[-2]), rounding)),
                     "quadrature", {"grid": TWO_CHORD_GRID})

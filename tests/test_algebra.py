@@ -1,23 +1,27 @@
 import hashlib
 from collections import Counter
 from fractions import Fraction
+from functools import lru_cache
 
+import numpy as np
 import pytest
 
 from cslinks import algebra
-from cslinks.algebra import (ClassVector, LabelledDiagram, Reduction, beta,
-                             beta_coefficient, check_ihx_prime,
+from cslinks.algebra import (ClassVector, LabelledDiagram, Reduction, _faces,
+                             beta, beta_coefficient, check_ihx_prime,
                              check_stu_prime, dim_A_n,
                              dim_chords_mod_4t, exp_action, four_t_relators,
                              ihx_relators, insert,
                              lattice_generators, line_unit, product,
                              quotient_A_n_k, reduce_to_basis, reduction,
                              stu_relators, representative)
+from cslinks.curves import catalog
 from cslinks.diagrams import (THETA, Diagram, OrientedDiagram,
                               canonical_oriented, enumerate_diagrams,
                               is_principal, is_subprincipal, std_oriented,
                               tripod)
 from cslinks.errors import DiagramError
+from cslinks.invariants import z_series
 from cslinks.support import R1, S1, circles
 
 # sha256 of (order, sorted pivots, basis) of reduction(support, n, k), k "-"
@@ -225,6 +229,100 @@ class TestQuotients:
             assert all(red.order is reds[0].order for red in reds)
         finally:
             reduction.cache_clear()
+
+
+def chained_reduce(red, vec):
+    """red.reduce by substituting the pivot rows from the top of the order
+    down, each one's tail in turn (oracle)."""
+    out = dict(vec.terms)
+    for lead in red.order:
+        if lead in out and lead in red.pivots:
+            algebra._eliminate(out, lead, red.pivots[lead])
+    return ClassVector(red.support, red.n, out)
+
+
+def order_scanning_insert(self, row):
+    """Reduction._insert with each lead found by a scan of the order
+    (oracle)."""
+    row = dict(row)
+    while row:
+        lead = next(key for key in self.order if key in row)
+        if lead in self.pivots:
+            algebra._eliminate(row, lead, self.pivots[lead])
+        else:
+            c = row.pop(lead)
+            self.pivots[lead] = {key: v / c for key, v in row.items()}
+            return
+
+
+SUPPORTS = {"S1": S1, "R1": R1, "S1S1": circles(2)}
+ECHELON_CASES = ([("S1", n) for n in range(5)] + [("R1", n) for n in range(5)]
+                 + [("S1S1", n) for n in range(4)])
+# every k of every case, but R1 at n = 4 (314 classes, 4 002 vectors) only
+# A_4 and the quotient with the most unit rows
+REDUCE_CASES = [(name, n, k) for name, n in ECHELON_CASES
+                for k in ((None, 2 * n) if (name, n) == ("R1", 4)
+                          else (None, *range(2 * n + 1)))]
+
+
+@lru_cache(maxsize=None)
+def reduce_inputs(name, n):
+    """Every STU relator, every IHX' and STU' face vector and every class
+    unit of (support, n)."""
+    support = SUPPORTS[name]
+    vecs = stu_relators(support, n)
+    for d in enumerate_diagrams(support, n):
+        vecs.append(ClassVector.of(std_oriented(d)))
+        for kind in ("ihx", "stu"):
+            for a, b in _faces(d)[kind]:
+                vecs += [a, b]
+    return vecs
+
+
+class TestRankedEchelon:
+    @pytest.mark.parametrize("name, n", ECHELON_CASES)
+    def test_pivots_match_order_scan(self, name, n, monkeypatch):
+        # the same order, basis and pivot rows, items in the same order,
+        # for A_n and every quotient
+        support = SUPPORTS[name]
+        ks = (None, *range(2 * n + 1))
+        ranked = [reduction(support, n, k) for k in ks]
+        monkeypatch.setattr(Reduction, "_insert", order_scanning_insert)
+        scanned = Reduction(support, n)
+        for red, k in zip(ranked, ks):
+            ref = scanned if k is None else scanned.quotient(k)
+            assert (red.order, red.basis) == (ref.order, ref.basis)
+            assert [(lead, list(row.items()))
+                    for lead, row in red.pivots.items()] == [
+                (lead, list(row.items())) for lead, row in ref.pivots.items()]
+
+    @pytest.mark.parametrize("name, n, k", REDUCE_CASES)
+    def test_reduce_matches_chained_substitution(self, name, n, k):
+        red = reduction(SUPPORTS[name], n, k)
+        vecs = reduce_inputs(name, n)
+        assert vecs
+        for vec in vecs:
+            assert red.reduce(vec) == chained_reduce(red, vec)
+
+    def test_float_vector_moves_by_rounding_only(self):
+        # Monte Carlo floats pass through reduce in z0_series.  At degree 2
+        # every pivot tail is already in the basis, so the values keep
+        # their bits; at degree 3 the expansions group the products
+        # differently from the chained substitution
+        _, _, estimates = z_series(catalog("trefoil"), 3, samples=2000)
+        for n in (2, 3):
+            vec = ClassVector(S1, n, {key: est.value
+                                      for key, est in estimates[n].items()})
+            scale = max(abs(c) for c in vec.terms.values())
+            for k in (None, *range(2 * n + 1)):
+                red = reduction(S1, n, k)
+                got = red.reduce(vec).terms
+                want = chained_reduce(red, vec).terms
+                assert got.keys() == want.keys()
+                if n == 2:
+                    assert got == want
+                for key, c in got.items():
+                    assert abs(c - want[key]) <= 4 * np.finfo(float).eps * scale
 
 
 class TestProductInsert:

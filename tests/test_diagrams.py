@@ -3,9 +3,10 @@ import itertools
 
 import pytest
 
+from cslinks import algebra, diagrams
 from cslinks.diagrams import (THETA, Diagram, _canonical_cached,
                               _enumerate_cached, _graphs_with_valences,
-                              _rotated_umaps, is_connected,
+                              _rotated_orders, is_connected,
                               canonical_diagram, canonical_form,
                               canonical_maps, degree, edge_counts,
                               enumerate_diagrams, automorphism_count,
@@ -344,11 +345,77 @@ def labelled_graphs(support, n):
                     pass
 
 
+def rotated_umaps(support, placements):
+    """Univalent relabelings onto normal-form names, {vertex: label}: every
+    rotation per circle component, in itertools.product order."""
+    bases = []
+    acc = 0
+    for comp in placements:
+        bases.append(acc)
+        acc += len(comp)
+    rot_choices = [range(len(comp)) if comp and support.is_circle(i)
+                   else range(1) for i, comp in enumerate(placements)]
+    for rots in itertools.product(*rot_choices):
+        umap = {}
+        for i, comp in enumerate(placements):
+            k = len(comp)
+            for j in range(k):
+                umap[comp[(j + rots[i]) % k]] = bases[i] + j
+        yield umap
+
+
+def searched_canonical(d):
+    """The branch-and-bound search that reads every rotation's head by
+    pairwise segments and skips only heads above the best found so far
+    (oracle): (encoding, vertex maps in search order)."""
+    adj = {v: set() for v in d.vertices}
+    for a, b in map(tuple, d.edges):
+        adj[a].add(b)
+        adj[b].add(a)
+    u_total = len(d.univalent)
+    best = {"segs": None, "maps": []}
+
+    def segment(v, order):
+        seg = 0
+        for w in order:
+            seg = seg << 1 | (w in adj[v])
+        return seg
+
+    def dfs(order, segs, prefix):
+        if not segs:
+            if best["segs"] is None or prefix < best["segs"]:
+                best["segs"] = prefix
+                best["maps"] = [order]
+            elif prefix == best["segs"]:
+                best["maps"].append(order)
+            return
+        least = min(segs.values())
+        prefix = prefix + [least]
+        for v in sorted(segs):
+            if segs[v] != least:
+                continue
+            if best["segs"] is not None and prefix > best["segs"][:len(prefix)]:
+                return
+            dfs(order + [v], {w: s << 1 | (w in adj[v])
+                              for w, s in segs.items() if w != v}, prefix)
+
+    for umap in rotated_umaps(d.support, d.placements):
+        inv = sorted(umap, key=umap.get)
+        head = [segment(v, inv[:k]) for k, v in enumerate(inv)]
+        if best["segs"] is not None and head > best["segs"][:u_total]:
+            continue
+        dfs(inv, {t: segment(t, inv) for t in d.trivalent}, head)
+
+    maps = [{v: k for k, v in enumerate(order)} for order in best["maps"]]
+    return diagrams._encode(d, maps[0]), [dict(sorted(m.items()))
+                                          for m in maps]
+
+
 def brute_force_canonical(d):
     """Least segment list over every rotation x trivalent permutation, with
     the encoding read off the segments and every map that reaches it."""
     best, maps = None, set()
-    for umap in _rotated_umaps(d.support, d.placements):
+    for umap in rotated_umaps(d.support, d.placements):
         inv = sorted(umap, key=umap.get)
         for perm in itertools.permutations(sorted(d.trivalent)):
             order = inv + list(perm)
@@ -378,6 +445,55 @@ class TestCanonicalOracle:
             assert (key, set(got)) == brute_force_canonical(d)
             checked += 1
         assert checked > 0
+
+
+    @pytest.mark.parametrize("support", [S1, R1, circles(2), CIRCLE_LINE],
+                             ids=["S1", "R1", "S1x2", "S1+R1"])
+    def test_rotated_orders_are_the_umaps(self, support):
+        # one order per rotation, in the same rotation order
+        for d in labelled_graphs(support, 3):
+            assert list(_rotated_orders(d.support, d.placements)) == [
+                sorted(umap, key=umap.get)
+                for umap in rotated_umaps(d.support, d.placements)]
+
+    def test_matches_search_on_gluing_diagrams(self, monkeypatch):
+        # every graph a cold degree-4 gluing check canonicalises (the
+        # enumeration's raw graphs, the resolutions and the faces): the
+        # same key and the same maps in the same order as the search over
+        # every rotation, and the brute force's key and maps where it
+        # reaches (at most three trivalent vertices)
+        seen = []
+        cached = _canonical_cached
+
+        def record(d):
+            seen.append(d)
+            return cached(d)
+
+        record.cache_clear, record.cache_info = (cached.cache_clear,
+                                                 cached.cache_info)
+        monkeypatch.setattr(diagrams, "_canonical_cached", record)
+        caches = (_enumerate_cached, cached, algebra._faces,
+                  algebra.reduction, algebra.representative)
+        for cache in caches:
+            cache.cache_clear()
+        try:
+            for k in range(3, 9):
+                assert algebra.check_ihx_prime(S1, 4, k)
+                assert algebra.check_stu_prime(S1, 4, k)
+        finally:
+            for cache in caches:
+                cache.cache_clear()
+        graphs = set(seen)
+        assert len(graphs) > 900
+        brute = 0
+        for d in graphs:
+            key, maps = canonical_maps(d)
+            assert (key[1:], maps) == searched_canonical(d)
+            if len(d.trivalent) <= 3:
+                assert (key, {tuple(sorted(m.items())) for m in maps}) \
+                    == brute_force_canonical(d)
+                brute += 1
+        assert brute > 0
 
 
 class TestOrbitSkipping:

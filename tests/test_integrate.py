@@ -1199,19 +1199,27 @@ class TestTwoChordQuadrature:
         ("trefoil", [0]), ("hopf-link", [0, 1])])
     def test_z_n_builds_one_kernel_per_circle(self, monkeypatch, name,
                                               components):
-        # the crossed and parallel classes of a circle share its matrix,
-        # and their values are those of separate calls, bit for bit
+        # the crossed and parallel classes of a circle share its matrix
+        # and its pair sums on the four grids, and their values are those
+        # of separate calls, bit for bit
         curve = catalog(name)
-        built = []
-        triangle = integrate._kernel_triangle
+        built, summed = [], []
+        triangle, pair_sums = (integrate._kernel_triangle,
+                               integrate._ordered_pair_sums)
 
         def record(curve, m, n):
             built.append(m)
             return triangle(curve, m, n)
 
+        def record_sums(upper):
+            summed.append(len(upper))
+            return pair_sums(upper)
+
         monkeypatch.setattr(integrate, "_kernel_triangle", record)
+        monkeypatch.setattr(integrate, "_ordered_pair_sums", record_sums)
         _, _, ests = z_n(curve, 2, samples=2000)
         assert sorted(built) == components
+        assert sorted(summed) == sorted([64, 128, 256, 512] * len(components))
         shared = 0
         for d in enumerate_diagrams(circles(curve.n_components), 2):
             if integrate.two_chords_on_one_circle(d):
