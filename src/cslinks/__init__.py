@@ -20,8 +20,7 @@ from .algebra import (ClassVector, LabelledDiagram, Series, beta,
 from .integrate import (chord_quadrature, gauss_kernel, integrate_diagram,
                         integrand_at, two_chord_quadrature, z_n)
 from .anomaly import (anomaly_alpha, degree3_region_predicates, disc_integral,
-                      f_gamma, framing_report, symmetry_check_central,
-                      symmetry_check_s1_even)
+                      f_gamma, framing_report)
 from .invariants import (lattice_check, linking_number, self_linking, v2,
                          z0_series, z_series)
 from .mc import Estimate

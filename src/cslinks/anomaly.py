@@ -4,7 +4,10 @@ A connected line diagram is configured with its legs on the oriented axis
 through a direction s, modulo translations along the axis and dilations;
 these quotients fibre over s in the sphere.  The gauge slice pins the
 first leg at 0 and the last at 1, which is a global section, and the
-quotient orientation contributes an explicit permutation parity.
+quotient orientation contributes an explicit permutation parity.  The
+integrand and its proposal are rotation-equivariant, so every fibre holds
+the same integral: it is evaluated on the fibre over s = e_z, and f_γ is
+4 pi times it.
 
 Also here: the disc extension of the tangent indicatrix and its area
 integral (the framing correction), and the spherical region predicates
@@ -21,10 +24,9 @@ from .curves import LinkCurve
 from .diagrams import (Diagram, OrientedDiagram, automorphism_count, degree,
                        is_connected, std_oriented)
 from .errors import DiagramError, EmbeddingError
-from .integrate import (KernelGeometry, chart_frame, class_sum,
-                        has_trivalent_triangle, jacobian_values,
-                        permutation_sign, propose_trivalent, sort_rows,
-                        sphere_chart)
+from .integrate import (KernelGeometry, class_sum, has_trivalent_triangle,
+                        jacobian_values, permutation_sign, propose_trivalent,
+                        sort_rows)
 from .invariants import self_linking
 from .mc import Estimate, run_sharded
 from .support import R1
@@ -70,10 +72,16 @@ LINE_CATALOG = ("theta", "d2", "a1", "a2", "a3", "w3")
 
 
 class WGeometry(KernelGeometry):
-    """Kernel geometry of a line diagram on the gauge slice of W(γ).
+    """Kernel geometry of a line diagram on the gauge slice of W(γ) over
+    the axis s = e_z.
 
     Jacobian columns: the two frame directions of s first, then the kept
-    half-edge coordinates (all but the two gauge legs).
+    half-edge coordinates (all but the two gauge legs).  The chart frame
+    at e_z is (e_y, -e_x), so every column moves its vertices along an
+    axis: the s-columns move each leg v but the first (at the origin) by
+    t_v e_y and -t_v e_x, scaled by the interior legs' parameter rows (the
+    last leg sits at t = 1), and an interior leg's slice column moves it
+    by its orientation sign times e_z.
     """
 
     def __init__(self, od: OrientedDiagram):
@@ -94,77 +102,73 @@ class WGeometry(KernelGeometry):
             [i for i, c in enumerate(self.columns) if c not in gauge]
             + [self.columns.index(c) for c in gauge])
         self.sign = W_GAUGE_SIGN * (-1) ** len(self.edges) * self.gauge_sign
-        # s-variation columns move every leg but the first, which the gauge
-        # pins at the origin; slice columns one vertex each
-        self.set_entries([("s", 0), ("s", 1)] + self.kept, self.univ[1:])
+        interior = self.univ[1:-1]
+        legs = [(v, v if v in interior else None) for v in self.univ[1:]]
+        axes = {("s", 0): [(v, 1, 1, f) for v, f in legs],
+                ("s", 1): [(v, 0, -1, f) for v, f in legs]}
+        axes.update((("u", v), [(v, 2, self.univ_sign[v], None)])
+                    for v in interior)
+        self.set_entries([("s", 0), ("s", 1)] + self.kept, axes)
 
 
-def w_config_positions(geo: WGeometry, s, t_params, x_triv=None):
+def w_config_positions(geo: WGeometry, t_params, x_triv=None):
     """Positions of all vertices for gauge-slice configurations, given the
-    (3, count) axes s, the (legs, count) leg parameters and the (trivalent,
-    3, count) points: the legs' t_v s in geo.work, valid until the next
-    call on geo in the same thread, and views of the trivalent points
-    (none if x_triv is None)."""
-    pos = {v: np.multiply(t, s, out=geo.work(("w.leg", v), s.shape))
-           for v, t in zip(geo.univ, t_params)}
+    (legs, count) leg parameters and the (trivalent, 3, count) points: the
+    legs' (0, 0, t_v) in geo.work, valid until the next call on geo in the
+    same thread, and views of the trivalent points (none if x_triv is
+    None)."""
+    pos = {}
+    for v, t in zip(geo.univ, t_params):
+        pos[v] = geo.work(("w.leg", v), (3, len(t)))
+        pos[v][:2] = 0.0
+        pos[v][2] = t
     if x_triv is not None:
         pos.update((v, x_triv[geo.triv_index[v]]) for v in geo.triv)
     return pos
 
 
-def w_integrand_batch(geo: WGeometry, s, t_params, x_triv):
-    """Density of the pulled-back sphere forms on the slice chart of W(γ);
-    rows as in the closed-link integrand.  The two s-columns move s along
-    its chart_frame, whose area element is the sampler's dz dphi.  Returns
-    (values, rejected_mask), new arrays (jacobian_values); the frames,
-    positions and tangents are kept in geo.work."""
-    work, shape = geo.work, np.shape(s)
-    tangents = {}
-    # s-variation columns: univalent positions move by t_v * delta, except
-    # the first leg at t = 0
-    for ci, delta in enumerate(chart_frame(s, work)):
-        for v, t in zip(geo.univ[1:], t_params[1:]):
-            tangents[ci, v] = np.multiply(t, delta,
-                                          out=work(("w.s", ci, v), shape))
-    for v in geo.univ[1:-1]:    # the interior legs' slice columns
-        tangents[2 + geo.kept.index(("u", v)), v] = np.multiply(
-            s, geo.univ_sign[v], out=work(("w.slice", v), shape))
-    return jacobian_values(geo, w_config_positions(geo, s, t_params, x_triv),
-                           tangents, 1e-9)
+def w_integrand_batch(geo: WGeometry, t_params, x_triv):
+    """Density of the pulled-back sphere forms on the slice chart of W(γ)
+    at s = e_z, per unit area of the axis sphere; rows as in the
+    closed-link integrand.  Every column is an axis column (WGeometry), so
+    each 2-form value is +-D_c / r^3 times at most two leg parameters.
+    Returns (values, rejected_mask), new arrays (jacobian_values); the
+    positions are kept in geo.work."""
+    return jacobian_values(geo, w_config_positions(geo, t_params, x_triv),
+                           {}, 1e-9, dict(zip(geo.univ, t_params)))
 
 
 class WSampler:
-    """Importance sampler on S² x (gauge slice), as a map of one block of
-    uniforms per batch, dim rows of count: the axis s from the sphere_chart
-    of the first two rows, the interior legs from the next (legs - 2) rows
-    sorted, and propose_trivalent's points at unit scale.  The axis is not
-    stratified: the proposal and the integrand are rotation-equivariant,
-    so the weight's mean given s is f_γ for every s."""
+    """Importance sampler on the gauge slice over s = e_z, as a map of one
+    block of uniforms per batch, dim rows of count: the interior legs from
+    the first (legs - 2) rows sorted, and propose_trivalent's points at
+    unit scale.  The density keeps the uniform axis's 1/(4 pi): the
+    proposal and the integrand are rotation-equivariant, so the slice
+    integral is the same at every axis, and 4 pi times it at e_z, the
+    weight's mean, is f_γ."""
 
     def __init__(self, geo: WGeometry):
         self.geo = geo
-        self.dim = len(geo.univ) + 4 * len(geo.triv)
+        self.dim = len(geo.univ) - 2 + 4 * len(geo.triv)
         self.density = factorial(len(geo.univ) - 2) / (4 * np.pi)
 
     def sample(self, rng, count):
-        """(s, t_params, x_triv, density) for count configurations from one
-        rng.random block: the (3, count) axes, the (legs, count) leg
-        parameters, the (trivalent, 3, count) points and the proposal
-        density, all in geo.work until the next sample in the same
-        thread."""
+        """(t_params, x_triv, density) for count configurations from one
+        rng.random block: the (legs, count) leg parameters, the
+        (trivalent, 3, count) points and the proposal density, all in
+        geo.work until the next sample in the same thread."""
         geo, work = self.geo, self.geo.work
         legs = len(geo.univ)
         u = rng.random(out=work("w.u", (self.dim, count)))
         density = work("w.density", (count,))     # scratch until filled
-        s = sphere_chart(u[0], u[1], work("w.s", (3, count)))
         t_params = work("w.t", (legs, count))
         t_params[0] = 0.0
         t_params[-1] = 1.0
-        t_params[1:-1] = sort_rows(u[2:legs], density)
+        t_params[1:-1] = sort_rows(u[:legs - 2], density)
         density.fill(self.density)
-        x_triv = propose_trivalent(geo, u[legs:], w_config_positions(
-            geo, s, t_params), density, 1.0)
-        return s, t_params, x_triv, density
+        x_triv = propose_trivalent(geo, u[legs - 2:], w_config_positions(
+            geo, t_params), density, 1.0)
+        return t_params, x_triv, density
 
 
 def f_gamma(gamma, samples=10 ** 6, seed=0, shards=None,
@@ -179,8 +183,8 @@ def f_gamma(gamma, samples=10 ** 6, seed=0, shards=None,
     sampler = WSampler(geo)
 
     def batch(rng, count):
-        s, t_params, x_triv, density = sampler.sample(rng, count)
-        values, rejected = w_integrand_batch(geo, s, t_params, x_triv)
+        t_params, x_triv, density = sampler.sample(rng, count)
+        values, rejected = w_integrand_batch(geo, t_params, x_triv)
         return np.divide(values, density, out=values), int(np.sum(rejected))
 
     return run_sharded(batch, samples, seed, shards, workers)
@@ -219,75 +223,6 @@ def anomaly_alpha(max_degree, samples=10 ** 6, seed=0, shards=None,
             if not vanishes_on_w(od.diagram)))
         estimates.update(ests)
     return series, estimates
-
-
-# ---------------------------------------------------------------------------
-# Symmetry checks (the S¹-evenness and the central symmetry)
-
-def reverse_line_diagram(od: OrientedDiagram) -> OrientedDiagram:
-    """The reversed line diagram: the total order of the legs flipped."""
-    d = od.diagram
-    nd = Diagram(R1, (tuple(reversed(d.placements[0])),), d.trivalent, d.edges)
-    return OrientedDiagram(nd, od.triv_orient, od.univ_orient)
-
-
-def symmetry_check_s1_even(gamma, samples=10 ** 5, seed=0, points=100):
-    """The anomaly integral is unchanged by reversing the line's order.
-
-    Pointwise part: a slice configuration maps to one of the reversed
-    diagram over the antipodal direction by the affine reparametrisation
-    t -> 1 - t (vertices keep their positions up to the gauge translation),
-    and the edge directions agree exactly.  Numeric part: the two estimates
-    agree within three combined errors.
-    """
-    od = line_diagram_catalog(gamma) if isinstance(gamma, str) else gamma
-    rev = reverse_line_diagram(od)
-    geo, geo_r = WGeometry(od), WGeometry(rev)
-    rng = np.random.default_rng(seed)
-    sampler = WSampler(geo)
-    s, t, x, _ = sampler.sample(rng, points)
-    pos = w_config_positions(geo, s, t, x)
-    # transported configuration: s' = -s, params 1 - t, points shifted by -s
-    t2 = 1.0 - t[::-1]
-    x2 = x - s
-    pos2 = w_config_positions(geo_r, -s, t2, x2)
-    # the reversed diagram lists its legs backwards, so row j holds what
-    # was the (u-1-j)-th leg
-    for e in od.diagram.edges:
-        p, q = tuple(sorted(e))
-        d1 = pos[q] - pos[p]
-        d2 = pos2[q] - pos2[p]
-        if not np.allclose(d1 / np.linalg.norm(d1, axis=0),
-                           d2 / np.linalg.norm(d2, axis=0), atol=1e-9):
-            return False
-    fa = f_gamma(od, samples=samples, seed=seed)
-    fb = f_gamma(rev, samples=samples, seed=seed + 1)
-    err = 3 * np.hypot(fa.stderr, fb.stderr) + 1e-12
-    return abs(fa.value - fb.value) <= err
-
-
-def symmetry_check_central(gamma, points=100, seed=0):
-    """Central symmetry sends slice configurations over s to configurations
-    over -s with every edge direction antipodal and a sign (-1)^degree;
-    verified pointwise on the integrand (with the edge-reversal factor the
-    machinery absorbs).  This is what kills the even-degree anomaly."""
-    od = line_diagram_catalog(gamma) if isinstance(gamma, str) else gamma
-    n = degree(od.diagram)
-    geo = WGeometry(od)
-    sampler = WSampler(geo)
-    rng = np.random.default_rng(seed)
-    s, t, x, _ = sampler.sample(rng, points)
-    v1, rej1 = w_integrand_batch(geo, s, t, x)
-    # central symmetry: positions negate; with the axis -s the slice
-    # parameters are unchanged; trivalent points negate
-    v2, rej2 = w_integrand_batch(geo, -s, t, -x)
-    keep = ~(rej1 | rej2)
-    # reversing every edge changes neither class nor integral; the direction
-    # tuple is antipodal edge-reversed, and the densities compare by (-1)^n
-    # together with the reversal factor (-1)^{#E} absorbed in the machinery
-    lhs = v2[keep]
-    rhs = v1[keep] * (-1) ** n * (-1) ** len(geo.edges)
-    return bool(np.allclose(lhs, rhs, rtol=1e-9, atol=1e-12))
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ import argparse
 import json
 import sys
 import time
+from functools import cache
 from pathlib import Path
 
 from . import algebra, anomaly, diagram_io, invariants
@@ -258,7 +259,10 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2, f"input error: {message}\n")
 
 
+@cache
 def build_parser():
+    """The argparse tree, built once per process: parsing leaves it as it
+    was, and its commands look up the library functions when they run."""
     p = _Parser(
         prog="cslinks",
         description="Configuration space integrals for links in R^3")

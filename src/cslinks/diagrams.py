@@ -47,7 +47,7 @@ class Diagram:
             a, b = e
             adj[a].append(b)
             adj[b].append(a)
-        if 2 * len(self.edges) != sum(map(len, adj.values())):
+        if len(set(map(frozenset, self.edges))) != len(self.edges):
             raise DiagramError("double edges are excluded")
         for v in univ:
             if len(adj[v]) != 1:

@@ -49,7 +49,7 @@ from .curves import LinkCurve, sincos
 from .diagrams import OrientedDiagram, automorphism_count, \
     canonical_oriented, enumerate_diagrams, is_subprincipal, std_oriented
 from .errors import DiagramError, SamplingError
-from .mc import BATCH, Estimate, Workspace, fresh, run_sharded
+from .mc import BATCH, Estimate, Workspace, run_sharded
 from .support import circles
 
 COLLISION_TOL = 1e-6     # edges shorter than this times the curve diameter
@@ -138,9 +138,12 @@ def _dot(a, b, out, tmp):
 
 
 def _norms(x, out, tmp):
-    """The Euclidean norms of the columns of a (3, count) array, into out;
-    tmp is a (count,) row."""
-    return np.sqrt(_dot(x, x, out, tmp), out=out)
+    """The Euclidean norms of the columns of a (3, count) array, into out,
+    the squares summed in _dot's order; tmp is a (count,) row."""
+    np.multiply(x[0], x[0], out=out)
+    out += np.multiply(x[2], x[2], out=tmp)
+    out += np.multiply(x[1], x[1], out=tmp)
+    return np.sqrt(out, out=out)
 
 
 def permutation_sign(seq):
@@ -161,21 +164,6 @@ def sphere_chart(z, phi, out):
     sincos(np.multiply(phi, 2 * np.pi, out=phi), out[0], out[1], phi)
     out[:2] *= r
     return out
-
-
-def chart_frame(s, work=fresh):
-    """The frame of the sphere_chart at the unit vectors s, (3, count):
-    f1 = (-sin phi, cos phi, 0) and f2 = s x f1 = (-z cos phi, -z sin phi,
-    r), phi = atan2(s_y, s_x), with cos and sin from sincos.  f1 x f2 = s
-    for every phi, so the poles need no branch.  The frames and their
-    scratch come from work (a mc.Workspace, or new arrays by default)."""
-    shape = np.shape(s)
-    f1, f2 = work("frame.f1", shape), work("frame.f2", shape)
-    phi = np.arctan2(s[1], s[0], out=work("frame.phi", shape[1:]))
-    sincos(phi, f1[1], f1[0], phi)
-    np.negative(f1[0], out=f1[0])
-    f1[2] = 0.0
-    return f1, _cross(s, f1, f2, phi)
 
 
 def sort_rows(rows, tmp):
@@ -205,8 +193,10 @@ class WedgePlan:
     inversions that the pair adds.  Only the states that lie on a complete
     expansion are kept: those reachable from the empty set and, backwards,
     from the full one.  The edges are placed in one fixed order: next comes
-    the edge that shares the most columns with those placed, ties going to
-    fewer columns, then to the lower index.
+    the edge after which the fewest column sets are reachable from the
+    empty one by the pairs as given, ties going to the edge that shares the
+    most columns with those placed, then to fewer columns, then to the
+    lower index.
 
     Each state is stored times a sign fixed here, so the first edge's
     values are states as they stand and every later transition is one
@@ -229,6 +219,22 @@ class WedgePlan:
         pairs = [[(pair, 1 << pair[0] | 1 << pair[1]) for pair in edge]
                  for edge in pairs]
         columns = [reduce(or_, (m for _, m in edge), 0) for edge in pairs]
+        # min keeps the first of its ties: fewer columns, then lower index
+        rest = sorted(range(len(pairs)),
+                      key=lambda e: (columns[e].bit_count(), e))
+        order, placed, reached = [], 0, {0}
+
+        def after(e):
+            return {state | m for state in reached for _, m in pairs[e]
+                    if not state & m}
+
+        while rest:
+            e = min(rest, key=lambda e: (len(after(e)),
+                                         -(columns[e] & placed).bit_count()))
+            rest.remove(e)
+            order.append(e)
+            placed |= columns[e]
+            reached = after(e)
         # a column that no other edge has can only go to its own edge
         seen = shared = 0
         for c in columns:
@@ -236,15 +242,6 @@ class WedgePlan:
             seen |= c
         pairs = [[(pair, m) for pair, m in edge if not c & ~shared & ~m]
                  for edge, c in zip(pairs, columns)]
-        # max keeps the first of its ties: fewer columns, then lower index
-        rest = sorted(range(len(pairs)),
-                      key=lambda e: (columns[e].bit_count(), e))
-        order, placed = [], 0
-        while rest:
-            e = max(rest, key=lambda e: (columns[e] & placed).bit_count())
-            rest.remove(e)
-            order.append(e)
-            placed |= columns[e]
         # per edge placed, the column sets after it that can still complete;
         # the states built from the empty set are the reachable ones
         ahead = [{(1 << 2 * len(pairs)) - 1}]
@@ -325,17 +322,19 @@ class KernelGeometry:
 
     The wedge plan.  Edge e's 2-form on the columns j < k is
     D . (B_j x B_k) / r^3 (times 1/4pi, which jacobian_values applies
-    once), where B is a column's signed velocity of the edge's ends: the
-    sum of sign * tangent over the ends it moves, or sign * e_a for the
-    axis a of a trivalent end.  With the signs kept apart, each pair is
-    sign * one of these over r^3:
-      ('w', c, None)  D_c, for two axes a != b (c the third; the same axis
-                      at both trivalent ends gives 0 and is not listed),
-      ('x', j, a)     (D x V_j)_a, for the velocity column j and axis a,
-      ('v', j, k)     (D x V_j) . V_k, for two velocity columns,
-    with V_j the tangent of the one end that column j moves (_velocity).
-    moves: {(edge, velocity column): [(vertex, sign)]}; plan: the WedgePlan
-    of the pairs, each keyed as above.
+    once), where B_j is the velocity of the end of e that column j moves,
+    signed -1 at the tail: the tangent V_j for a velocity column, or
+    f e_a for an axis column along the axis a, f its scale (1, or a leg's
+    parameter row).  With the signs kept apart, each pair is sign * one of
+    these over r^3, times the scale rows of the legs in f:
+      ('w', c, None, f)  D_c, for two axes a != b (c the third; two
+                         columns of one axis give 0 and are not listed),
+      ('x', j, a, f)     (D x V_j)_a, for the velocity column j and axis a,
+      ('v', j, k, ())    (D x V_j) . V_k, for two velocity columns.
+    moves: {(edge, velocity column): the vertex it moves}; plan: the
+    WedgePlan of the pairs, each keyed as above; minor_keys: per edge, the
+    keys that jacobian_values evaluates in order, those of the plan's
+    pairs each after itself with its last scale left out.
 
     work: the mc.Workspace of the geometry's samplers and integrands, so
     that a batch allocates only the arrays it returns.
@@ -394,43 +393,52 @@ class KernelGeometry:
                 raise DiagramError("component without univalent anchor")
         return order
 
-    def set_entries(self, columns, s_legs=()):
+    def set_entries(self, columns, axes={}):
         """Jacobian entries of the columns, each ('u', v) or ('t', v, axis)
-        as in self.columns or ('s', k), which moves the univalent vertices
-        s_legs; the tail of an edge enters with sign -1.  Then the edges'
-        2-form pairs and their wedge plan."""
-        entries = [(ci, v, ei, -1 if v == p else 1)
-                   for ci, col in enumerate(columns)
-                   for v in (s_legs if col[0] == "s" else (col[1],))
-                   for ei, (p, q) in enumerate(self.edges) if v in (p, q)]
+        as in self.columns or a label of axes; the tail of an edge enters
+        with sign -1.  Then the edges' 2-form pairs and their wedge plan.
+
+        ('t', v, a) moves v along e_a.  axes maps a label to the (vertex,
+        axis, sign, scale) that its column moves: the vertex along
+        sign * e_axis, times the parameter row of the leg scale unless
+        scale is None.  Any other ('u', v) is a velocity column, moving v
+        along its tangent.  A column moves one end of an edge at most."""
         moved = [{} for _ in self.edges]
-        for ci, v, ei, s in entries:
-            moved[ei].setdefault(ci, []).append((v, s))
-        self.moves = {(ei, ci): ends for ei, on in enumerate(moved)
-                      for ci, ends in on.items() if columns[ci][0] != "t"}
+        for ci, col in enumerate(columns):
+            axis = col[2] if col[0] == "t" else None
+            for v, a, sign, scale in axes.get(col, [(col[1], axis, 1, None)]):
+                for ei, (p, q) in enumerate(self.edges):
+                    if v in (p, q):
+                        moved[ei].setdefault(ci, []).append(
+                            (v, -sign if v == p else sign, a, scale))
+        # per edge and column, the one end it moves
+        moved = [{ci: end for ci, (end,) in on.items()} for on in moved]
+        self.moves = {(ei, ci): v for ei, on in enumerate(moved)
+                      for ci, (v, _, a, _) in on.items() if a is None}
         pairs = []
         for on in moved:
-            # per column: its sign and its axis (None for a velocity)
-            cols = {ci: (ends[0][1] if len(ends) == 1 else 1,
-                         columns[ci][2] if columns[ci][0] == "t" else None)
-                    for ci, ends in on.items()}
             pairs.append([])
-            for j, k in combinations(sorted(cols), 2):
-                (sj, a), (sk, b) = cols[j], cols[k]
+            for j, k in combinations(sorted(on), 2):
+                (_, sj, a, fj), (_, sk, b, fk) = on[j], on[k]
+                scales = tuple(f for f in (fj, fk) if f is not None)
                 if a is None and b is None:
-                    key = "v", j, k
+                    key = "v", j, k, ()
                 elif a is None or b is None:
                     # D . (V x e_b) = (D x V)_b, and e_a x V is its negative
-                    key = ("x", j, b) if a is None else ("x", k, a)
+                    key = ("x", j, b, scales) if a is None else (
+                        "x", k, a, scales)
                     sj *= 1 if a is None else -1
                 elif a == b:
                     continue
                 else:
                     # e_a x e_b = +-e_c, + when (a, b, c) is cyclic
-                    key = "w", 3 - a - b, None
+                    key = "w", 3 - a - b, None, scales
                     sj *= 1 if (b - a) % 3 == 1 else -1
                 pairs[-1].append((j, k, sj * sk, key))
         self.plan = WedgePlan(pairs)
+        self.minor_keys = [list(dict.fromkeys(
+            (*key[:3], key[3][:n]) for *_, key in edge
+            for n in range(len(key[3]) + 1))) for edge in self.plan.pairs]
 
 
 def pick_centre(a, centres, x, m, tmp):
@@ -486,23 +494,21 @@ def propose_trivalent(geo: KernelGeometry, u, pos, density, scale):
     return x_triv
 
 
-def jacobian_values(geo: KernelGeometry, pos, tangents, tol):
+def jacobian_values(geo: KernelGeometry, pos, tangents, tol, scales={}):
     """Signed densities sign * det(M) / (4pi)^E for a batch: the wedge of
     the edges' 2-forms through the plan of geo.
 
     pos: {vertex: (3, count)}; tangents: {(column, vertex): (3, count)},
-    the velocity of the vertex along the column's coordinate, for every
-    column but the trivalent coordinates (whose velocity is a unit axis).
-    Returns (values, rejected_mask), the batch's only new arrays: the
-    2-form values, one (values, count) array, and the scratch come from
-    geo.work.  Configurations with an edge shorter than tol are flagged
-    and valued 0.
+    the velocity of the vertex along each velocity column; scales: {leg:
+    (count,) parameter row} for the scaled axis columns.  Returns (values,
+    rejected_mask), the batch's only new arrays: the 2-form values, one
+    (values, count) array, and the scratch come from geo.work.
+    Configurations with an edge shorter than tol are flagged and valued 0.
     """
     work = geo.work
     count = np.shape(pos[geo.univ[0]])[1]
     E = len(geo.edges)
-    rows = iter(work("jv.minors", (sum(len({key for *_, key in pairs})
-                                       for pairs in geo.plan.pairs), count)))
+    rows = iter(work("jv.minors", (sum(map(len, geo.minor_keys)), count)))
     diff = work("jv.diff", (3, count))
     r, r3 = work("jv.r", (count,)), work("jv.r3", (count,))
     short = work("jv.short", (count,), bool)
@@ -514,11 +520,13 @@ def jacobian_values(geo: KernelGeometry, pos, tangents, tol):
         np.maximum(r, 1e-300, out=r3)
         np.multiply(r3, np.square(r3, out=r), out=r3)
         crossed, minor = {}, {}
-        for *_, key in geo.plan.pairs[ei]:
-            if key in minor:
-                continue
-            kind, a, b = key
+        for key in geo.minor_keys[ei]:
+            kind, a, b, f = key
             row = next(rows)
+            if f:       # the key with one scale fewer came first
+                minor[key] = np.multiply(minor[kind, a, b, f[:-1]],
+                                         scales[f[-1]], out=row)
+                continue
             if kind == "w":
                 top = diff[a]
             else:
@@ -536,12 +544,9 @@ def jacobian_values(geo: KernelGeometry, pos, tangents, tol):
 
 
 def _velocity(geo: KernelGeometry, tangents, ei, ci):
-    """V for column ci on edge ei: the tangent of the end it moves, as it
-    stands.  No column moves both ends of an edge: only W's s-columns move
-    more than one vertex, and a connected line diagram has an edge between
-    two legs only in θ, whose first leg they leave in place."""
-    (v, _), = geo.moves[ei, ci]
-    return tangents[ci, v]
+    """V for the velocity column ci on edge ei: the tangent of the end it
+    moves, as it stands."""
+    return tangents[ci, geo.moves[ei, ci]]
 
 
 def chord_sign(geo: KernelGeometry):
@@ -698,7 +703,8 @@ def integrate_diagram(od: OrientedDiagram, curve: LinkCurve, samples=10 ** 6,
     return run_sharded(batch, samples, seed, shards, workers)
 
 
-def chord_quadrature(od: OrientedDiagram, curve: LinkCurve) -> Estimate:
+def chord_quadrature(od: OrientedDiagram, curve: LinkCurve,
+                     kernels=None) -> Estimate:
     """The integral of a one-chord diagram by the trapezoid rule on the
     torus of its two circle parameters: chord_sign times the sum of the
     Gauss kernel matrix of _kernel_rows over the ordered grid pairs.
@@ -715,7 +721,16 @@ def chord_quadrature(od: OrientedDiagram, curve: LinkCurve) -> Estimate:
     while the estimate moves by more than QUADRATURE_TOL, up to
     QUADRATURE_MAX_GRID; stderr is the last move, or the rounding error of
     the sum where that is larger; the record's grid is the final N.
+
+    kernels, when given, is a dict that one command's calls on the curve
+    share (as two_chord_quadrature's): the estimate is kept under od, so
+    that θ of a component, which z_n at degree 1 and self_linking both
+    need, is computed once.
     """
+    if kernels is not None:
+        if od not in kernels:
+            kernels[od] = chord_quadrature(od, curve)
+        return kernels[od]
     if len(od.diagram.edges) != 1:
         raise DiagramError("chord_quadrature takes a diagram of one chord")
     geo = DiagramGeometry(od, curve)
@@ -821,9 +836,9 @@ def two_chord_quadrature(od: OrientedDiagram, curve: LinkCurve,
     |R2(N) - R2(N/2)|, or the sum's rounding error where that is larger;
     the record's grid is N.
 
-    kernels, when given, is a dict {component: _circle_pair_sums} of the
-    curve that calls share, so that each circle's G and its pair sums are
-    built once.
+    kernels, when given, is a dict of the curve that calls share: under
+    each component its _circle_pair_sums, so that each circle's G and its
+    pair sums are built once.
     """
     d = od.diagram
     if not two_chords_on_one_circle(d):
@@ -881,21 +896,22 @@ def class_sum(red, classes):
 
 
 def z_n(curve: LinkCurve, n: int, k=None, samples=10 ** 6, seed=0,
-        shards=None, workers=None):
+        shards=None, workers=None, kernels=None):
     """The degree-n part of the configuration space integral series:
     class_sum's (vector, errors, estimates by canonical key) over the
     subprincipal classes.  Classes with a trivalent triangle are 0
     pointwise and are not integrated.  One-chord classes are computed by
     chord_quadrature and classes of two chords on one circle by
-    two_chord_quadrature.  Every other class, the two-chord classes that
-    span two components included, is sampled.
+    two_chord_quadrature, both through kernels (a new dict unless given).
+    Every other class, the two-chord classes that span two components
+    included, is sampled.
     """
     support = circles(curve.n_components)
     if n == 0:
         empty = enumerate_diagrams(support, 0)[0]
         vec = ClassVector.of(std_oriented(empty), 1.0)
         return vec, {}, {}
-    kernels = {}
+    kernels = {} if kernels is None else kernels
 
     def classes():
         for idx, d in enumerate(enumerate_diagrams(support, n)):
@@ -903,7 +919,7 @@ def z_n(curve: LinkCurve, n: int, k=None, samples=10 ** 6, seed=0,
                 continue
             od = std_oriented(d)
             if len(d.edges) == 1:
-                est = partial(chord_quadrature, od, curve)
+                est = partial(chord_quadrature, od, curve, kernels)
             elif two_chords_on_one_circle(d):
                 est = partial(two_chord_quadrature, od, curve, kernels)
             else:

@@ -26,12 +26,12 @@ def alpha_exact() -> ClassVector:
     return _theta_line_vector().scale(Fraction(1, 2))
 
 
-def _chord_integral(curve: LinkCurve, m1, m2):
+def _chord_integral(curve: LinkCurve, m1, m2, kernels=None):
     placements = tuple(tuple(v for v, m in enumerate((m1, m2)) if m == i)
                        for i in range(curve.n_components))
     chord = Diagram(circles(curve.n_components), placements, frozenset(),
                     frozenset({frozenset((0, 1))}))
-    return chord_quadrature(std_oriented(chord), curve)
+    return chord_quadrature(std_oriented(chord), curve, kernels)
 
 
 def linking_number(curve: LinkCurve, m1, m2):
@@ -52,16 +52,18 @@ def linking_number(curve: LinkCurve, m1, m2):
     return out
 
 
-def self_linking(curve: LinkCurve, m=0):
+def self_linking(curve: LinkCurve, m=0, kernels=None):
     """The Gauss self-integral of one component (framing / writhe): the
-    Estimate of chord_quadrature."""
+    Estimate of chord_quadrature, through kernels when given (a dict that
+    one command's calls on the curve share, as z_n's)."""
     check_component(curve, m)
-    return _chord_integral(curve, m, m)
+    return _chord_integral(curve, m, m, kernels)
 
 
 def z_series(curve: LinkCurve, max_degree, samples=10 ** 6, seed=0,
-             shards=None, workers=None):
-    """Z through max_degree: reduced vectors, errors and raw estimates."""
+             shards=None, workers=None, kernels=None):
+    """Z through max_degree: reduced vectors, errors and raw estimates,
+    every degree's quadratures through kernels (z_n)."""
     check_degree(max_degree)
     support = circles(curve.n_components)
     series = Series(support)
@@ -69,7 +71,7 @@ def z_series(curve: LinkCurve, max_degree, samples=10 ** 6, seed=0,
     for n in range(0, max_degree + 1):
         series[n], errors[n], estimates[n] = z_n(
             curve, n, samples=samples, seed=seed + 31 * n, shards=shards,
-            workers=workers)
+            workers=workers, kernels=kernels)
     return series, errors, estimates
 
 
@@ -79,16 +81,18 @@ def z0_series(curve: LinkCurve, max_degree=2, samples=10 ** 6, seed=0,
 
     Through degree 2 the exact anomaly [θ]/2 suffices (its degree-2 part
     vanishes).  Errors propagate from the Z parts; the self-linking
-    factors are quadratures, good to QUADRATURE_TOL.
+    factors are quadratures, good to QUADRATURE_TOL, and the estimates of
+    Z's degree-1 θ classes (one kernels dict).
     """
+    kernels = {}
     series, errors, estimates = z_series(curve, max_degree, samples=samples,
                                          seed=seed, shards=shards,
-                                         workers=workers)
+                                         workers=workers, kernels=kernels)
     alpha = alpha_exact()
     framings = []
     corrected = series
     for m in range(curve.n_components):
-        est = self_linking(curve, m)
+        est = self_linking(curve, m, kernels)
         framings.append(est)
         corrected = exp_action(alpha, -est.value, corrected, m, max_degree)
     reduced = Series(corrected.support)
@@ -183,12 +187,13 @@ def lattice_check(curve: LinkCurve, n, k, samples=10 ** 6, seed=0,
     to integers.
 
     Requires every component's self-linking integral to sit within 0.05 of
-    an integer (the rationality hypothesis)."""
+    an integer (the rationality hypothesis); at degree 1 Z's θ classes
+    reuse those estimates (one kernels dict)."""
     check_degree(n)
     check_k(n, k)
-    framings = []
+    framings, kernels = [], {}
     for m in range(curve.n_components):
-        est = self_linking(curve, m)
+        est = self_linking(curve, m, kernels)
         framings.append(est)
         if abs(est.value - round(est.value)) > 0.05:
             raise ConvergenceError(
@@ -196,7 +201,7 @@ def lattice_check(curve: LinkCurve, n, k, samples=10 ** 6, seed=0,
                 "integer; the rationality hypothesis fails")
     support = circles(curve.n_components)
     vec, errs, ests = z_n(curve, n, k=k, samples=samples, seed=seed,
-                          shards=shards, workers=workers)
+                          shards=shards, workers=workers, kernels=kernels)
     red, gens, basis = lattice_report(support, n, k)
     if not basis:
         raise DiagramError("no lattice generators at this degree")

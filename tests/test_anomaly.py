@@ -3,10 +3,11 @@ from math import factorial
 import numpy as np
 import pytest
 from test_integrate import (CountingCurve, UnitRng, assert_fold_matches,
-                            assert_weighted_histogram, folded_and_full,
+                            assert_weighted_histogram, chart_frame,
                             half_cauchy, jacobian_density, leg_preimages,
-                            preimage_blocks, samples_first,
-                            trivalent_preimages)
+                            preimage_blocks, rotations_to_pole,
+                            samples_first, trivalent_preimages, w_oracle,
+                            w_oracle_inputs)
 
 from cslinks import anomaly
 from cslinks.algebra import ClassVector, reduction
@@ -16,14 +17,96 @@ from cslinks.anomaly import (LINE_CATALOG, WGeometry, WSampler,
                              is_square, line_diagram_catalog, psi_image_a1,
                              psi_image_a3,
                              square_substitution_invariant,
-                             symmetry_check_central, symmetry_check_s1_even,
                              w_config_positions, w_integrand_batch)
 from cslinks.curves import CATALOG_NAMES, catalog
-from cslinks.diagrams import automorphism_count, canonical_oriented
+from cslinks.diagrams import (Diagram, OrientedDiagram, automorphism_count,
+                              canonical_oriented, degree)
 from cslinks.errors import EmbeddingError
-from cslinks.integrate import (chart_frame, has_trivalent_triangle,
-                               sphere_chart)
+from cslinks.integrate import has_trivalent_triangle, sphere_chart
 from cslinks.support import R1
+
+
+def pole_samples(name, count, seed):
+    """(geo, t, x, density) of count samples of the W sampler, copied and
+    samples first: (count, legs), (count, trivalent, 3) and (count,)."""
+    geo = WGeometry(line_diagram_catalog(name))
+    drawn = WSampler(geo).sample(np.random.default_rng(seed), count)
+    return (geo, *(samples_first(a).copy() for a in drawn))
+
+
+def pole_values(geo, t, x):
+    """w_integrand_batch at samples-first leg parameters and points."""
+    return w_integrand_batch(geo, t.T.copy(), np.moveaxis(x, 0, -1).copy())
+
+
+def random_axes(rng, count):
+    s = rng.normal(size=(count, 3))
+    return s / np.linalg.norm(s, axis=1, keepdims=True)
+
+
+def reverse_line_diagram(od: OrientedDiagram) -> OrientedDiagram:
+    """The reversed line diagram: the total order of the legs flipped."""
+    d = od.diagram
+    nd = Diagram(R1, (tuple(reversed(d.placements[0])),), d.trivalent, d.edges)
+    return OrientedDiagram(nd, od.triv_orient, od.univ_orient)
+
+
+def symmetry_check_s1_even(gamma, samples=10 ** 5, seed=0, points=100):
+    """The anomaly integral is unchanged by reversing the line's order.
+
+    Pointwise part: a slice configuration over the axis s maps to one of
+    the reversed diagram over the antipodal axis by the affine
+    reparametrisation t -> 1 - t (vertices keep their positions up to the
+    gauge translation), and the edge directions agree exactly; s runs over
+    random axes.  Numeric part: the two estimates agree within three
+    combined errors.
+    """
+    od = line_diagram_catalog(gamma)
+    rev = reverse_line_diagram(od)
+    geo, t, x, _ = pole_samples(gamma, points, seed)
+    geo_r = WGeometry(rev)
+    s = random_axes(np.random.default_rng(seed), points)
+    pos, _ = w_oracle_inputs(geo, s, t, x)
+    # transported configuration: s' = -s, params 1 - t, points shifted by -s;
+    # the reversed diagram lists its legs backwards, so row j holds what
+    # was the (u-1-j)-th leg
+    pos2, _ = w_oracle_inputs(geo_r, -s, 1.0 - t[:, ::-1], x - s[:, None])
+    for e in od.diagram.edges:
+        p, q = tuple(sorted(e))
+        d1 = pos[q] - pos[p]
+        d2 = pos2[q] - pos2[p]
+        if not np.allclose(d1 / np.linalg.norm(d1, axis=1, keepdims=True),
+                           d2 / np.linalg.norm(d2, axis=1, keepdims=True),
+                           atol=1e-9):
+            return False
+    fa = f_gamma(od, samples=samples, seed=seed)
+    fb = f_gamma(rev, samples=samples, seed=seed + 1)
+    err = 3 * np.hypot(fa.stderr, fb.stderr) + 1e-12
+    return abs(fa.value - fb.value) <= err
+
+
+def symmetry_check_central(gamma, points=100, seed=0, integrand=w_oracle):
+    """Central symmetry sends slice configurations over s to configurations
+    over -s with every edge direction antipodal and a sign (-1)^degree;
+    verified pointwise on the integrand at any axis (w_oracle), at random
+    axes s and the pole configurations rotated from e_z to s (with the
+    edge-reversal factor the machinery absorbs).  This is what kills the
+    even-degree anomaly."""
+    geo, t, y, _ = pole_samples(gamma, points, seed)
+    n = degree(geo.od.diagram)
+    s = random_axes(np.random.default_rng(seed), points)
+    x = np.einsum("nji,ntj->nti", rotations_to_pole(s), y)
+    v1, rej1 = integrand(geo, s, t, x)
+    # central symmetry: positions negate; with the axis -s the slice
+    # parameters are unchanged; trivalent points negate
+    v2, rej2 = integrand(geo, -s, t, -x)
+    keep = ~(rej1 | rej2)
+    # reversing every edge changes neither class nor integral; the direction
+    # tuple is antipodal edge-reversed, and the densities compare by (-1)^n
+    # together with the reversal factor (-1)^{#E} absorbed in the machinery
+    lhs = v2[keep]
+    rhs = v1[keep] * (-1) ** n * (-1) ** len(geo.edges)
+    return bool(np.allclose(lhs, rhs, rtol=1e-9, atol=1e-12))
 
 
 class TestGauge:
@@ -41,70 +124,104 @@ class TestGauge:
 
 class TestFold:
     @pytest.mark.parametrize("name", ["theta", "a1", "a2", "a3"])
-    def test_matches_full_determinant(self, monkeypatch, name):
-        # the wedge kernel against the full assembly on the gauge slice;
-        # d2 and the wheel vanish pointwise (TestVanishingIntegrands)
-        geo = WGeometry(line_diagram_catalog(name))
-        rng = np.random.default_rng(12)
-        s, t, x, _ = WSampler(geo).sample(rng, 4096)
-        values, full, shortest = folded_and_full(
-            monkeypatch, anomaly, w_integrand_batch, geo, s, t, x)
-        assert_fold_matches(values, full, shortest >= 1e-2)
+    def test_matches_full_determinant(self, name):
+        # the wedge kernel at the pole against the full assembly at
+        # s = e_z, where the chart frame is (e_y, -e_x); d2 and the wheel
+        # vanish pointwise (TestVanishingIntegrands)
+        geo, t, x, _ = pole_samples(name, 4096, 12)
+        values, rejected = pole_values(geo, t, x)
+        pole = np.tile([0.0, 0.0, 1.0], (4096, 1))
+        full, full_rejected = w_oracle(geo, pole, t, x)
+        assert np.array_equal(rejected, full_rejected)
+        assert_fold_matches(values, full, shortest_edges(geo, pole, t, x)
+                            >= 1e-2)
+
+    @pytest.mark.parametrize("name", ["theta", "a1", "a2", "a3"])
+    def test_rotation_equivariance(self, name):
+        # the pole integrand at the configurations R x, R taking s to e_z,
+        # equals the integrand at any axis at (s, x), for random axes s and
+        # both poles (100 samples each)
+        geo, t, y, _ = pole_samples(name, 4096, 13)
+        values, _ = pole_values(geo, t, y)
+        s = random_axes(np.random.default_rng(14), 4096)
+        s[:100], s[100:200] = [0.0, 0.0, 1.0], [0.0, 0.0, -1.0]
+        x = np.einsum("nji,ntj->nti", rotations_to_pole(s), y)
+        full, _ = w_oracle(geo, s, t, x)
+        keep = shortest_edges(geo, s, t, x) >= 1e-2
+        assert keep[:100].any() and keep[100:200].any()
+        assert_fold_matches(values, full, keep)
+
+    def test_rotations_take_the_axis_to_the_pole(self):
+        s = random_axes(np.random.default_rng(15), 1000)
+        s[:2] = [[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]]
+        R = rotations_to_pole(s)
+        assert np.allclose(np.einsum("nij,nj->ni", R, s), [0.0, 0.0, 1.0],
+                           rtol=0, atol=1e-14)
+        assert np.allclose(R @ np.transpose(R, (0, 2, 1)), np.eye(3),
+                           rtol=0, atol=1e-14)
+        assert np.allclose(np.linalg.det(R), 1.0, rtol=0, atol=1e-14)
+
+
+def shortest_edges(geo, s, t, x):
+    pos, _ = w_oracle_inputs(geo, s, t, x)
+    return np.min([np.linalg.norm(pos[q] - pos[p], axis=1)
+                   for p, q in geo.edges], axis=0)
 
 
 class TestSampler:
     def test_density_is_the_maps_jacobian(self):
         # a1's density at 300 configurations against the sum, over the
         # blocks u that the sampler maps to each, of 1/|det| of the map's
-        # Jacobian in (z, phi, interior legs, trivalent points): both
+        # Jacobian in (interior legs, trivalent points), over 4 pi: both
         # orders of the interior rows, and per trivalent vertex every
         # anchor with weight 1/K
         geo = WGeometry(line_diagram_catalog("a1"))
         sampler = WSampler(geo)
         legs = len(geo.univ)
+        assert sampler.dim == legs - 2 + 4 * len(geo.triv)
         u = 0.02 + 0.96 * np.random.default_rng(43).random((sampler.dim, 300))
 
         def coords(u):
-            s, t, x = (samples_first(a) for a in
-                       sampler.sample(UnitRng(u), u.shape[1])[:3])
-            return np.hstack([s[:, 2:], np.arctan2(s[:, 1:2], s[:, :1]),
-                              t[:, 1:-1], x.reshape(len(s), -1)])
+            t, x = (samples_first(a) for a in
+                    sampler.sample(UnitRng(u), u.shape[1])[:2])
+            return np.hstack([t[:, 1:-1], x.reshape(len(t), -1)])
 
-        s, t, x, density = (a.copy() for a in sampler.sample(UnitRng(u), 300))
+        t, x, density = (a.copy() for a in sampler.sample(UnitRng(u), 300))
         pos = {v: samples_first(p).copy()
-               for v, p in w_config_positions(geo, s, t, x).items()}
-        s, t, x = (samples_first(a) for a in (s, t, x))
-        interior = [(j + 1, t[:, j]) for j in range(1, legs - 1)]
-        axis = {0: (s[:, 2] + 1) / 2,
-                1: np.arctan2(s[:, 1], s[:, 0]) / (2 * np.pi) % 1}
-        options = [leg_preimages(axis, interior)]
-        options += trivalent_preimages(geo, pos, legs, 1.0)
+               for v, p in w_config_positions(geo, t, x).items()}
+        t = samples_first(t)
+        assert np.array_equal(t[:, [0, -1]], np.tile([0.0, 1.0], (300, 1)))
+        interior = [(j - 1, t[:, j]) for j in range(1, legs - 1)]
+        options = [leg_preimages({}, interior)]
+        options += trivalent_preimages(geo, pos, legs - 2, 1.0)
         preimages = list(preimage_blocks(u.shape, options))
         assert len(preimages) == 2 * 2 * 3    # interior orders x anchors
         for _, v in preimages:
             assert np.allclose(coords(v), coords(u), rtol=0, atol=1e-9)
         rows = [r for r in range(sampler.dim)
-                if r < legs or (r - legs) % 4]
-        want = jacobian_density(coords, preimages, rows, angles=(1,))
-        assert np.allclose(density, want, rtol=1e-6, atol=0)
+                if r < legs - 2 or (r - legs + 2) % 4]
+        want = jacobian_density(coords, preimages, rows)
+        # the density keeps the uniform axis's 1/(4 pi), which is not drawn
+        assert np.allclose(density, want / (4 * np.pi), rtol=1e-6, atol=0)
 
-    def test_axis_histogram_matches_density(self):
-        # weighted by pi / density, for pi the uniform axis and interior
-        # legs times the half-Cauchy about each vertex's first anchor, the
-        # axis's z has pi's marginal: uniform on [-1, 1], ten bins of mass
-        # 0.1.  The weights are at most the product of the anchor counts.
+    def test_leg_histogram_matches_density(self):
+        # weighted by pi / density, for pi the uniform interior legs (with
+        # the axis's 1/(4 pi)) times the half-Cauchy about each vertex's
+        # first anchor, the first interior leg has pi's marginal 2 (1 - t)
+        # on [0, 1]: ten bins of mass (1 - a)^2 - (1 - b)^2.  The weights
+        # are at most the product of the anchor counts.
         geo = WGeometry(line_diagram_catalog("a1"))
         sampler = WSampler(geo)
-        s, t, x, density = sampler.sample(np.random.default_rng(44), 10 ** 5)
+        t, x, density = sampler.sample(np.random.default_rng(44), 10 ** 5)
         pos = {v: samples_first(p)
-               for v, p in w_config_positions(geo, s, t, x).items()}
-        s = samples_first(s)
+               for v, p in w_config_positions(geo, t, x).items()}
         weights = factorial(len(geo.univ) - 2) / (4 * np.pi) / density
         for v, anchors in geo.placement_order:
             weights *= half_cauchy(
                 np.linalg.norm(pos[v] - pos[anchors[0]], axis=1), 1.0)
-        assert_weighted_histogram(s[:, 2], weights, np.linspace(-1, 1, 11),
-                                  [0.1] * 10)
+        edges = np.linspace(0, 1, 11)
+        assert_weighted_histogram(t[1], weights, edges,
+                                  (1 - edges[:-1]) ** 2 - (1 - edges[1:]) ** 2)
 
     def test_sphere_chart_is_the_z_phi_chart(self):
         # cos and sin from sincos's half-angle tangent give the point at
@@ -118,17 +235,18 @@ class TestSampler:
         assert np.max(np.abs(np.sum(s * s, axis=0) - 1)) <= 1e-15
 
     def test_chart_frame_orthonormal(self):
-        # f1 x f2 = s with no pole branch: sphere_chart points and the two
-        # poles
+        # the oracle's frame: f1 x f2 = s with no pole branch, at
+        # sphere_chart points and the two poles, and (e_y, -e_x) at e_z
         z, phi = np.random.default_rng(45).random((2, 4096))
-        rows = sphere_chart(z, phi, np.empty((3, 4096)))
-        s = samples_first(rows)
+        s = samples_first(sphere_chart(z, phi, np.empty((3, 4096)))).copy()
         s[:2] = [[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]]
-        f1, f2 = (samples_first(f) for f in chart_frame(rows))
+        f1, f2 = chart_frame(s)
         frame = np.stack([f1, f2, s], axis=1)
         gram = np.einsum("nij,nkj->nik", frame, frame)
         assert np.max(np.abs(gram - np.eye(3))) <= 1e-15
         assert np.max(np.abs(np.cross(f1, f2) - s)) <= 1e-15
+        assert np.array_equal(f1[0], [0.0, 1.0, 0.0])
+        assert np.array_equal(f2[0], [-1.0, 0.0, 0.0])
 
 
 class TestVanishingIntegrands:
@@ -139,8 +257,8 @@ class TestVanishingIntegrands:
         geo = WGeometry(line_diagram_catalog(name))
         sampler = WSampler(geo)
         rng = np.random.default_rng(3)
-        s, t, x, _ = sampler.sample(rng, 2000)
-        v, _ = w_integrand_batch(geo, s, t, x)
+        t, x, _ = sampler.sample(rng, 2000)
+        v, _ = w_integrand_batch(geo, t, x)
         assert np.max(np.abs(v)) < 1e-7
 
 
@@ -149,18 +267,14 @@ class TestSymmetries:
     def test_central_symmetry_sign(self, name):
         assert symmetry_check_central(name, points=60, seed=1)
 
-    def test_central_symmetry_catches_a_broken_integrand(self, monkeypatch):
-        # an integrand that is not odd under s -> -s fails the check; it
-        # would pass if both calls returned one shared array
-        kernel = anomaly.w_integrand_batch
+    def test_central_symmetry_catches_a_broken_integrand(self):
+        # an integrand that is not odd under s -> -s fails the check
+        def broken(geo, s, t, x):
+            values, rejected = w_oracle(geo, s, t, x)
+            return values * (1 + s[:, 2]), rejected
 
-        def broken(geo, s, t_params, x_triv):
-            values, rejected = kernel(geo, s, t_params, x_triv)
-            values *= 1 + s[2]
-            return values, rejected
-
-        monkeypatch.setattr(anomaly, "w_integrand_batch", broken)
-        assert not symmetry_check_central("a1", points=60, seed=1)
+        assert not symmetry_check_central("a1", points=60, seed=1,
+                                          integrand=broken)
 
     @pytest.mark.parametrize("name", ["theta", "a1"])
     def test_s1_even(self, name):

@@ -290,6 +290,42 @@ class TestBadCounts:
             == (1000, 10, 2)
 
 
+class TestParser:
+    def test_built_once_per_process(self, capsys):
+        parser = cli.build_parser()
+        for args in (["invariant", "linking", "--curve", "hopf-link"],
+                     ["anomaly", "f", "--gamma", "theta", "--seed", "x"]):
+            try:
+                cli.main(args)
+            except SystemExit:
+                pass
+        capsys.readouterr()
+        assert cli.build_parser() is parser
+
+    def test_patch_after_build_is_seen(self, monkeypatch, capsys):
+        # the cached tree holds the command functions, which look up the
+        # library functions each time they run
+        cli.build_parser()
+
+        def linking(curve, m1, m2):
+            return {"estimate": Estimate(7.0, 0.0, "quadrature", {}),
+                    "integer": 7, "residual": 0.0, "oracle": 7,
+                    "warning": None}
+
+        monkeypatch.setattr(invariants, "linking_number", linking)
+        assert cli.main(["invariant", "linking", "--curve", "hopf-link"]) == 0
+        assert json.loads(capsys.readouterr().out)["integer"] == 7
+
+    def test_parsing_leaves_the_defaults(self):
+        # an earlier command's flags do not become a later one's defaults
+        first = cli.build_parser().parse_args(
+            ["anomaly", "f", "--gamma", "a1", "--samples", "7", "--seed", "3"])
+        again = cli.build_parser().parse_args(["anomaly", "f", "--gamma",
+                                                "a3"])
+        assert (first.samples, first.seed) == ("7", 3)
+        assert (again.samples, again.seed, again.gamma) == ("1e6", 0, "a3")
+
+
 class TestArgparseErrors:
     @pytest.mark.parametrize("args", [
         ("anomaly", "f", "--gamma", "theta", "--seed", "1e3"),

@@ -89,6 +89,16 @@ class TestDegree:
                     frozenset({frozenset((0, 2)), frozenset((1, 3)),
                                frozenset((2, 3))}))
 
+    @pytest.mark.parametrize("edges", [
+        (frozenset({2, 3}), frozenset({2, 3}), frozenset({0, 2}),
+         frozenset({1, 3})),
+        ((2, 3), (3, 2), (0, 2), (1, 3))], ids=["frozensets", "tuples"])
+    def test_repeated_edge_rejected(self, edges):
+        # an edges tuple can list one edge twice, and then every degree is
+        # right: only the repeat shows the double edge
+        with pytest.raises(DiagramError, match="double edges are excluded"):
+            Diagram(S1, ((0, 1),), frozenset({2, 3}), edges)
+
     def test_component_missing_support_rejected(self):
         with pytest.raises(DiagramError):
             # triangle of trivalent vertices with no leg

@@ -195,9 +195,8 @@ def sphere_frames(d):
 
 def jacobian_entries(geo):
     """The Jacobian's column labels and the (column, vertex, edge, sign) of
-    each of its contributions, as set_entries reads them: a W geometry's
-    two s columns move every leg but the first, and the tail of an edge
-    enters with sign -1."""
+    each of its contributions: a W geometry's two s columns move every leg
+    but the first, and the tail of an edge enters with sign -1."""
     if isinstance(geo, WGeometry):
         columns, s_legs = [("s", 0), ("s", 1)] + geo.kept, geo.univ[1:]
     else:
@@ -238,6 +237,54 @@ def frame_rows(geo, pos, tangents):
         M[:, 2 * ei, ci] += np.sum(f1 * entry, axis=1)
         M[:, 2 * ei + 1, ci] += np.sum(f2 * entry, axis=1)
     return M, lengths
+
+
+def chart_frame(s):
+    """The frame of the (z, phi) sphere chart at the (count, 3) unit
+    vectors s: f1 = (-sin phi, cos phi, 0) and f2 = s x f1, with
+    phi = atan2(s_y, s_x).  f1 x f2 = s for every phi, so the poles need
+    no branch; at e_z the frame is (e_y, -e_x)."""
+    phi = np.arctan2(s[:, 1], s[:, 0])
+    f1 = np.stack([-np.sin(phi), np.cos(phi), np.zeros_like(phi)], axis=1)
+    return f1, np.cross(s, f1)
+
+
+def w_oracle_inputs(geo, s, t, x):
+    """A W configuration over the (count, 3) axes s, as frame_rows reads
+    it: the positions t_v s of the legs ((count, legs) parameters t) and
+    the (count, trivalent, 3) points x, and the tangents of the s-columns,
+    t_v f1 and t_v f2 of chart_frame, and of the interior legs' slice
+    columns, their orientation sign times s."""
+    pos = {v: t[:, i, None] * s for i, v in enumerate(geo.univ)}
+    pos.update((v, x[:, i]) for v, i in geo.triv_index.items())
+    tangents = {}
+    for ci, f in enumerate(chart_frame(s)):
+        for i, v in enumerate(geo.univ[1:], 1):
+            tangents[ci, v] = t[:, i, None] * f
+    for v in geo.univ[1:-1]:
+        tangents[2 + geo.kept.index(("u", v)), v] = geo.univ_sign[v] * s
+    return pos, tangents
+
+
+def w_oracle(geo, s, t, x):
+    """The W integrand at any axes s: the full determinant of frame_rows
+    with the s-columns moving the legs along the chart frame, the oracle of
+    w_integrand_batch, which takes s = e_z.  Arrays are samples first."""
+    return full_jacobian_values(geo, *w_oracle_inputs(geo, s, t, x), 1e-9)
+
+
+def rotations_to_pole(s):
+    """(count, 3, 3) rotations R with R s = e_z for the (count, 3) unit
+    vectors s: the half turn H about e_x where s_z < 0, then
+    I + K + K^2 / (1 + h_z), K the cross product with h x e_z, h = H s."""
+    H = np.tile(np.eye(3), (len(s), 1, 1))
+    H[s[:, 2] < 0, 1:, 1:] *= -1.0
+    h = np.einsum("nij,nj->ni", H, s)
+    v = np.cross(h, [0.0, 0.0, 1.0])
+    K = np.zeros((len(s), 3, 3))
+    K[:, 0, 1], K[:, 0, 2], K[:, 1, 2] = -v[:, 2], v[:, 1], -v[:, 0]
+    K -= np.transpose(K, (0, 2, 1))
+    return (np.eye(3) + K + K @ K / (1.0 + h[:, 2, None, None])) @ H
 
 
 def folded_and_full(monkeypatch, module, integrand, *args):
@@ -473,24 +520,38 @@ def plan_geometries(source):
             if is_subprincipal(d)]
 
 
+def column_axes(geo):
+    """Per Jacobian column, the axis along which it moves its vertices, or
+    None for a velocity column: a trivalent coordinate's own axis, and in
+    W, at s = e_z, e_y and e_x for the two s-columns and e_z for an
+    interior leg's slice column."""
+    pole = {("s", 0): 1, ("s", 1): 0}
+    return [col[2] if col[0] == "t" else
+            pole.get(col, 2) if isinstance(geo, WGeometry) else None
+            for col in jacobian_entries(geo)[0]]
+
+
 def edge_matrices(geo, rng, count):
     """Random (count, 2E, 2E) matrices with the Jacobian's structure: edge
     e's rows 2e, 2e + 1 are nonzero only on the columns that move e, and
-    the columns of one axis at both trivalent ends of e are opposite there.
-    Returns them with {(edge, column): its opposite column}."""
+    there the columns of one axis (column_axes) are multiples of one
+    vector.  Returns them with {(edge, column): [(column, ratio)]}, the
+    other columns of its axis on the edge and their ratios to it."""
     a = np.zeros((count, geo.dim, geo.dim))
-    columns, entries = jacobian_entries(geo)
-    for ci, v, ei, _ in entries:
-        a[:, 2 * ei:2 * ei + 2, ci] = rng.normal(size=(count, 2))
-    opposite = {}
-    for ei, (p, q) in enumerate(geo.edges):
-        if p in geo.triv_index and q in geo.triv_index:
-            for axis in range(3):
-                cp, cq = (columns.index(("t", v, axis))
-                          for v in (p, q))
-                a[:, 2 * ei:2 * ei + 2, cq] = -a[:, 2 * ei:2 * ei + 2, cp]
-                opposite[ei, cp], opposite[ei, cq] = cq, cp
-    return a, opposite
+    axes = column_axes(geo)
+    factors = [{} for _ in geo.edges]
+    directions = rng.normal(size=(len(geo.edges), 3, count, 2))
+    for ci, v, ei, _ in jacobian_entries(geo)[1]:
+        if axes[ci] is None:
+            a[:, 2 * ei:2 * ei + 2, ci] = rng.normal(size=(count, 2))
+        else:
+            factors[ei][ci] = rng.normal(size=count)
+            a[:, 2 * ei:2 * ei + 2, ci] = (factors[ei][ci][:, None]
+                                           * directions[ei, axes[ci]])
+    parallel = {(ei, j): [(k, f[k] / f[j]) for k in f
+                          if k != j and axes[k] == axes[j]]
+                for ei, f in enumerate(factors) for j in f}
+    return a, parallel
 
 
 def plan_det(plan, a):
@@ -508,11 +569,12 @@ class TestDeterminant:
     def test_plan_matches_lapack(self, source, near_singular):
         # random matrices with each geometry's structure, each scaled by up
         # to three decades either way.  Near singular: one entry of the
-        # first edge's rows, with its opposite if it has one, is set to the
-        # root of the determinant, which is affine in it.
+        # first edge's rows, with the entries of its axis's other columns
+        # in proportion, is set to the root of the determinant, which is
+        # affine in it.
         for k, geo in enumerate(plan_geometries(source)):
             rng = np.random.default_rng(k)
-            a, opposite = edge_matrices(geo, rng, 4096)
+            a, parallel = edge_matrices(geo, rng, 4096)
             a *= 10.0 ** rng.uniform(-3, 3, (4096, 1, 1))
             if near_singular:
                 e = geo.plan.first
@@ -520,8 +582,8 @@ class TestDeterminant:
 
                 def put(x):
                     a[:, 2 * e, j] = x
-                    if (e, j) in opposite:
-                        a[:, 2 * e, opposite[e, j]] = -x
+                    for c, ratio in parallel.get((e, j), ()):
+                        a[:, 2 * e, c] = ratio * x
 
                 put(0.0)
                 at_zero = np.linalg.det(a)
@@ -533,11 +595,12 @@ class TestDeterminant:
 
     def test_plan_sizes(self):
         # transitions per geometry; the first leg's s-velocity is 0 and
-        # lists no entries
+        # lists no entries, and at s = e_z the pairs of two columns of one
+        # axis are 0 and not listed
         transitions = {name: WGeometry(line_diagram_catalog(name)).plan
                        .transitions for name in anomaly.LINE_CATALOG}
-        assert transitions == {"theta": 1, "d2": 17, "a1": 59, "a2": 59,
-                               "a3": 47, "w3": 181}
+        assert transitions == {"theta": 1, "d2": 13, "a1": 48, "a2": 48,
+                               "a3": 29, "w3": 90}
 
     @pytest.mark.parametrize("trivalent, transitions", [(1, 12), (2, 24)])
     def test_closed_link_plan_sizes(self, trivalent, transitions):
@@ -573,16 +636,18 @@ class TestDeterminant:
 
             monkeypatch.setattr(geo.plan, "wedge", record_minors)
             if source == "W":
-                monkeypatch.setattr(anomaly, "jacobian_values", record)
-                s, t, x, _ = WSampler(geo).sample(rng, 512)
-                anomaly.w_integrand_batch(geo, s, t, x)
+                t, x, _ = WSampler(geo).sample(rng, 512)
+                anomaly.w_integrand_batch(geo, t, x)
+                pos, tangents = w_oracle_inputs(
+                    geo, np.tile([0.0, 0.0, 1.0], (512, 1)),
+                    samples_first(t), samples_first(x))
             else:
                 monkeypatch.setattr(integrate, "jacobian_values", record)
                 _, x_univ, v_univ, x, _ = ConfigurationSampler(geo).sample(
                     rng, 512)
                 integrand_batch(geo, x_univ, v_univ, x)
-            (pos, tangents), = inputs
-            pos, tangents = samples_first_dicts(pos, tangents)
+                (pos, tangents), = inputs
+                pos, tangents = samples_first_dicts(pos, tangents)
             minors, = handed
             M, lengths = frame_rows(geo, pos, tangents)
             keep = np.min(lengths, axis=1) >= 1e-2 * (
@@ -704,8 +769,8 @@ class TestSampler:
             sampler = WSampler(geo)
 
             def batch(rng):
-                s, t, x, _ = sampler.sample(rng, 4096)
-                return anomaly.w_integrand_batch(geo, s, t, x)
+                return anomaly.w_integrand_batch(
+                    geo, *sampler.sample(rng, 4096)[:2])
 
         def refused(*args, **kwargs):
             raise AssertionError("a scalar ufunc loop on the sampled path")
@@ -722,6 +787,23 @@ class TestSampler:
         monkeypatch.setattr(np, "copyto", unmasked_copyto)
         values, rejected = batch(np.random.default_rng(3))
         assert np.all(np.isfinite(values)) and np.any(values != 0)
+
+    @pytest.mark.parametrize("name", anomaly.LINE_CATALOG)
+    def test_w_batch_takes_only_axis_columns(self, monkeypatch, name):
+        # at s = e_z every Jacobian column is an axis column: one batch of
+        # the W sampler and integrand forms no cross or dot product, and
+        # the sphere chart's frame is not in src
+        def refused(*args, **kwargs):
+            raise AssertionError("a velocity column on the W path")
+
+        for fn in ("_cross", "_dot"):
+            monkeypatch.setattr(integrate, fn, refused)
+        geo = WGeometry(line_diagram_catalog(name))
+        values, _ = anomaly.w_integrand_batch(
+            geo, *WSampler(geo).sample(np.random.default_rng(5), 512)[:2])
+        assert np.all(np.isfinite(values))
+        assert not hasattr(integrate, "chart_frame")
+        assert not hasattr(anomaly, "chart_frame")
 
     @pytest.mark.parametrize("k", [1, 2, 3, 5, 6])
     def test_sort_rows_is_numpys_sort(self, k):

@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 from test_integrate import curve_named
 
-from cslinks.curves import LinkCurve, catalog
+from cslinks import integrate
+from cslinks.curves import CATALOG_NAMES, LinkCurve, catalog
 from cslinks.diagrams import THETA, Diagram, canonical_oriented, std_oriented
 from cslinks.errors import ConvergenceError, DiagramError
-from cslinks.integrate import chord_quadrature
+from cslinks.integrate import chord_quadrature, z_n
 from cslinks.invariants import (alpha_exact, lattice_check, linking_number,
                                 self_linking, v2, z0_series,
                                 z_roundtrip_residual)
@@ -55,6 +56,45 @@ class TestSelfLinking:
         est = self_linking(curve, m)
         knot = LinkCurve([curve.components[m]])
         assert est == chord_quadrature(std_oriented(THETA), knot)
+
+    @pytest.mark.parametrize("name", CATALOG_NAMES)
+    def test_z_n_theta_is_self_linking(self, name):
+        # what lets one command share the estimate: z_n's degree-1 θ class
+        # of each component, computed on its own, is self_linking's, bit
+        # for bit
+        curve = catalog(name)
+        _, _, estimates = z_n(curve, 1)
+        for m in range(curve.n_components):
+            est = self_linking(curve, m)
+            placements = tuple((0, 1) if i == m else ()
+                               for i in range(curve.n_components))
+            key, _ = canonical_oriented(std_oriented(Diagram(
+                circles(curve.n_components), placements, frozenset(),
+                frozenset({frozenset((0, 1))}))))
+            assert estimates[key] == est
+
+    @pytest.mark.parametrize("name, command", [
+        ("trefoil", lambda c: z0_series(c, 1, samples=10 ** 3)),
+        ("hopf-link", lambda c: z0_series(c, 1, samples=10 ** 3)),
+        ("trefoil-framed", lambda c: lattice_check(c, 1, 2, samples=10 ** 3))],
+        ids=["z0-trefoil", "z0-hopf-link", "lattice-trefoil-framed"])
+    def test_theta_once_per_command(self, monkeypatch, name, command):
+        # the command's kernel passes are those of z_n at degree 1 alone:
+        # the framings and Z's θ classes share their estimates
+        calls = []
+        rows = integrate._kernel_rows
+
+        def counted(curve, m1, m2, n):
+            calls.append((m1, m2, n))
+            return rows(curve, m1, m2, n)
+
+        monkeypatch.setattr(integrate, "_kernel_rows", counted)
+        command(catalog(name))
+        passes = sorted(calls)
+        calls.clear()
+        z_n(catalog(name), 1)
+        assert passes == sorted(calls)
+        assert len(set(passes)) == len(passes)
 
     def test_continuity_under_perturbation(self):
         base = catalog("unknot-planar-perturbed")

@@ -195,8 +195,8 @@ class TestBadCounts:
 # the samplers' arrays live in the geometry's workspace, so a second
 # sample overwrites the first: the inputs of the aliasing tests are copies
 def w_inputs(geo, rng, count):
-    s, t, x, _ = WSampler(geo).sample(rng, count)
-    return s.copy(), t.copy(), x.copy()
+    t, x, _ = WSampler(geo).sample(rng, count)
+    return t.copy(), x.copy()
 
 
 def closed_inputs(geo, rng, count):
