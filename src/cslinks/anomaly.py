@@ -28,7 +28,7 @@ from .integrate import (KernelGeometry, class_sum, has_trivalent_triangle,
                         jacobian_values, permutation_sign, propose_trivalent,
                         sort_rows)
 from .invariants import self_linking
-from .mc import Estimate, run_sharded
+from .mc import Estimate, check_counts, check_seed, run_sharded
 from .support import R1
 
 # pinned so that f_theta = +1 (the W-fibration over S² has degree one for
@@ -174,12 +174,23 @@ class WSampler:
 def f_gamma(gamma, samples=10 ** 6, seed=0, shards=None,
             workers=None) -> Estimate:
     """The anomaly integral of a connected line diagram (by name or as an
-    oriented diagram).  A batch samples into the geometry's workspace and
-    divides the integrand's new values array by the density in place."""
+    oriented diagram).
+
+    Where vanishes_on_w names an argument (d2, the wheel w3), the integral
+    is an exact 0: method "exact", stderr 0, the argument in the
+    diagnostics, and no sample drawn, once the counts and the seed pass
+    the checks that a sampled run makes.  Every other diagram is sampled:
+    a batch samples into the geometry's workspace and divides the
+    integrand's new values array by the density in place."""
     od = line_diagram_catalog(gamma) if isinstance(gamma, str) else gamma
     if degree(od.diagram) > 3:
         raise DiagramError("anomaly integrals support degree <= 3")
     geo = WGeometry(od)
+    argument = vanishes_on_w(od.diagram)
+    if argument:
+        check_counts(samples, shards, workers)
+        check_seed(seed)
+        return Estimate(0.0, 0.0, "exact", {"argument": argument})
     sampler = WSampler(geo)
 
     def batch(rng, count):
@@ -190,13 +201,17 @@ def f_gamma(gamma, samples=10 ** 6, seed=0, shards=None,
     return run_sharded(batch, samples, seed, shards, workers)
 
 
-def vanishes_on_w(d) -> bool:
-    """Whether the integrand of d on W(γ) is 0 at every point: d has a
-    trivalent triangle, or a trivalent vertex on three legs, whose edge
-    directions lie on one great circle (the plane of the axis and the
-    vertex), so their 6-form pulls back through a map of rank at most 5."""
-    return has_trivalent_triangle(d) or any(
-        set(d.neighbors(t)) <= d.univalent for t in d.trivalent)
+def vanishes_on_w(d):
+    """The argument by which the integrand of d on W(γ) is 0 at every
+    point, or None: "trivalent triangle" or "trivalent vertex on three
+    legs".  The three edge directions of either lie on one great circle
+    (the triangle's plane; the plane of the axis and the vertex), so their
+    6-form pulls back through a map of rank at most 5."""
+    if has_trivalent_triangle(d):
+        return "trivalent triangle"
+    if any(set(d.neighbors(t)) <= d.univalent for t in d.trivalent):
+        return "trivalent vertex on three legs"
+    return None
 
 
 def anomaly_alpha(max_degree, samples=10 ** 6, seed=0, shards=None,

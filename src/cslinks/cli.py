@@ -26,7 +26,7 @@ from .diagrams import degree as diagram_degree
 from .diagrams import enumerate_diagrams, is_principal, is_subprincipal, std_oriented
 from .errors import ConvergenceError, DiagramError, EmbeddingError
 from .integrate import integrate_diagram
-from .mc import SHARDS, check_counts, default_workers
+from .mc import SHARDS, check_counts, check_seed, default_workers
 from .strata import enumerate_faces
 from .support import S1, circles
 
@@ -48,6 +48,10 @@ def _mc_settings(args):
               "seed": args.seed, "shards": _count("--shards", args.shards),
               "workers": _count("--workers", args.workers)}
     check_counts(config["samples"], config["shards"], config["workers"])
+    # below 2**63, so that the seeds a command derives from it (z_n adds
+    # 7919 per class, z_series 31 per degree, anomaly_alpha 101 per
+    # degree) stay below the 2**64 that keys the random streams
+    check_seed(args.seed, 1 << 63)
     return config
 
 

@@ -1,5 +1,5 @@
 """Deterministic sharded Monte Carlo driver, and Estimate, the record of
-every integral (Monte Carlo or quadrature).
+every integral (Monte Carlo, quadrature or exact).
 
 Each shard owns a counter-based random stream keyed by (seed, shard), so the
 full estimate is reproducible bit-for-bit for fixed (seed, samples, shards)
@@ -29,8 +29,18 @@ BATCH = 1 << 16
 SHARDS = 16
 
 
+def check_seed(seed, bound=1 << 64):
+    """Raise ValueError unless 0 <= seed < bound.  A shard's Philox key
+    holds the seed as one 64-bit word, so a seed outside [0, 2**64) would
+    alias one inside it (-1 and 2**64 - 1 would key the same streams)."""
+    if not 0 <= seed < bound:
+        raise ValueError(f"seed must lie in [0, 2**{bound.bit_length() - 1}),"
+                         f" got {seed}")
+
+
 def shard_stream(seed: int, shard: int) -> np.random.Generator:
-    key = np.array([seed & 0xFFFFFFFFFFFFFFFF, shard], dtype=np.uint64)
+    check_seed(seed)
+    key = np.array([seed, shard], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
@@ -70,8 +80,10 @@ def default_workers():
 @dataclass
 class Estimate:
     """An integral's estimate, whatever computed it: its value, the error
-    estimate stderr, the method ("monte-carlo" or "quadrature") and that
-    method's diagnostics, in report order.  A Monte Carlo estimate also
+    estimate stderr, the method and that method's diagnostics, in report
+    order.  The methods are "monte-carlo", "quadrature" and "exact" (a
+    value known in closed form, stderr 0: f_γ of a diagram whose integrand
+    is 0 at every point).  A Monte Carlo estimate also
     keeps its shard means (bit for bit, for the determinism checks)."""
     value: float
     stderr: float
@@ -90,10 +102,14 @@ class Estimate:
                 "stderr": self.stderr, **self.diagnostics}
 
 
-def check_counts(samples, shards, workers):
-    """Raise ValueError unless the counts make a run: at least one sample,
-    two shards (the error comes from the spread of the shard means) and
-    one worker, and no more shards than samples (each shard takes one)."""
+def check_counts(samples, shards=None, workers=None):
+    """The (shards, workers) of a run, None read as SHARDS and
+    default_workers().  Raise ValueError unless the counts make a run: at
+    least one sample, two shards (the error comes from the spread of the
+    shard means) and one worker, and no more shards than samples (each
+    shard takes one)."""
+    shards = SHARDS if shards is None else shards
+    workers = default_workers() if workers is None else workers
     if samples < 1:
         raise ValueError(f"sample count must be at least 1, got {samples}")
     if shards < 2:
@@ -103,6 +119,7 @@ def check_counts(samples, shards, workers):
     if shards > samples:
         raise ValueError(f"shard count {shards} exceeds the sample count "
                          f"{int(samples)}")
+    return shards, workers
 
 
 def run_sharded(batch_fn, samples, seed, shards=None,
@@ -122,9 +139,7 @@ def run_sharded(batch_fn, samples, seed, shards=None,
     the shard spread has only shards - 1 degrees of freedom, and the sample
     variance misses the tail a run did not draw.
     """
-    shards = SHARDS if shards is None else shards
-    workers = default_workers() if workers is None else workers
-    check_counts(samples, shards, workers)
+    shards, workers = check_counts(samples, shards, workers)
     per_shard = -(-int(samples) // shards)   # ceil; actual count reported
     work = Workspace()
 

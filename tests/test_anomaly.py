@@ -17,13 +17,19 @@ from cslinks.anomaly import (LINE_CATALOG, WGeometry, WSampler,
                              is_square, line_diagram_catalog, psi_image_a1,
                              psi_image_a3,
                              square_substitution_invariant,
-                             w_config_positions, w_integrand_batch)
+                             vanishes_on_w, w_config_positions,
+                             w_integrand_batch)
 from cslinks.curves import CATALOG_NAMES, catalog
 from cslinks.diagrams import (Diagram, OrientedDiagram, automorphism_count,
                               canonical_oriented, degree)
 from cslinks.errors import EmbeddingError
 from cslinks.integrate import has_trivalent_triangle, sphere_chart
+from cslinks.mc import run_sharded
 from cslinks.support import R1
+
+# the arguments by which vanishes_on_w finds an integrand 0 at every point
+VANISHING = {"d2": "trivalent vertex on three legs",
+             "w3": "trivalent triangle"}
 
 
 def pole_samples(name, count, seed):
@@ -32,6 +38,37 @@ def pole_samples(name, count, seed):
     geo = WGeometry(line_diagram_catalog(name))
     drawn = WSampler(geo).sample(np.random.default_rng(seed), count)
     return (geo, *(samples_first(a).copy() for a in drawn))
+
+
+def sampled_f(od, samples, seed, shards=None, workers=None):
+    """f_γ by Monte Carlo for any line diagram: WSampler's weights through
+    run_sharded, the path f_gamma takes for every diagram to which
+    vanishes_on_w gives no argument."""
+    geo = WGeometry(od)
+    sampler = WSampler(geo)
+
+    def batch(rng, count):
+        t_params, x_triv, density = sampler.sample(rng, count)
+        values, rejected = w_integrand_batch(geo, t_params, x_triv)
+        return np.divide(values, density, out=values), int(np.sum(rejected))
+
+    return run_sharded(batch, samples, seed, shards, workers)
+
+
+def term_bounds(name, count, seed):
+    """(values, bounds) at count samples of the W sampler: the integrand,
+    and the product over the edges of 1/(4 pi |e|^2).  Each entry of an
+    edge's 2-form is D_c/(4 pi r^3) times at most two leg parameters in
+    [0, 1], with |D_c| <= r, so the bound holds for every term of the
+    wedge."""
+    geo = WGeometry(line_diagram_catalog(name))
+    t, x, _ = WSampler(geo).sample(np.random.default_rng(seed), count)
+    values, _ = w_integrand_batch(geo, t, x)
+    pos = w_config_positions(geo, t, x)
+    bounds = np.ones(count)
+    for p, q in geo.edges:
+        bounds /= 4 * np.pi * np.sum((pos[q] - pos[p]) ** 2, axis=0)
+    return values, bounds
 
 
 def pole_values(geo, t, x):
@@ -261,6 +298,60 @@ class TestVanishingIntegrands:
         v, _ = w_integrand_batch(geo, t, x)
         assert np.max(np.abs(v)) < 1e-7
 
+    def test_values_at_rounding_of_their_terms(self):
+        # the numeric evidence for f_gamma's exact zero, at 10^5 proposal
+        # samples each: every value of d2 and w3 lies within 64 rounding
+        # units of the bound on its wedge's terms, while a live integral of
+        # the same sampler, a1, has its median value above 10^-6 of it
+        eps = np.finfo(float).eps
+        for name in VANISHING:
+            values, bounds = term_bounds(name, 10 ** 5, 17)
+            assert np.all(np.abs(values) <= 64 * eps * bounds)
+        values, bounds = term_bounds("a1", 10 ** 5, 17)
+        assert np.all(np.abs(values) <= bounds)
+        assert np.median(np.abs(values) / bounds) > 1e-6
+
+
+class TestExactZero:
+    def test_vanishing_arguments(self):
+        # over the catalog, exactly d2 and w3 vanish pointwise, each by its
+        # own argument
+        found = {name: vanishes_on_w(line_diagram_catalog(name).diagram)
+                 for name in LINE_CATALOG}
+        assert found == {name: VANISHING.get(name) for name in LINE_CATALOG}
+
+    @pytest.mark.parametrize("name", sorted(VANISHING))
+    def test_no_samples_drawn(self, monkeypatch, name):
+        def refused(*args, **kwargs):
+            raise AssertionError("a vanishing integral was sampled")
+
+        monkeypatch.setattr(anomaly.WSampler, "sample", refused)
+        monkeypatch.setattr(anomaly, "run_sharded", refused)
+        est = f_gamma(name, samples=10 ** 5, seed=4)
+        assert (est.value, est.stderr, est.method) == (0.0, 0.0, "exact")
+        assert est.diagnostics == {"argument": VANISHING[name]}
+        assert est.shard_means == ()
+
+    @pytest.mark.parametrize("name", sorted(VANISHING))
+    @pytest.mark.parametrize("kwargs", [
+        {"samples": 0}, {"shards": 1}, {"workers": 0},
+        {"samples": 3, "shards": 4}, {"samples": 15}, {"seed": -1},
+        {"seed": 1 << 64}], ids=["samples-0", "shards-1", "workers-0",
+                                 "shards-above-samples", "samples-15",
+                                 "seed-negative", "seed-2**64"])
+    def test_bad_counts_still_refused(self, name, kwargs):
+        with pytest.raises(ValueError):
+            f_gamma(name, **{"samples": 1000, **kwargs})
+
+    @pytest.mark.parametrize("name", ["theta", "a1", "a2", "a3"])
+    def test_live_classes_sampled_as_before(self, name):
+        # every other catalog diagram keeps its Monte Carlo bit for bit
+        est = f_gamma(name, samples=4000, seed=9, shards=4)
+        want = sampled_f(line_diagram_catalog(name), 4000, 9, shards=4)
+        assert est.method == "monte-carlo"
+        assert (est.value, est.stderr, est.shard_means, est.diagnostics) \
+            == (want.value, want.stderr, want.shard_means, want.diagnostics)
+
 
 class TestSymmetries:
     @pytest.mark.parametrize("name", ["theta", "d2", "a1", "a3"])
@@ -326,7 +417,7 @@ class TestAlpha:
         assert not any(has_trivalent_triangle(d) for d in integrated)
         # α₃ with the wheel sampled as before (its seed offset is 3)
         wheel = line_diagram_catalog("w3")
-        f_w3 = oracle(wheel, samples=samples, seed=seed + 101 * 3 + 3)
+        f_w3 = sampled_f(wheel, samples=samples, seed=seed + 101 * 3 + 3)
         key, sign = canonical_oriented(wheel)
         term = ClassVector(R1, 3, {key: sign * f_w3.value
                                    / (2 * automorphism_count(wheel.diagram))})

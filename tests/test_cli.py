@@ -172,6 +172,23 @@ class TestMonteCarloCommands:
         rep = report(r)
         assert rep["estimate"]["value"] == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("gamma", ["d2", "w3"])
+    def test_anomaly_f_exact_zero(self, gamma):
+        # the pointwise-vanishing integrals read an exact 0 in strict JSON
+        # and still echo their config
+        r = run_cli("anomaly", "f", "--gamma", gamma, "--seed", "5")
+        assert r.returncode == 0 and r.stderr == ""
+
+        def refuse(token):
+            raise ValueError(f"non-finite number {token}")
+
+        rep = json.loads(r.stdout, parse_constant=refuse)
+        assert rep["estimate"]["value"] == 0.0
+        assert rep["estimate"]["stderr"] == 0.0
+        assert rep["estimate"]["method"] == "exact"
+        assert rep["config"] == {"samples": 10 ** 6, "seed": 5,
+                                 "shards": 16, "workers": 1}
+
     def test_anomaly_framing(self):
         r = run_cli("anomaly", "framing", "--curve", "unknot-round",
                     "--samples", "1e4")
@@ -258,7 +275,11 @@ BAD_COUNTS = [
     ("--samples", "15"), ("--samples", "3", "--shards", "4"),
     ("--samples", "1000.5"), ("--shards", "2.5"), ("--workers", "2.5"),
     ("--shards", "1e8"), ("--shards", "inf"), ("--workers", "nan"),
-    ("--workers", "x")]
+    ("--workers", "x"),
+    # seeds lie in [0, 2**63): below that the seeds a command derives stay
+    # in the 64 bits of the stream key, so no two seeds alias
+    ("--seed", "-1"), ("--seed", str(1 << 63)),
+    ("--seed", str((1 << 64) + 1))]
 
 
 class TestBadCounts:
@@ -271,11 +292,12 @@ class TestBadCounts:
     @pytest.mark.parametrize("command", [
         ("invariant", "linking", "--curve", "hopf-link"),
         ("invariant", "selflink", "--curve", "trefoil"),
-        ("anomaly", "framing", "--curve", "trefoil")],
-        ids=["linking", "selflink", "framing"])
+        ("anomaly", "framing", "--curve", "trefoil"),
+        ("anomaly", "f", "--gamma", "d2"), ("anomaly", "f", "--gamma", "w3")],
+        ids=["linking", "selflink", "framing", "f-d2", "f-w3"])
     def test_quadrature_commands_check_counts(self, command, flags, capsys):
-        # these commands sample nothing, yet refuse the counts that a
-        # Monte Carlo command refuses
+        # these commands sample nothing (f of d2 and w3 is an exact 0), yet
+        # refuse the counts and seeds that a Monte Carlo command refuses
         assert cli.main([*command, *flags]) == 2
         out, err = capsys.readouterr()
         assert out == ""

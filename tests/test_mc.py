@@ -3,6 +3,7 @@ import threading
 
 import numpy as np
 import pytest
+from test_anomaly import sampled_f
 
 from cslinks.anomaly import (WGeometry, WSampler, disc_integral, f_gamma,
                              line_diagram_catalog, w_integrand_batch)
@@ -44,6 +45,19 @@ class TestDeterminism:
         assert np.array_equal(a, b)
         c = shard_stream(3, 2).uniform(size=4)
         assert not np.array_equal(a, c)
+
+    @pytest.mark.parametrize("seed", [-1, 1 << 64, (1 << 64) + 1])
+    def test_seed_outside_64_bits_refused(self, seed):
+        # the key holds the seed as one 64-bit word: a seed outside
+        # [0, 2**64) would alias one inside it
+        with pytest.raises(ValueError, match="seed"):
+            shard_stream(seed, 0)
+        with pytest.raises(ValueError, match="seed"):
+            run_sharded(weight_batch, 100, seed=seed, shards=4)
+
+    def test_largest_seed_keys_its_own_stream(self):
+        a = shard_stream((1 << 64) - 1, 0).uniform(size=4)
+        assert not np.array_equal(a, shard_stream(1, 0).uniform(size=4))
 
 
 class TestEstimates:
@@ -118,6 +132,8 @@ ENTRY_POINTS = {
         "monte-carlo", MC_FIELDS),
     "f_gamma": (lambda: f_gamma("theta", samples=64, shards=2),
                 "monte-carlo", MC_FIELDS),
+    "f_gamma_exact": (lambda: f_gamma("w3", samples=64, shards=2),
+                      "exact", ["argument"]),
     "chord_quadrature": (
         lambda: chord_quadrature(std_oriented(THETA), catalog("trefoil")),
         "quadrature", ["grid"]),
@@ -234,8 +250,10 @@ class TestWorkspace:
                     tripod_positive(), catalog("trefoil"), samples=10 ** 5,
                     seed=23, shards=8, workers=w) for w in (1, 3))
             else:
-                one, three = (f_gamma(case, samples=10 ** 5, seed=23,
-                                      shards=8, workers=w) for w in (1, 3))
+                # sampled, though f_gamma answers d2 and w3 exactly
+                one, three = (sampled_f(line_diagram_catalog(case),
+                                        10 ** 5, 23, shards=8, workers=w)
+                              for w in (1, 3))
         finally:
             sys.setswitchinterval(interval)
         assert one.value == three.value
